@@ -185,27 +185,7 @@ def save_model(net: PdcnnNet, path) -> None:
             f.write(struct.pack("<I", len(encoded)))
             f.write(encoded)
         for _, array in params:
-            _write_pdt_stream(f, array)
-
-
-def _write_pdt_stream(f, t: np.ndarray) -> None:
-    t = np.asarray(t)
-    f.write(T.PDT1_MAGIC)
-    f.write(struct.pack("<I", t.ndim))
-    for s in t.shape:
-        f.write(struct.pack("<I", s))
-    f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
-
-
-def _read_pdt_stream(f) -> np.ndarray:
-    magic = f.read(4)
-    if magic != T.PDT1_MAGIC:
-        raise ValueError(f"corrupt model payload (magic {magic!r})")
-    (rank,) = struct.unpack("<I", f.read(4))
-    shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(f.read(4 * count), dtype="<f4", count=count)
-    return data.reshape(shape)
+            T.write_pdt_stream(f, array)
 
 
 def load_model(path) -> PdcnnNet:
@@ -214,17 +194,14 @@ def load_model(path) -> PdcnnNet:
         magic = f.read(4)
         if magic != PDM1_MAGIC:
             raise ValueError(f"{path}: not a PDM1 model file")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = T.read_u32(f, path)
         if version != PDM1_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        (meta_len,) = struct.unpack("<I", f.read(4))
-        meta = f.read(meta_len).decode("utf-8")
-        (count,) = struct.unpack("<I", f.read(4))
-        names = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            names.append(f.read(name_len).decode("utf-8"))
-        arrays = [_read_pdt_stream(f) for _ in range(count)]
+        meta = T.read_exact(f, T.read_u32(f, path), path).decode("utf-8")
+        count = T.read_u32(f, path)
+        names = [T.read_exact(f, T.read_u32(f, path), path).decode("utf-8")
+                 for _ in range(count)]
+        arrays = [T.read_pdt_stream(f, path) for _ in range(count)]
     d = {}
     for line in meta.splitlines():
         if not line.strip():

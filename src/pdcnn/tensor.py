@@ -6,6 +6,7 @@ once per model. Randomness is never ambient: every stochastic operation takes
 an explicit Rng, and independent streams are derived with mix_seed.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -104,34 +105,54 @@ def check_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:
     return t
 
 
-def write_pdt(path, t: np.ndarray) -> None:
-    """Write a tensor as PDT1: magic, u32 LE rank, u32 LE extents, f32 LE data.
+def write_pdt_stream(f, t: np.ndarray) -> None:
+    """Write one PDT1 record to an open binary file: magic, u32 LE rank,
+    u32 LE extents, f32 LE data.
 
     Data is row-major (last axis fastest). Writing is byte-deterministic for
     equal inputs.
     """
     t = np.asarray(t)
+    f.write(PDT1_MAGIC)
+    f.write(struct.pack("<I", t.ndim))
+    for s in t.shape:
+        f.write(struct.pack("<I", s))
+    f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+
+
+def read_exact(f, n: int, path) -> bytes:
+    """The next n bytes of f; ValueError naming path if the file ends first."""
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError(f"{path}: truncated file (needed {n} bytes, got {len(data)})")
+    return data
+
+
+def read_u32(f, path) -> int:
+    """One little-endian u32 from f, checked like read_exact."""
+    return struct.unpack("<I", read_exact(f, 4, path))[0]
+
+
+def read_pdt_stream(f, path) -> np.ndarray:
+    """Read one PDT1 record from an open binary file as a float32 array;
+    path names the file in errors."""
+    magic = read_exact(f, 4, path)
+    if magic != PDT1_MAGIC:
+        raise ValueError(f"{path}: not a PDT1 record (magic {magic!r})")
+    rank = read_u32(f, path)
+    shape = tuple(read_u32(f, path) for _ in range(rank))
+    count = math.prod(shape)
+    data = np.frombuffer(read_exact(f, 4 * count, path), dtype="<f4", count=count)
+    return data.reshape(shape).astype(np.float32)
+
+
+def write_pdt(path, t: np.ndarray) -> None:
+    """Write a tensor as a PDT1 file holding one record (see write_pdt_stream)."""
     with open(path, "wb") as f:
-        f.write(PDT1_MAGIC)
-        f.write(struct.pack("<I", t.ndim))
-        for s in t.shape:
-            f.write(struct.pack("<I", s))
-        f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
+        write_pdt_stream(f, t)
 
 
 def read_pdt(path) -> np.ndarray:
     """Read a PDT1 file; returns a float32 array (cast at the call site if needed)."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != PDT1_MAGIC:
-            raise ValueError(f"{path}: not a PDT1 file (magic {magic!r})")
-        (rank,) = struct.unpack("<I", f.read(4))
-        shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(rank))
-        count = 1
-        for s in shape:
-            count *= s
-        raw = f.read(4 * count)
-        if len(raw) != 4 * count:
-            raise ValueError(f"{path}: truncated PDT1 payload")
-        data = np.frombuffer(raw, dtype="<f4", count=count)
-        return data.reshape(shape).astype(np.float32)
+        return read_pdt_stream(f, path)

@@ -184,6 +184,19 @@ def test_eval_empty_manifest_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_eval_truncated_model_exit_1(tmp_path, capsys):
+    _, out = _train(tmp_path)
+    model = out / "model.bin"
+    model.write_bytes(model.read_bytes()[:-3])  # cut inside the last tensor
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model),
+                 "--manifest", str(tmp_path / "data" / "manifest.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: truncated")
+    assert err.count("\n") == 1
+
+
 # --- search ---
 
 def test_search_replay_full(tmp_path, capsys):

@@ -73,6 +73,32 @@ def test_conv_batched_matches_single():
         npt.assert_allclose(batched[i], conv.forward(xs[i]), atol=1e-12)
 
 
+@pytest.mark.parametrize("stride,pad", [(4, 2), (1, 2)])
+def test_conv_batched_backward_matches_per_sample(stride, pad):
+    # N, Ci and Co all differ, so a batch/channel axis swap in the column
+    # layout cannot cancel out; the FD gradcheck only feeds single samples
+    n, ci, co, k, size = 3, 2, 5, 3, 9
+    rng = np.random.default_rng(stride)
+    xs = rng.normal(0, 1, (n, ci, size, size))
+    weights = rng.normal(0, 1, (co, ci, k, k))
+    bias = rng.normal(0, 1, co)
+    conv = Conv2d(weights, bias, stride=stride, padding=pad)
+    out = conv.forward(xs)
+    dout = rng.normal(0, 1, out.shape)
+    dx = conv.backward(dout)
+    grad_weights, grad_bias = conv.grad_weights, conv.grad_bias
+    sum_gw, sum_gb = np.zeros_like(weights), np.zeros_like(bias)
+    for i in range(n):
+        npt.assert_allclose(out[i], conv_naive(xs[i], weights, bias, stride, pad),
+                            atol=1e-12)
+        conv.forward(xs[i])
+        npt.assert_allclose(dx[i], conv.backward(dout[i]), atol=1e-12)
+        sum_gw += conv.grad_weights
+        sum_gb += conv.grad_bias
+    npt.assert_allclose(grad_weights, sum_gw, atol=1e-12)
+    npt.assert_allclose(grad_bias, sum_gb, atol=1e-12)
+
+
 def test_conv_shape_errors():
     conv = Conv2d(np.zeros((1, 2, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError):

@@ -143,6 +143,18 @@ def test_load_rejects_non_model_file(tmp_path):
         load_model(path)
 
 
+def test_load_rejects_model_truncated_at_any_offset(tmp_path):
+    raw_path = tmp_path / "model.bin"
+    save_model(tiny_net([4, 3], seed=6, dtype=np.float32), raw_path)
+    raw = raw_path.read_bytes()
+    path = tmp_path / "cut.bin"
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value).startswith(f"{path}: "), (cut, err.value)
+
+
 def test_full_scale_forward_smoke():
     # default geometry end to end: one 3x224x224 sample through every branch
     spec = build_pdcnn([4, 3], input_shape=(3, 224, 224))
