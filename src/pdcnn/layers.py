@@ -5,7 +5,10 @@ cross-entropy loss.
 Every layer accepts a single sample (C,H,W) or a batch (N,C,H,W); the fully
 connected layer takes (D,) or (N,D). backward() consumes the upstream
 gradient for the most recent forward(), returns the input gradient, and
-leaves parameter gradients on grad_* attributes. Analytic gradients are
+leaves parameter gradients on grad_* attributes. A Conv2d built with
+input_grad=False fills its grad_* attributes the same way but returns None:
+it skips the input-gradient GEMM and col2im, for a layer that reads the
+network input, whose gradient nothing consumes. Analytic gradients are
 finite-difference verified in the test suite (central differences, step 1e-3,
 double precision, relative error < 1e-4).
 
@@ -35,10 +38,12 @@ class Conv2d:
     and grad_weights = dout @ cols_t.T. The input gradient W.T @ dout leaves
     the GEMM contiguous as (C,kh,kw,N,oh,ow); col2im adds each kernel tap's
     (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, transposed back once.
+    With input_grad=False, backward stops after the parameter gradients and
+    returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
-                 padding: int = 0):
+                 padding: int = 0, input_grad: bool = True):
         weights = np.asarray(weights)
         bias = np.asarray(bias)
         if weights.ndim != 4:
@@ -53,6 +58,7 @@ class Conv2d:
         self.bias = bias
         self.stride = stride
         self.padding = padding
+        self.input_grad = input_grad
         self.grad_weights = None
         self.grad_bias = None
         self._cache = None
@@ -82,7 +88,7 @@ class Conv2d:
         self._cache = (cols_t, x.shape, xp.shape, squeeze)
         return out[0] if squeeze else out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         cols_t, x_shape, xp_shape, squeeze = self._cache
         if squeeze:
             dout = dout[None]
@@ -93,6 +99,8 @@ class Conv2d:
         dmat_t = dout.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
         self.grad_weights = (dmat_t @ cols_t.T).reshape(self.weights.shape)
         self.grad_bias = dmat_t.sum(axis=1)
+        if not self.input_grad:
+            return None
         dcols_t = (self.weights.reshape(co, -1).T @ dmat_t).reshape(
             ci, kh, kw, n, oh, ow)
         dxp = np.zeros((ci, n) + xp_shape[2:], dtype=dout.dtype)

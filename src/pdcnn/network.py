@@ -6,6 +6,14 @@ and applies the shared 2-way head. Weights start Gaussian(0, 0.01), biases
 zero, drawn in declaration order from one seeded stream. Model files ("PDM1")
 carry a version tag, the architecture description, an index of tensor names,
 and the parameter tensors as concatenated PDT1 payloads.
+
+A network in inference mode (the `inference` attribute set, as
+optim.evaluate does for its duration) runs the same forward arithmetic but
+drops every layer's backward cache as soon as the layer returns, so a
+forward-only pass holds one layer's im2col matrix at a time instead of
+every branch's; backward() after such a forward raises ValueError. Each
+branch's first conv layer is built without an input gradient, since the
+gradient with respect to the images is never consumed.
 """
 
 import struct
@@ -32,13 +40,14 @@ _META_KEY_ORDER = ("depths", "variants", "input_channels", "input_size",
                    "lrn_beta", "filter_scale", "init_sigma", "dtype")
 
 
-def _build_layer(layer_spec, in_channels, rng, dtype, sigma):
+def _build_layer(layer_spec, in_channels, rng, dtype, sigma, first):
     if layer_spec.kind == "conv":
         w = T.gaussian_init(
             (layer_spec.filters, in_channels, layer_spec.kernel, layer_spec.kernel),
             sigma, rng, dtype=dtype)
         b = T.tensor_new((layer_spec.filters,), 0.0, dtype=dtype)
-        return Conv2d(w, b, stride=layer_spec.stride, padding=layer_spec.padding)
+        return Conv2d(w, b, stride=layer_spec.stride, padding=layer_spec.padding,
+                      input_grad=not first)
     if layer_spec.kind == "pool":
         return MaxPool(layer_spec.window, layer_spec.stride)
     if layer_spec.kind == "lrn":
@@ -68,7 +77,7 @@ class PdcnnNet:
                 if ls.kind == "fc":
                     continue  # replaced by the shared head
                 layers.append(_build_layer(ls, c, rng, self.dtype,
-                                           spec.config.init_sigma))
+                                           spec.config.init_sigma, not layers))
                 names.append(ls.name)
                 if ls.kind == "conv":
                     c = ls.filters
@@ -79,6 +88,7 @@ class PdcnnNet:
                              spec.config.init_sigma, rng, dtype=self.dtype)
         hb = T.tensor_new((spec.num_classes,), 0.0, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
+        self.inference = False
         self._feat_shapes = None
 
     def parameters(self):
@@ -124,19 +134,26 @@ class PdcnnNet:
         if squeeze:
             x = x[None]
         feats = []
-        self._feat_shapes = []
+        feat_shapes = []
         for layers in self.branches:
             h = x
             for layer in layers:
                 h = layer.forward(h)
-            self._feat_shapes.append(h.shape)
+                if self.inference:
+                    layer._cache = None
+            feat_shapes.append(h.shape)
             feats.append(h.reshape(h.shape[0], -1))
         fused = np.concatenate(feats, axis=1)
         logits = self.head.forward(fused)
+        if self.inference:
+            self.head._cache = None
+        self._feat_shapes = None if self.inference else feat_shapes
         return logits[0] if squeeze else logits
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate from logit gradients; fills every grad_* attribute."""
+        if self._feat_shapes is None:
+            raise ValueError("backward() needs a forward() run outside inference mode")
         if dlogits.ndim == 1:
             dlogits = dlogits[None]
         dfused = self.head.backward(dlogits)
@@ -148,12 +165,6 @@ class PdcnnNet:
             d = dfeat
             for layer in reversed(layers):
                 d = layer.backward(d)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        logits = self.forward(x)
-        if logits.ndim == 1:
-            return int(np.argmax(logits))
-        return np.argmax(logits, axis=1)
 
 
 def _meta_text(net: PdcnnNet) -> str:

@@ -163,19 +163,26 @@ def train_epoch(net: PdcnnNet, state: TrainState, train_set: Dataset,
 
 
 def evaluate(net: PdcnnNet, test_set: Dataset, batch_size: int = 64) -> float:
-    """Error rate (misclassified / total) on deterministic center crops."""
+    """Error rate (misclassified / total) on deterministic center crops.
+
+    The network runs in inference mode for the duration of the call, so no
+    layer keeps a backward cache; training mode is back on return."""
     n = len(test_set)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = test_set.labels
     crop = test_set.crop_size
     wrong = 0
-    for start in range(0, n, batch_size):
-        idx = range(start, min(start + batch_size, n))
-        xb = np.stack([sample_patch(test_set.image(i), crop, None, "test")
-                       for i in idx])
-        pred = np.argmax(net.forward(xb), axis=1)
-        wrong += int((pred != labels[start:start + batch_size]).sum())
+    net.inference = True
+    try:
+        for start in range(0, n, batch_size):
+            idx = range(start, min(start + batch_size, n))
+            xb = np.stack([sample_patch(test_set.image(i), crop, None, "test")
+                           for i in idx])
+            pred = np.argmax(net.forward(xb), axis=1)
+            wrong += int((pred != labels[start:start + batch_size]).sum())
+    finally:
+        net.inference = False
     return wrong / n
 
 

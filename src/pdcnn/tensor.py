@@ -134,14 +134,21 @@ def read_u32(f, path) -> int:
 
 
 def read_pdt_stream(f, path) -> np.ndarray:
-    """Read one PDT1 record from an open binary file as a float32 array;
-    path names the file in errors."""
+    """Read one PDT1 record from an open, seekable binary file as a float32
+    array; path names the file in errors. Extents whose data would run past
+    the end of the file are rejected before any data is read."""
     magic = read_exact(f, 4, path)
     if magic != PDT1_MAGIC:
         raise ValueError(f"{path}: not a PDT1 record (magic {magic!r})")
     rank = read_u32(f, path)
     shape = tuple(read_u32(f, path) for _ in range(rank))
     count = math.prod(shape)
+    here = f.tell()
+    left = f.seek(0, 2) - here
+    f.seek(here)
+    if 4 * count > left:
+        raise ValueError(f"{path}: truncated file (header declares {count} "
+                         f"floats, {left} bytes left)")
     data = np.frombuffer(read_exact(f, 4 * count, path), dtype="<f4", count=count)
     return data.reshape(shape).astype(np.float32)
 

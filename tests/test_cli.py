@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -194,6 +195,21 @@ def test_eval_truncated_model_exit_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model}: truncated")
+    assert err.count("\n") == 1
+
+
+def test_eval_image_extents_beyond_file_exit_1(tmp_path, capsys):
+    _, out = _train(tmp_path)
+    image = tmp_path / "huge.pdt"
+    image.write_bytes(b"PDT1" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1))
+    manifest = tmp_path / "huge.csv"
+    manifest.write_text(f"path,label,category\n{image},0,t\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["eval", "--model", str(out / "model.bin"),
+                 "--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {image}: ")
     assert err.count("\n") == 1
 
 

@@ -87,6 +87,12 @@ def test_conv_batched_backward_matches_per_sample(stride, pad):
     dout = rng.normal(0, 1, out.shape)
     dx = conv.backward(dout)
     grad_weights, grad_bias = conv.grad_weights, conv.grad_bias
+    # without the input gradient, the parameter gradients are the same bits
+    no_dx = Conv2d(weights, bias, stride=stride, padding=pad, input_grad=False)
+    no_dx.forward(xs)
+    assert no_dx.backward(dout) is None
+    npt.assert_array_equal(no_dx.grad_weights, grad_weights)
+    npt.assert_array_equal(no_dx.grad_bias, grad_bias)
     sum_gw, sum_gb = np.zeros_like(weights), np.zeros_like(bias)
     for i in range(n):
         npt.assert_allclose(out[i], conv_naive(xs[i], weights, bias, stride, pad),

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -153,6 +155,19 @@ def test_load_rejects_model_truncated_at_any_offset(tmp_path):
         with pytest.raises(ValueError) as err:
             load_model(path)
         assert str(err.value).startswith(f"{path}: "), (cut, err.value)
+
+
+def test_load_rejects_model_extents_beyond_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(tiny_net([4, 3], seed=6, dtype=np.float32), path)
+    raw = bytearray(path.read_bytes())
+    first = raw.index(T.PDT1_MAGIC)  # the first parameter record
+    rank = struct.unpack_from("<I", raw, first + 4)[0]
+    struct.pack_into(f"<{rank}I", raw, first + 8, *[2**32 - 1] * rank)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_full_scale_forward_smoke():

@@ -179,6 +179,27 @@ def test_train_epoch_counts_and_determinism(tmp_path):
     assert 0.0 <= err1 <= 1.0 and np.isfinite(loss1)
 
 
+def test_evaluate_keeps_no_cache_and_leaves_training_unchanged(tmp_path):
+    train_set, test_set = _tiny_sets(tmp_path)
+    spec = build_pdcnn([3, 3], input_shape=(3, 20, 20), config=TINY)
+    cfg = SgdConfig(batch_size=4)
+
+    def run(evaluate_between):
+        net = PdcnnNet(spec, T.Rng(1), dtype=np.float64)
+        state = init_state(net, 7, cfg)
+        train_epoch(net, state, train_set, cfg)
+        if evaluate_between:
+            evaluate(net, test_set)
+            layers = [layer for branch in net.branches for layer in branch]
+            assert all(layer._cache is None for layer in layers + [net.head])
+            with pytest.raises(ValueError):
+                net.backward(np.zeros((1, 2)))
+        train_epoch(net, state, train_set, cfg)
+        return [w.tobytes() for _, w in net.parameters()]
+
+    assert run(True) == run(False)
+
+
 def test_train_epoch_lr_zero_freezes(tmp_path):
     train_set, _ = _tiny_sets(tmp_path)
     spec = build_pdcnn([3], input_shape=(3, 20, 20), config=TINY)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -161,3 +163,12 @@ def test_pdt_truncated_payload(tmp_path):
     path.write_bytes(raw[:-4])  # drop the final float
     with pytest.raises(ValueError, match="truncated"):
         T.read_pdt(path)
+
+
+def test_pdt_rejects_extents_beyond_file(tmp_path):
+    # 16 bytes declaring (2^32-1) x (2^32-1) floats: rejected before reading
+    path = tmp_path / "huge.pdt"
+    path.write_bytes(T.PDT1_MAGIC + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1))
+    with pytest.raises(ValueError) as err:
+        T.read_pdt(path)
+    assert str(err.value).startswith(f"{path}: ")
