@@ -8,7 +8,7 @@ connected head. Branches sharing a depth get distinct conv1/conv2 kernel
 sizes via a deterministic variant rule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .layers import ShapeError, conv_extent
 
@@ -229,72 +229,79 @@ def param_count(spec: PdcnnSpec) -> int:
 
 # --- architecture description files (flat key=value text) ---
 
-ARCH_FILE_KEYS = {
-    "depths", "variants", "conv1_stride", "conv1_padding",
-    "pool_window", "pool_stride",
-    "lrn_radius", "lrn_k", "lrn_alpha", "lrn_beta", "filter_scale",
-    "init_sigma", "input_channels", "input_size",
-}
+def _int_list(text: str) -> list:
+    return [int(v) for v in text.split(",") if v.strip()]
 
-_INT_KEYS = {"conv1_stride", "conv1_padding", "pool_window",
-             "pool_stride", "lrn_radius",
-             "input_channels", "input_size"}
-_FLOAT_KEYS = {"lrn_k", "lrn_alpha", "lrn_beta", "filter_scale", "init_sigma"}
+
+# Every architecture-description key and its parser: the four spec keys, then
+# the ArchConfig fields in declaration order (the order model files use).
+ARCH_KEYS = {"depths": _int_list, "variants": _int_list,
+             "input_channels": int, "input_size": int,
+             **{f.name: f.type for f in fields(ArchConfig)}}
+
+
+def parse_kv_lines(lines, where, allowed_keys=None) -> dict:
+    """Flat key=value text: one pair per line, '#' comments, blank lines ignored.
+
+    Errors name `where` and the line; unknown keys are errors when
+    allowed_keys is given."""
+    out = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if allowed_keys is not None and key not in allowed_keys:
+            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
+    return out
 
 
 def parse_kv_file(path, allowed_keys=None) -> dict:
-    """Flat key=value file: one pair per line, '#' comments, blank lines ignored.
-
-    Unknown keys are errors when allowed_keys is given."""
-    out = {}
+    """parse_kv_lines over a UTF-8 text file."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if allowed_keys is not None and key not in allowed_keys:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
-    return out
+        return parse_kv_lines(f, path, allowed_keys)
+
+
+def parse_arch_lines(lines, where, keys=ARCH_KEYS) -> dict:
+    """Type-check key=value lines, each value through its parser in `keys`."""
+    raw = parse_kv_lines(lines, where, keys)
+    return {key: keys[key](value) for key, value in raw.items()}
 
 
 def parse_arch_file(path) -> dict:
     """Read and type-check an architecture description file."""
-    raw = parse_kv_file(path, ARCH_FILE_KEYS)
-    out = {}
-    for key, value in raw.items():
-        if key == "depths":
-            out[key] = [int(v) for v in value.split(",") if v.strip()]
-        elif key == "variants":
-            out[key] = [int(v) for v in value.split(",") if v.strip()]
-        elif key in _INT_KEYS:
-            out[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            out[key] = float(value)
-    return out
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_arch_lines(f, path)
+
+
+def config_from_arch_dict(d: dict) -> ArchConfig:
+    """The ArchConfig fields d names; the others keep their defaults."""
+    return ArchConfig(**{f.name: d[f.name] for f in fields(ArchConfig)
+                         if f.name in d})
+
+
+def input_shape_from_arch_dict(d: dict) -> tuple:
+    size = d.get("input_size", 224)
+    return d.get("input_channels", 3), size, size
 
 
 def spec_from_arch_dict(d: dict) -> PdcnnSpec:
     """Build a PdcnnSpec from parse_arch_file output."""
     if "depths" not in d:
         raise ValueError("architecture description must name a depths list")
-    config = ArchConfig(
-        **{f: d[f] for f in ("conv1_stride", "conv1_padding", "pool_window",
-                             "pool_stride", "lrn_radius", "lrn_k", "lrn_alpha",
-                             "lrn_beta", "filter_scale", "init_sigma")
-           if f in d})
-    size = d.get("input_size", 224)
-    channels = d.get("input_channels", 3)
     return build_pdcnn(d["depths"], variants=d.get("variants"),
-                       input_shape=(channels, size, size), config=config)
+                       input_shape=input_shape_from_arch_dict(d),
+                       config=config_from_arch_dict(d))
 
 
 def arch_dict_from_spec(spec: PdcnnSpec) -> dict:
-    """Inverse of spec_from_arch_dict, for embedding in model files."""
+    """Inverse of spec_from_arch_dict, for embedding in model files; keys come
+    in ARCH_KEYS order and ArchConfig fields only where they differ from the
+    default."""
     if spec.input_shape[1] != spec.input_shape[2]:
         raise ValueError("only square inputs serialize to an arch description")
     d = {
@@ -303,10 +310,8 @@ def arch_dict_from_spec(spec: PdcnnSpec) -> dict:
         "input_channels": spec.input_shape[0],
         "input_size": spec.input_shape[1],
     }
-    cfg, base = spec.config, ArchConfig()
-    for name in ("conv1_stride", "conv1_padding", "pool_window",
-                 "pool_stride", "lrn_radius", "lrn_k", "lrn_alpha",
-                 "lrn_beta", "filter_scale", "init_sigma"):
-        if getattr(cfg, name) != getattr(base, name):
-            d[name] = getattr(cfg, name)
+    for f in fields(ArchConfig):
+        value = getattr(spec.config, f.name)
+        if value != f.default:
+            d[f.name] = value
     return d

@@ -13,17 +13,17 @@ flags win, and unknown config keys are errors.
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
-
-import numpy as np
 
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (ArchConfig, build_pdcnn, parse_arch_file, parse_kv_file,
-                   param_count)
+from .arch import (build_pdcnn, config_from_arch_dict,
+                   input_shape_from_arch_dict, param_count, parse_arch_file,
+                   parse_kv_file)
 from .layers import ShapeError
-from .network import load_model, save_model
+from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
 from .tensor import Rng, mix_seed
@@ -35,14 +35,18 @@ class UsageError(Exception):
     pass
 
 
+# the SgdConfig field each training option sets; epochs has a per-command
+# default, the others take SgdConfig's
+_SGD_OPTS = {"lr": "learning_rate", "momentum": "momentum",
+             "weight_decay": "weight_decay", "batch_size": "batch_size",
+             "epochs": "max_epochs", "lr_drop": "lr_drop",
+             "lr_patience": "lr_patience"}
+_SGD_FIELDS = {f.name: f for f in fields(SgdConfig)}
+
 # per-command option tables: name -> (type, default); None default = required
 _COMMON_TRAIN_OPTS = {
-    "lr": (float, 0.01),
-    "momentum": (float, 0.9),
-    "weight_decay": (float, 0.0005),
-    "batch_size": (int, 32),
-    "lr_drop": (float, 0.1),
-    "lr_patience": (int, 20),
+    **{opt: (_SGD_FIELDS[name].type, _SGD_FIELDS[name].default)
+       for opt, name in _SGD_OPTS.items() if opt != "epochs"},
     "crop": (int, 0),       # 0 = take the arch file's input_size, else 224
     "dtype": (str, "float32"),
     "seed": (int, 0),
@@ -142,33 +146,26 @@ def _parse_depths(text):
     return depths
 
 
-def _arch_config(args):
-    """Read the optional architecture description file into (ArchConfig, dict)."""
-    arch_d = parse_arch_file(args.arch) if getattr(args, "arch", "") else {}
-    config = ArchConfig(**{k: arch_d[k] for k in (
-        "conv1_stride", "conv1_padding", "pool_window", "pool_stride",
-        "lrn_radius", "lrn_k", "lrn_alpha", "lrn_beta", "filter_scale",
-        "init_sigma") if k in arch_d})
-    return config, arch_d
-
-
 def _arch_setup(args):
-    """Resolve architecture description file plus flags into (depths, variants,
-    config, crop, channels)."""
-    config, arch_d = _arch_config(args)
-    depths = _parse_depths(args.depths) if getattr(args, "depths", "") \
-        else arch_d.get("depths")
-    if not depths:
-        raise UsageError("no architecture given: pass --depths or --arch FILE")
-    crop = args.crop or arch_d.get("input_size", 224)
-    channels = arch_d.get("input_channels", 3)
-    return depths, arch_d.get("variants"), config, crop, channels
+    """Resolve the optional architecture description file plus --crop into
+    (arch dict, ArchConfig, input shape)."""
+    arch_d = parse_arch_file(args.arch) if args.arch else {}
+    if args.crop:
+        arch_d["input_size"] = args.crop
+    return (arch_d, config_from_arch_dict(arch_d),
+            input_shape_from_arch_dict(arch_d))
+
+
+def _sgd_config(args):
+    return SgdConfig(**{name: getattr(args, opt)
+                        for opt, name in _SGD_OPTS.items()})
 
 
 def _np_dtype(name):
-    if name not in ("float32", "float64"):
-        raise UsageError(f"dtype must be float32 or float64, got {name!r}")
-    return np.dtype(name)
+    try:
+        return model_dtype(name)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def cmd_gendata(args):
@@ -190,15 +187,14 @@ def _load_split(args, crop):
 def cmd_train(args):
     _merge_config(args, "train")
     _require(args, "train", "manifest", "out")
-    depths, variants, config, crop, channels = _arch_setup(args)
-    spec = build_pdcnn(depths, variants=variants,
-                       input_shape=(channels, crop, crop), config=config)
-    train_set, test_set = _load_split(args, crop)
-    cfg = SgdConfig(learning_rate=args.lr, momentum=args.momentum,
-                    weight_decay=args.weight_decay, batch_size=args.batch_size,
-                    max_epochs=args.epochs, lr_drop=args.lr_drop,
-                    lr_patience=args.lr_patience)
-    net, curve = train(spec, train_set, test_set, cfg, args.seed,
+    arch_d, config, input_shape = _arch_setup(args)
+    depths = _parse_depths(args.depths) if args.depths else arch_d.get("depths")
+    if not depths:
+        raise UsageError("no architecture given: pass --depths or --arch FILE")
+    spec = build_pdcnn(depths, variants=arch_d.get("variants"),
+                       input_shape=input_shape, config=config)
+    train_set, test_set = _load_split(args, input_shape[1])
+    net, curve = train(spec, train_set, test_set, _sgd_config(args), args.seed,
                        dtype=_np_dtype(args.dtype))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,16 +264,10 @@ def cmd_search(args):
     else:
         if not args.manifest:
             raise UsageError("search needs --replay FIXTURE.csv or --manifest PATH")
-        config, arch_d = _arch_config(args)
-        crop = args.crop or arch_d.get("input_size", 224)
-        train_set, test_set = _load_split(args, crop)
-        input_shape = (arch_d.get("input_channels", 3), crop, crop)
-        cfg = SgdConfig(learning_rate=args.lr, momentum=args.momentum,
-                        weight_decay=args.weight_decay,
-                        batch_size=args.batch_size, max_epochs=args.epochs,
-                        lr_drop=args.lr_drop, lr_patience=args.lr_patience)
-        oracle = S.train_eval_oracle(train_set, test_set, cfg, args.seed,
-                                     input_shape, config,
+        _, config, input_shape = _arch_setup(args)
+        train_set, test_set = _load_split(args, input_shape[1])
+        oracle = S.train_eval_oracle(train_set, test_set, _sgd_config(args),
+                                     args.seed, input_shape, config,
                                      dtype=_np_dtype(args.dtype))
     try:
         spec, trace = S.greedy_pdcnn_search(candidates, oracle,

@@ -10,7 +10,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .layers import Conv2d
 from .optim import TrainCurve
 from .search import SearchTrace
 from .tensor import tensor_variance
@@ -46,15 +45,13 @@ class ConvergenceReport:
 
 def filter_variance(net) -> FilterVarianceReport:
     """One entry per branch: variance of its first conv layer's weights."""
-    entries = []
-    for i, (layers, names) in enumerate(zip(net.branches,
-                                            net.branch_layer_names)):
-        for layer, name in zip(layers, names):
-            if isinstance(layer, Conv2d):
-                entries.append(FilterVarianceEntry(
-                    f"branch{i + 1}", name, tensor_variance(layer.weights)))
-                break
-    return FilterVarianceReport.from_entries(entries)
+    entries = {}
+    for name, array in net.parameters():
+        branch, layer, kind = name.split("/")
+        if branch != "head" and kind == "weights" and branch not in entries:
+            entries[branch] = FilterVarianceEntry(branch, layer,
+                                                  tensor_variance(array))
+    return FilterVarianceReport.from_entries(entries.values())
 
 
 def convergence_time(t: float, n: float, e: float) -> int:

@@ -2,10 +2,11 @@
 local response normalization, ReLU, fully connected classifier, and softmax
 cross-entropy loss.
 
-Every layer accepts a single sample (C,H,W) or a batch (N,C,H,W); the fully
-connected layer takes (D,) or (N,D). backward() consumes the upstream
-gradient for the most recent forward(), returns the input gradient, and
-leaves parameter gradients on grad_* attributes. A Conv2d built with
+Layers take batches only: Conv2d, MaxPool and Lrn take (N,C,H,W), the fully
+connected layer (N,D), and Relu any shape. Single samples are accepted only
+at the network's edge, PdcnnNet.forward/backward. backward() consumes the
+upstream gradient for the most recent forward(), returns the input gradient,
+and leaves parameter gradients on grad_* attributes. A Conv2d built with
 input_grad=False fills its grad_* attributes the same way but returns None:
 it skips the input-gradient GEMM and col2im, for a layer that reads the
 network input, whose gradient nothing consumes. Analytic gradients are
@@ -64,9 +65,6 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
         n, c, h, w = x.shape
         co, ci, kh, kw = self.weights.shape
         if c != ci:
@@ -85,13 +83,11 @@ class Conv2d:
         out_t = self.weights.reshape(co, -1) @ cols_t + self.bias[:, None]
         out = np.ascontiguousarray(
             out_t.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
-        self._cache = (cols_t, x.shape, xp.shape, squeeze)
-        return out[0] if squeeze else out
+        self._cache = (cols_t, x.shape, xp.shape)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
-        cols_t, x_shape, xp_shape, squeeze = self._cache
-        if squeeze:
-            dout = dout[None]
+        cols_t, x_shape, xp_shape = self._cache
         n, _, h, w = x_shape
         co, ci, kh, kw = self.weights.shape
         _, _, oh, ow = dout.shape
@@ -107,8 +103,8 @@ class Conv2d:
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i, j]
-        dx = np.ascontiguousarray(dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3))
-        return dx[0] if squeeze else dx
+        dx = dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(dx)
 
 
 class MaxPool:
@@ -123,9 +119,6 @@ class MaxPool:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
         n, c, h, w = x.shape
         k, s = self.window, self.stride
         if k > h or k > w:
@@ -136,13 +129,11 @@ class MaxPool:
         flat = win.reshape(n, c, oh, ow, k * k)
         idx = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (idx, x.shape, squeeze)
-        return np.ascontiguousarray(out[0] if squeeze else out)
+        self._cache = (idx, x.shape)
+        return np.ascontiguousarray(out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        idx, x_shape, squeeze = self._cache
-        if squeeze:
-            dout = dout[None]
+        idx, x_shape = self._cache
         n, c, h, w = x_shape
         k, s = self.window, self.stride
         oh, ow = idx.shape[2], idx.shape[3]
@@ -157,8 +148,7 @@ class MaxPool:
         # contributions accumulate in double precision whatever dout's dtype
         acc = np.bincount(flat_idx.ravel(), weights=dout.ravel(),
                           minlength=n * c * h * w)
-        dx = acc.reshape(x_shape).astype(dout.dtype)
-        return dx[0] if squeeze else dx
+        return acc.reshape(x_shape).astype(dout.dtype)
 
 
 def _channel_window_sum(v: np.ndarray, radius: int) -> np.ndarray:
@@ -187,23 +177,16 @@ class Lrn:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        squeeze = x.ndim == 3
-        if squeeze:
-            x = x[None]
         base = self.k + self.alpha * _channel_window_sum(x * x, self.radius)
         scale = base ** (-self.beta)
-        self._cache = (x, base, scale, squeeze)
-        out = x * scale
-        return out[0] if squeeze else out
+        self._cache = (x, base, scale)
+        return x * scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, base, scale, squeeze = self._cache
-        if squeeze:
-            dout = dout[None]
+        x, base, scale = self._cache
         inner = dout * x * base ** (-self.beta - 1.0)
-        dx = dout * scale - (2.0 * self.alpha * self.beta) * x * \
+        return dout * scale - (2.0 * self.alpha * self.beta) * x * \
             _channel_window_sum(inner, self.radius)
-        return dx[0] if squeeze else dx
 
 
 class Relu:
@@ -236,24 +219,17 @@ class FullyConnected:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None]
         if x.shape[1] != self.weights.shape[1]:
             raise ShapeError(
                 f"fc expects {self.weights.shape[1]} features, got {x.shape[1]}")
-        self._cache = (x, squeeze)
-        out = x @ self.weights.T + self.bias
-        return out[0] if squeeze else out
+        self._cache = x
+        return x @ self.weights.T + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, squeeze = self._cache
-        if squeeze:
-            dout = dout[None]
+        x = self._cache
         self.grad_weights = dout.T @ x
         self.grad_bias = dout.sum(axis=0)
-        dx = dout @ self.weights
-        return dx[0] if squeeze else dx
+        return dout @ self.weights
 
 
 def softmax_xent(logits: np.ndarray, label: int):

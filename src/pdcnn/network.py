@@ -2,10 +2,12 @@
 
 A PdcnnNet instantiates every branch of a PdcnnSpec as layer objects, runs
 them on the same input batch, concatenates the flattened final feature maps,
-and applies the shared 2-way head. Weights start Gaussian(0, 0.01), biases
-zero, drawn in declaration order from one seeded stream. Model files ("PDM1")
-carry a version tag, the architecture description, an index of tensor names,
-and the parameter tensors as concatenated PDT1 payloads.
+and applies the shared 2-way head. forward() and backward() also take a
+single sample, (C,H,W) images and (K,) logit gradients; the layers take
+batches only. Weights start Gaussian(0, 0.01), biases zero, drawn in
+declaration order from one seeded stream. Model files ("PDM1") carry a
+version tag, the architecture description, an index of tensor names, and
+the parameter tensors as concatenated PDT1 payloads.
 
 A network in inference mode (the `inference` attribute set, as
 optim.evaluate does for its duration) runs the same forward arithmetic but
@@ -17,12 +19,13 @@ gradient with respect to the images is never consumed.
 """
 
 import struct
+from collections import Counter
 
 import numpy as np
 
 from . import tensor as T
-from .arch import (PdcnnSpec, arch_dict_from_spec, shape_check,
-                   spec_from_arch_dict)
+from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, parse_arch_lines,
+                   shape_check, spec_from_arch_dict)
 from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu
 
 # Image files carry values in [0, 1]; the network sees them centered and in
@@ -34,10 +37,16 @@ INPUT_SCALE = 255.0
 PDM1_MAGIC = b"PDM1"
 PDM1_VERSION = 1
 
-_META_KEY_ORDER = ("depths", "variants", "input_channels", "input_size",
-                   "conv1_stride", "conv1_padding", "pool_window",
-                   "pool_stride", "lrn_radius", "lrn_k", "lrn_alpha",
-                   "lrn_beta", "filter_scale", "init_sigma", "dtype")
+
+def model_dtype(name: str) -> np.dtype:
+    """The precisions a network runs in: float32 or float64."""
+    if name not in ("float32", "float64"):
+        raise ValueError(f"dtype must be float32 or float64, got {name!r}")
+    return np.dtype(name)
+
+
+# PDM1 meta text: an architecture description plus the network's dtype
+_META_KEYS = {**ARCH_KEYS, "dtype": model_dtype}
 
 
 def _build_layer(layer_spec, in_channels, rng, dtype, sigma, first):
@@ -62,7 +71,7 @@ class PdcnnNet:
     """Runtime network for one PdcnnSpec, in a single uniform precision."""
 
     def __init__(self, spec: PdcnnSpec, rng: T.Rng = None, dtype=np.float64):
-        shape_check(spec)  # fail early, naming the offending layer
+        rows = shape_check(spec)  # fail early, naming the offending layer
         if rng is None:
             rng = T.Rng(0)
         self.spec = spec
@@ -83,7 +92,7 @@ class PdcnnNet:
                     c = ls.filters
             self.branches.append(layers)
             self.branch_layer_names.append(names)
-        fused = shape_check(spec)[-2].shape[0]
+        fused = rows[-2].shape[0]
         hw = T.gaussian_init((spec.num_classes, fused),
                              spec.config.init_sigma, rng, dtype=self.dtype)
         hb = T.tensor_new((spec.num_classes,), 0.0, dtype=self.dtype)
@@ -91,41 +100,44 @@ class PdcnnNet:
         self.inference = False
         self._feat_shapes = None
 
+    def _walk(self, attr_prefix):
+        """(name, layer.<attr_prefix>weights / bias) for every parameterized
+        layer: each branch's convs in order, then the head."""
+        owners = [(f"branch{i + 1}/{name}", layer)
+                  for i, (layers, names) in enumerate(
+                      zip(self.branches, self.branch_layer_names))
+                  for layer, name in zip(layers, names)
+                  if isinstance(layer, Conv2d)]
+        owners.append(("head/fc2", self.head))
+        return [(f"{owner}/{kind}", getattr(layer, attr_prefix + kind))
+                for owner, layer in owners for kind in ("weights", "bias")]
+
     def parameters(self):
         """Ordered (name, array) pairs; declaration order is the file order."""
-        out = []
-        for i, (layers, names) in enumerate(
-                zip(self.branches, self.branch_layer_names)):
-            for layer, name in zip(layers, names):
-                if isinstance(layer, Conv2d):
-                    out.append((f"branch{i + 1}/{name}/weights", layer.weights))
-                    out.append((f"branch{i + 1}/{name}/bias", layer.bias))
-        out.append(("head/fc2/weights", self.head.weights))
-        out.append(("head/fc2/bias", self.head.bias))
-        return out
+        return self._walk("")
 
     def gradients(self):
         """Gradient arrays matching parameters(), valid after backward()."""
-        out = []
-        for i, (layers, names) in enumerate(
-                zip(self.branches, self.branch_layer_names)):
-            for layer, name in zip(layers, names):
-                if isinstance(layer, Conv2d):
-                    out.append((f"branch{i + 1}/{name}/weights", layer.grad_weights))
-                    out.append((f"branch{i + 1}/{name}/bias", layer.grad_bias))
-        out.append(("head/fc2/weights", self.head.grad_weights))
-        out.append(("head/fc2/bias", self.head.grad_bias))
-        return out
+        return self._walk("grad_")
 
     def set_parameters(self, named_arrays):
+        """Copy in every parameter, each named exactly once; nothing is
+        copied unless all names and shapes match."""
+        named = list(named_arrays)
         current = dict(self.parameters())
-        for name, value in named_arrays:
+        for name, value in named:
             if name not in current:
                 raise ValueError(f"model/arch mismatch: unknown tensor {name!r}")
             if current[name].shape != value.shape:
                 raise ValueError(
                     f"model/arch mismatch: {name} has shape {value.shape}, "
                     f"expected {current[name].shape}")
+        given = Counter(name for name, _ in named)
+        for name in current:
+            if given[name] != 1:
+                raise ValueError(f"model/arch mismatch: tensor {name!r} given "
+                                 f"{given[name]} times, expected once")
+        for name, value in named:
             current[name][...] = np.asarray(value, dtype=self.dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -171,12 +183,10 @@ def _meta_text(net: PdcnnNet) -> str:
     d = arch_dict_from_spec(net.spec)
     d["dtype"] = net.dtype.name
     lines = []
-    for key in _META_KEY_ORDER:
-        if key in d:
-            value = d[key]
-            if isinstance(value, list):
-                value = ",".join(str(v) for v in value)
-            lines.append(f"{key}={value}")
+    for key, value in d.items():
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 
@@ -200,7 +210,11 @@ def save_model(net: PdcnnNet, path) -> None:
 
 
 def load_model(path) -> PdcnnNet:
-    """Rebuild a network from a PDM1 file (architecture plus parameters)."""
+    """Rebuild a network from a PDM1 file (architecture plus parameters).
+
+    The meta text must parse as an architecture description plus a float32
+    or float64 dtype, and the index must name every parameter exactly once;
+    a ValueError starting with the path reports any other file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != PDM1_MAGIC:
@@ -208,29 +222,17 @@ def load_model(path) -> PdcnnNet:
         version = T.read_u32(f, path)
         if version != PDM1_VERSION:
             raise ValueError(f"{path}: unsupported model version {version}")
-        meta = T.read_exact(f, T.read_u32(f, path), path).decode("utf-8")
+        meta = T.read_exact(f, T.read_u32(f, path), path)
         count = T.read_u32(f, path)
-        names = [T.read_exact(f, T.read_u32(f, path), path).decode("utf-8")
+        names = [T.read_exact(f, T.read_u32(f, path), path)
                  for _ in range(count)]
         arrays = [T.read_pdt_stream(f, path) for _ in range(count)]
-    d = {}
-    for line in meta.splitlines():
-        if not line.strip():
-            continue
-        key, value = line.split("=", 1)
-        d[key] = value
-    dtype = np.dtype(d.pop("dtype", "float64"))
-    arch_d = {}
-    for key, value in d.items():
-        if key in ("depths", "variants"):
-            arch_d[key] = [int(v) for v in value.split(",")]
-        elif key in ("input_channels", "input_size", "conv1_stride",
-                     "conv1_padding", "pool_window", "pool_stride",
-                     "lrn_radius"):
-            arch_d[key] = int(value)
-        else:
-            arch_d[key] = float(value)
-    spec = spec_from_arch_dict(arch_d)
-    net = PdcnnNet(spec, rng=T.Rng(0), dtype=dtype)
-    net.set_parameters(zip(names, arrays))
+    try:
+        d = parse_arch_lines(meta.decode("utf-8").splitlines(), "meta",
+                             _META_KEYS)
+        dtype = d.pop("dtype", np.dtype(np.float64))
+        net = PdcnnNet(spec_from_arch_dict(d), rng=T.Rng(0), dtype=dtype)
+        net.set_parameters((n.decode("utf-8"), a) for n, a in zip(names, arrays))
+    except ValueError as err:  # ShapeError and UnicodeDecodeError included
+        raise ValueError(f"{path}: {err}") from None
     return net

@@ -35,7 +35,7 @@ def check_conv(rng):
         h = k
     if conv_extent(w, k, stride, pad) < 1:
         w = k
-    x = rng.normal(0, 1, (ci, h, w))
+    x = rng.normal(0, 1, (ci, h, w))[None]
     layer = Conv2d(rng.normal(0, 1, (co, ci, k, k)), rng.normal(0, 1, co),
                    stride=stride, padding=pad)
     upstream, loss = _upstream_loss(layer, x, rng)
@@ -53,7 +53,7 @@ def check_pool(rng):
     window = int(rng.integers(1, min(h, w) + 1))
     stride = int(rng.integers(1, 3))
     # distinct values with gaps far above the FD step keep argmax stable
-    x = (rng.permutation(c * h * w).astype(np.float64) * 0.37).reshape(c, h, w)
+    x = (rng.permutation(c * h * w).astype(np.float64) * 0.37).reshape(c, h, w)[None]
     x -= x.mean()
     layer = MaxPool(window, stride)
     upstream, loss = _upstream_loss(layer, x, rng)
@@ -70,7 +70,7 @@ def check_lrn(rng):
                 k=float(rng.uniform(0.5, 2.5)),
                 alpha=float(rng.uniform(0.05, 1.0)),
                 beta=float(rng.uniform(0.4, 1.5)))
-    x = rng.normal(0, 1, (c, h, w))
+    x = rng.normal(0, 1, (c, h, w))[None]
     upstream, loss = _upstream_loss(layer, x, rng)
     layer.forward(x)
     dx = layer.backward(upstream)
@@ -92,7 +92,7 @@ def check_relu(rng):
 def check_fc(rng):
     d = int(rng.integers(1, 13))
     k = int(rng.integers(2, 4))
-    x = rng.normal(0, 1, d)
+    x = rng.normal(0, 1, d)[None]
     layer = FullyConnected(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
     upstream, loss = _upstream_loss(layer, x, rng)
     layer.forward(x)

@@ -198,6 +198,24 @@ def test_eval_truncated_model_exit_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_eval_bad_model_dtype_exit_1(tmp_path, capsys):
+    _, out = _train(tmp_path)
+    model = out / "model.bin"
+    raw = model.read_bytes()
+    size = struct.unpack_from("<I", raw, 8)[0]
+    meta = raw[12:12 + size].replace(b"dtype=float32", b"dtype=foo")
+    assert b"dtype=foo" in meta
+    model.write_bytes(raw[:8] + struct.pack("<I", len(meta)) + meta
+                      + raw[12 + size:])
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model),
+                 "--manifest", str(tmp_path / "data" / "manifest.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ")
+    assert err.count("\n") == 1
+
+
 def test_eval_image_extents_beyond_file_exit_1(tmp_path, capsys):
     _, out = _train(tmp_path)
     image = tmp_path / "huge.pdt"

@@ -16,13 +16,13 @@ def test_conv_identity_kernel():
     w[0, 0, 0, 0] = 1.0
     w[1, 1, 0, 0] = 1.0
     conv = Conv2d(w, np.zeros(2))
-    npt.assert_allclose(conv.forward(x), x, atol=0)
+    npt.assert_allclose(conv.forward(x[None])[0], x, atol=0)
 
 
 def test_conv_hand_example():
     x = np.arange(1.0, 10.0).reshape(1, 3, 3)
     conv = Conv2d(np.ones((1, 1, 2, 2)), np.zeros(1))
-    npt.assert_array_equal(conv.forward(x),
+    npt.assert_array_equal(conv.forward(x[None])[0],
                            np.array([[[12.0, 16.0], [24.0, 28.0]]]))
 
 
@@ -31,7 +31,7 @@ def test_conv_output_channels():
     rng = np.random.default_rng(1)
     conv = Conv2d(rng.normal(0, 0.01, (64, 3, 7, 7)), np.zeros(64),
                   stride=4, padding=2)
-    out = conv.forward(rng.normal(0, 1, (3, 31, 31)))
+    out = conv.forward(rng.normal(0, 1, (3, 31, 31))[None])[0]
     assert out.shape[0] == 64
 
 
@@ -50,7 +50,7 @@ def test_conv_matches_naive_oracle(seed):
     weights = rng.normal(0, 1, (co, ci, k, k))
     bias = rng.normal(0, 1, co)
     conv = Conv2d(weights, bias, stride=stride, padding=pad)
-    npt.assert_allclose(conv.forward(x),
+    npt.assert_allclose(conv.forward(x[None])[0],
                         conv_naive(x, weights, bias, stride, pad), atol=1e-12)
 
 
@@ -60,8 +60,10 @@ def test_conv_linear_in_weights_and_input():
     w = rng.normal(0, 1, (3, 2, 3, 3))
     conv1 = Conv2d(w, np.zeros(3), padding=1)
     conv2 = Conv2d(2 * w, np.zeros(3), padding=1)
-    npt.assert_allclose(conv2.forward(x), 2 * conv1.forward(x), atol=1e-12)
-    npt.assert_allclose(conv1.forward(2 * x), 2 * conv1.forward(x), atol=1e-12)
+    npt.assert_allclose(conv2.forward(x[None]), 2 * conv1.forward(x[None]),
+                        atol=1e-12)
+    npt.assert_allclose(conv1.forward(2 * x[None]), 2 * conv1.forward(x[None]),
+                        atol=1e-12)
 
 
 def test_conv_batched_matches_single():
@@ -70,7 +72,7 @@ def test_conv_batched_matches_single():
     conv = Conv2d(rng.normal(0, 1, (2, 2, 3, 3)), rng.normal(0, 1, 2), padding=1)
     batched = conv.forward(xs)
     for i in range(3):
-        npt.assert_allclose(batched[i], conv.forward(xs[i]), atol=1e-12)
+        npt.assert_allclose(batched[i], conv.forward(xs[i:i + 1])[0], atol=1e-12)
 
 
 @pytest.mark.parametrize("stride,pad", [(4, 2), (1, 2)])
@@ -97,8 +99,8 @@ def test_conv_batched_backward_matches_per_sample(stride, pad):
     for i in range(n):
         npt.assert_allclose(out[i], conv_naive(xs[i], weights, bias, stride, pad),
                             atol=1e-12)
-        conv.forward(xs[i])
-        npt.assert_allclose(dx[i], conv.backward(dout[i]), atol=1e-12)
+        conv.forward(xs[i:i + 1])
+        npt.assert_allclose(dx[i], conv.backward(dout[i:i + 1])[0], atol=1e-12)
         sum_gw += conv.grad_weights
         sum_gb += conv.grad_bias
     npt.assert_allclose(grad_weights, sum_gw, atol=1e-12)
@@ -108,9 +110,9 @@ def test_conv_batched_backward_matches_per_sample(stride, pad):
 def test_conv_shape_errors():
     conv = Conv2d(np.zeros((1, 2, 3, 3)), np.zeros(1))
     with pytest.raises(ShapeError):
-        conv.forward(np.zeros((3, 5, 5)))  # channel mismatch
+        conv.forward(np.zeros((1, 3, 5, 5)))  # channel mismatch
     with pytest.raises(ShapeError):
-        conv.forward(np.zeros((2, 2, 2)))  # output extent < 1
+        conv.forward(np.zeros((1, 2, 2, 2)))  # output extent < 1
     with pytest.raises(ShapeError):
         Conv2d(np.zeros((1, 1, 2, 3)), np.zeros(1))  # non-square kernel
 
@@ -118,23 +120,23 @@ def test_conv_shape_errors():
 # --- maxpool ---
 
 def test_pool_constant_field():
-    out = MaxPool(2, 2).forward(np.full((1, 4, 4), 3.3))
+    out = MaxPool(2, 2).forward(np.full((1, 4, 4), 3.3)[None])[0]
     npt.assert_array_equal(out, np.full((1, 2, 2), 3.3))
 
 
 def test_pool_hand_example_and_routing():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     pool = MaxPool(2, 2)
-    out = pool.forward(x)
+    out = pool.forward(x[None])[0]
     npt.assert_array_equal(out, np.array([[[4.0]]]))
-    dx = pool.backward(np.array([[[5.0]]]))
+    dx = pool.backward(np.array([[[5.0]]])[None])[0]
     npt.assert_array_equal(dx, np.array([[[0.0, 0.0], [0.0, 5.0]]]))
 
 
 def test_pool_positive_homogeneity():
     x = np.random.default_rng(5).random((2, 5, 5)) + 0.1
     pool = MaxPool(3, 2)
-    npt.assert_allclose(pool.forward(2 * x), 2 * pool.forward(x), atol=0)
+    npt.assert_allclose(pool.forward(2 * x[None]), 2 * pool.forward(x[None]), atol=0)
 
 
 def test_pool_matches_window_maxima():
@@ -142,7 +144,7 @@ def test_pool_matches_window_maxima():
     for _ in range(5):
         x = rng.normal(0, 1, (2, 6, 6))
         window, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        out = MaxPool(window, stride).forward(x)
+        out = MaxPool(window, stride).forward(x[None])[0]
         npt.assert_array_equal(out, pool_naive(x, window, stride))
         assert out.max() <= x.max()
 
@@ -150,32 +152,32 @@ def test_pool_matches_window_maxima():
 def test_pool_tie_routes_to_first_in_scan_order():
     x = np.array([[[7.0, 7.0], [7.0, 7.0]]])
     pool = MaxPool(2, 2)
-    pool.forward(x)
-    dx = pool.backward(np.array([[[1.0]]]))
+    pool.forward(x[None])
+    dx = pool.backward(np.array([[[1.0]]])[None])[0]
     npt.assert_array_equal(dx, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
 
 
 def test_pool_window_too_large():
     with pytest.raises(ShapeError):
-        MaxPool(3, 1).forward(np.zeros((1, 2, 5)))
+        MaxPool(3, 1).forward(np.zeros((1, 2, 5))[None])
 
 
 # --- lrn ---
 
 def test_lrn_zero_input():
-    out = Lrn(2).forward(np.zeros((4, 3, 3)))
+    out = Lrn(2).forward(np.zeros((4, 3, 3))[None])[0]
     npt.assert_array_equal(out, np.zeros((4, 3, 3)))
 
 
 def test_lrn_single_value_formula():
-    out = Lrn(radius=0, k=1.0, alpha=1.0, beta=1.0).forward(np.ones((1, 1, 1)))
+    out = Lrn(radius=0, k=1.0, alpha=1.0, beta=1.0).forward(np.ones((1, 1, 1))[None])[0]
     assert out[0, 0, 0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_lrn_alpha_zero_scales_by_k_pow():
     rng = np.random.default_rng(7)
     x = rng.normal(0, 1, (3, 4, 4))
-    out = Lrn(radius=1, k=2.0, alpha=0.0, beta=0.75).forward(x)
+    out = Lrn(radius=1, k=2.0, alpha=0.0, beta=0.75).forward(x[None])[0]
     npt.assert_allclose(out, x * 2.0 ** -0.75, atol=1e-12)
 
 
@@ -185,7 +187,7 @@ def test_lrn_matches_direct_formula():
         x = rng.normal(0, 1, (5, 3, 3))
         radius = int(rng.integers(0, 3))
         k, alpha, beta = 1.5, 0.3, 0.9
-        out = Lrn(radius, k, alpha, beta).forward(x)
+        out = Lrn(radius, k, alpha, beta).forward(x[None])[0]
         npt.assert_allclose(out, lrn_naive(x, radius, k, alpha, beta), atol=1e-12)
 
 
@@ -225,22 +227,23 @@ def test_relu_zero_subgradient_is_zero():
 def test_fc_identity():
     fc = FullyConnected(np.eye(3), np.zeros(3))
     x = np.array([1.0, -2.0, 0.5])
-    npt.assert_array_equal(fc.forward(x), x)
+    npt.assert_array_equal(fc.forward(x[None])[0], x)
 
 
 def test_fc_hand_example():
     fc = FullyConnected(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-    npt.assert_array_equal(fc.forward(np.array([1.0, 1.0])), np.array([4.0, 8.0]))
+    npt.assert_array_equal(fc.forward(np.array([1.0, 1.0])[None])[0],
+                           np.array([4.0, 8.0]))
 
 
 def test_fc_bias_passthrough():
     fc = FullyConnected(np.ones((2, 3)), np.array([0.5, -0.5]))
-    npt.assert_array_equal(fc.forward(np.zeros(3)), np.array([0.5, -0.5]))
+    npt.assert_array_equal(fc.forward(np.zeros(3)[None])[0], np.array([0.5, -0.5]))
 
 
 def test_fc_dimension_mismatch():
     with pytest.raises(ShapeError):
-        FullyConnected(np.ones((2, 3)), np.zeros(2)).forward(np.zeros(4))
+        FullyConnected(np.ones((2, 3)), np.zeros(2)).forward(np.zeros(4)[None])
 
 
 # --- softmax cross-entropy ---

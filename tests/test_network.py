@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -168,6 +169,76 @@ def test_load_rejects_model_extents_beyond_file(tmp_path):
     with pytest.raises(ValueError) as err:
         load_model(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def _pdm1(path, meta, named):
+    """Write a PDM1 file from meta text and (name, array) pairs, unchecked."""
+    with open(path, "wb") as f:
+        f.write(b"PDM1" + struct.pack("<II", 1, len(meta)) + meta.encode())
+        f.write(struct.pack("<I", len(named)))
+        for name, _ in named:
+            f.write(struct.pack("<I", len(name)) + name.encode())
+        for _, array in named:
+            T.write_pdt_stream(f, array)
+
+
+@pytest.mark.parametrize("meta_edit,index_edit", [
+    (lambda m: m.replace("dtype=float32", "dtype=foo"), None),
+    (lambda m: m.replace("dtype=float32", "dtype=int8"), None),
+    (lambda m: m + "no_equals_sign\n", None),
+    (lambda m: m + "zoom=2\n", None),
+    (None, lambda named: []),
+    (None, lambda named: named[:3] + named[4:]),
+    (None, lambda named: named + named[:1]),
+], ids=["dtype_foo", "dtype_int8", "line_without_equals", "unknown_key",
+        "zero_tensors", "one_tensor_dropped", "one_tensor_twice"])
+def test_load_rejects_corrupt_meta_or_index(tmp_path, meta_edit, index_edit):
+    good = tmp_path / "good.bin"
+    net = tiny_net([4, 3], seed=6, dtype=np.float32)
+    save_model(net, good)
+    raw = good.read_bytes()
+    meta = raw[12:12 + struct.unpack_from("<I", raw, 8)[0]].decode()
+    named = net.parameters()
+    if meta_edit:
+        assert meta_edit(meta) != meta
+        meta = meta_edit(meta)
+    if index_edit:
+        named = index_edit(named)
+    path = tmp_path / "bad.bin"
+    _pdm1(path, meta, named)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: "), err.value
+
+
+# a non-default config, so the meta text carries ArchConfig fields too
+PINNED = ArchConfig(conv1_stride=2, conv1_padding=1, pool_window=2,
+                    pool_stride=2, lrn_alpha=2e-4, filter_scale=0.04,
+                    init_sigma=0.5)
+# SHA-256 of save_model output for the net below; files written by earlier
+# versions must keep loading, so the writer's bytes may not drift
+PINNED_SHA256 = {
+    "float32": "6e4882482e25983121ec0aee8f2cb8653fd738dfa990f01e0ddc5494d1b50296",
+    "float64": "e66a0a50fa7f4bd6afac1f38b1f383084c7908bc6078390507ed7929161a85ec",
+}
+
+
+@pytest.mark.parametrize("dtype", sorted(PINNED_SHA256))
+def test_model_file_bytes_pinned(tmp_path, dtype):
+    spec = build_pdcnn([4, 3], input_shape=(3, 20, 20), config=PINNED)
+    net = PdcnnNet(spec, T.Rng(0), dtype=dtype)
+    # an arange pattern, not Rng draws, so the digest is independent of numpy
+    net.set_parameters([(name, np.arange(w.size).reshape(w.shape) / 7.0 - i)
+                        for i, (name, w) in enumerate(net.parameters())])
+    path = tmp_path / "model.bin"
+    save_model(net, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_SHA256[dtype]
+    back = load_model(path)
+    assert back.dtype == net.dtype
+    assert back.spec == spec
+    for (na, wa), (nb, wb) in zip(net.parameters(), back.parameters()):
+        assert na == nb
+        npt.assert_array_equal(wa.astype(np.float32), wb)
 
 
 def test_full_scale_forward_smoke():
