@@ -186,12 +186,11 @@ def shape_check(spec: PdcnnSpec, input_shape=None):
     if len(input_shape) != 3 or any(v < 1 for v in input_shape):
         raise ShapeError(f"input shape must be 3 positive extents, got {input_shape}")
     rows = []
-    feature_lengths = []
+    fused = 0
     for i, arch in enumerate(spec.branches):
         branch_rows, feat = _branch_shapes(arch, f"branch{i + 1}", input_shape)
         rows.extend(branch_rows)
-        feature_lengths.append(feat)
-    fused = sum(feature_lengths)
+        fused += feat
     rows.append(ShapeRow("fusion", spec.fusion, (fused,)))
     rows.append(ShapeRow("head", "fc2", (spec.num_classes,)))
     return rows
@@ -240,11 +239,11 @@ ARCH_KEYS = {"depths": _int_list, "variants": _int_list,
              **{f.name: f.type for f in fields(ArchConfig)}}
 
 
-def parse_kv_lines(lines, where, allowed_keys=None) -> dict:
+def parse_kv_lines(lines, where, parsers=None) -> dict:
     """Flat key=value text: one pair per line, '#' comments, blank lines ignored.
 
-    Errors name `where` and the line; unknown keys are errors when
-    allowed_keys is given."""
+    With parsers (key -> callable), unknown keys are errors and each value goes
+    through its key's parser. Errors name `where`, the line and the key."""
     out = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -252,30 +251,27 @@ def parse_kv_lines(lines, where, allowed_keys=None) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{where}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if allowed_keys is not None and key not in allowed_keys:
-            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
-        out[key] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if parsers is not None:
+            if key not in parsers:
+                raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
+            try:
+                value = parsers[key](value)
+            except ValueError as err:
+                raise ValueError(f"{where}:{lineno}: {key}: {err}") from None
+        out[key] = value
     return out
 
 
-def parse_kv_file(path, allowed_keys=None) -> dict:
+def parse_kv_file(path, parsers=None) -> dict:
     """parse_kv_lines over a UTF-8 text file."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_kv_lines(f, path, allowed_keys)
-
-
-def parse_arch_lines(lines, where, keys=ARCH_KEYS) -> dict:
-    """Type-check key=value lines, each value through its parser in `keys`."""
-    raw = parse_kv_lines(lines, where, keys)
-    return {key: keys[key](value) for key, value in raw.items()}
+        return parse_kv_lines(f, path, parsers)
 
 
 def parse_arch_file(path) -> dict:
     """Read and type-check an architecture description file."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_arch_lines(f, path)
+    return parse_kv_file(path, ARCH_KEYS)
 
 
 def config_from_arch_dict(d: dict) -> ArchConfig:

@@ -193,9 +193,10 @@ def cmd_train(args):
         raise UsageError("no architecture given: pass --depths or --arch FILE")
     spec = build_pdcnn(depths, variants=arch_d.get("variants"),
                        input_shape=input_shape, config=config)
+    dtype = _np_dtype(args.dtype)
     train_set, test_set = _load_split(args, input_shape[1])
     net, curve = train(spec, train_set, test_set, _sgd_config(args), args.seed,
-                       dtype=_np_dtype(args.dtype))
+                       dtype=dtype)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv", timing=args.timing)
@@ -265,10 +266,10 @@ def cmd_search(args):
         if not args.manifest:
             raise UsageError("search needs --replay FIXTURE.csv or --manifest PATH")
         _, config, input_shape = _arch_setup(args)
+        dtype = _np_dtype(args.dtype)
         train_set, test_set = _load_split(args, input_shape[1])
         oracle = S.train_eval_oracle(train_set, test_set, _sgd_config(args),
-                                     args.seed, input_shape, config,
-                                     dtype=_np_dtype(args.dtype))
+                                     args.seed, input_shape, config, dtype=dtype)
     try:
         spec, trace = S.greedy_pdcnn_search(candidates, oracle,
                                             args.max_branches,

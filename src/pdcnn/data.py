@@ -93,11 +93,6 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([r.label for r in self.records], dtype=np.int64)
 
-    def source_size(self) -> int:
-        if not self.records:
-            raise ValueError("empty dataset has no source size")
-        return self.image(0).shape[1]
-
 
 def load_manifest(path, crop_size: int = 224) -> Dataset:
     """Parse a manifest CSV; relative image paths resolve against its directory.

@@ -69,7 +69,7 @@ def detect_convergence(curve: TrainCurve, window: int = 10,
     than the window)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    errors = curve.test_errors()
+    errors = [r.test_error for r in curve.records]
     last_start = len(errors) - window  # 0-based index of the final window
     if last_start < 0:
         return None

@@ -9,9 +9,11 @@ upstream gradient for the most recent forward(), returns the input gradient,
 and leaves parameter gradients on grad_* attributes. A Conv2d built with
 input_grad=False fills its grad_* attributes the same way but returns None:
 it skips the input-gradient GEMM and col2im, for a layer that reads the
-network input, whose gradient nothing consumes. Analytic gradients are
-finite-difference verified in the test suite (central differences, step 1e-3,
-double precision, relative error < 1e-4).
+network input, whose gradient nothing consumes. Relu caches its output and
+MaxPool its input and output, and backward finds the routing from them, so
+forward computes only the output. Analytic gradients are finite-difference
+verified in the test suite (central differences, step 1e-3, double
+precision, relative error < 1e-4).
 
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
@@ -108,8 +110,8 @@ class Conv2d:
 
 
 class MaxPool:
-    """Max pooling; backward routes each upstream value to the window argmax
-    (first position in row-major scan order on ties), zero elsewhere."""
+    """Max pooling; backward routes each upstream value to the window's first
+    maximum (first NaN, if any) in row-major scan order, zero elsewhere."""
 
     def __init__(self, window: int, stride: int):
         if window < 1 or stride < 1:
@@ -119,36 +121,48 @@ class MaxPool:
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+        _, _, h, w = x.shape
         k, s = self.window, self.stride
         if k > h or k > w:
             raise ShapeError(f"pool window {k} larger than input {h}x{w}")
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s]
-        oh, ow = win.shape[2], win.shape[3]
-        flat = win.reshape(n, c, oh, ow, k * k)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        self._cache = (idx, x.shape)
-        return np.ascontiguousarray(out)
+        oh, ow = conv_extent(h, k, s, 0), conv_extent(w, k, s, 0)
+        # by columns, then rows; on ties np.maximum keeps its 2nd (earlier) argument
+        cols = x[:, :, :, :s * ow:s].copy()
+        for j in range(1, k):
+            np.maximum(x[:, :, :, j:j + s * ow:s], cols, out=cols)
+        out = cols[:, :, :s * oh:s].copy()
+        for i in range(1, k):
+            np.maximum(cols[:, :, i:i + s * oh:s], out, out=out)
+        self._cache = (x, out)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        idx, x_shape = self._cache
-        n, c, h, w = x_shape
+        x, out = self._cache
+        n, c, h, w = x.shape
         k, s = self.window, self.stride
-        oh, ow = idx.shape[2], idx.shape[3]
-        iy = idx // k
-        ix = idx % k
-        y = np.arange(oh)[None, None, :, None] * s + iy
-        x = np.arange(ow)[None, None, None, :] * s + ix
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        flat_idx = ((nn * c + cc) * h + y) * w + x
+        oh, ow = out.shape[2], out.shape[3]
+        # a hit: x_tap == out, or a NaN tap where out is NaN; rank = last - the
+        # first tap hit, a running max of hit * (last - t), 0 needing no pass
+        last = k * k - 1
+        rank = np.zeros(out.shape, dtype=np.min_scalar_type(last))
+        nan = np.isnan(out)
+        any_nan = nan.any()
+        for t in range(last):
+            i, j = divmod(t, k)
+            tap = x[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            hit = np.equal(tap, out)
+            if any_nan:
+                hit |= nan & np.isnan(tap)
+            np.maximum(rank, np.multiply(hit, last - t, dtype=rank.dtype), out=rank)
+        # flat input index: plane offset + window corner + tap offset i*w + j
+        tap_offset = (np.arange(k)[:, None] * w + np.arange(k)).ravel()[::-1]
+        flat = tap_offset.take(rank)
+        flat += (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+        flat += (np.arange(oh) * (s * w))[:, None] + np.arange(ow) * s
         # bincount casts its weights to float64 itself, so overlapping-window
         # contributions accumulate in double precision whatever dout's dtype
-        acc = np.bincount(flat_idx.ravel(), weights=dout.ravel(),
-                          minlength=n * c * h * w)
-        return acc.reshape(x_shape).astype(dout.dtype)
+        acc = np.bincount(flat.ravel(), weights=dout.ravel(), minlength=x.size)
+        return acc.reshape(x.shape).astype(dout.dtype)
 
 
 def _channel_window_sum(v: np.ndarray, radius: int) -> np.ndarray:
@@ -190,17 +204,17 @@ class Lrn:
 
 
 class Relu:
-    """max(0, x); gradient passes where x > 0, zero elsewhere (including x == 0)."""
+    """max(0, x); gradient passes where out > 0 (where x > 0), zero elsewhere."""
 
     def __init__(self):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0
-        return np.maximum(x, 0)
+        self._cache = np.maximum(x, 0)
+        return self._cache
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._cache
+        return dout * (self._cache > 0)
 
 
 class FullyConnected:

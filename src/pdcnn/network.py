@@ -24,7 +24,7 @@ from collections import Counter
 import numpy as np
 
 from . import tensor as T
-from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, parse_arch_lines,
+from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, parse_kv_lines,
                    shape_check, spec_from_arch_dict)
 from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu
 
@@ -228,8 +228,8 @@ def load_model(path) -> PdcnnNet:
                  for _ in range(count)]
         arrays = [T.read_pdt_stream(f, path) for _ in range(count)]
     try:
-        d = parse_arch_lines(meta.decode("utf-8").splitlines(), "meta",
-                             _META_KEYS)
+        d = parse_kv_lines(meta.decode("utf-8").splitlines(), "meta",
+                           _META_KEYS)
         dtype = d.pop("dtype", np.dtype(np.float64))
         net = PdcnnNet(spec_from_arch_dict(d), rng=T.Rng(0), dtype=dtype)
         net.set_parameters((n.decode("utf-8"), a) for n, a in zip(names, arrays))

@@ -65,9 +65,6 @@ class TrainCurve:
     def __len__(self):
         return len(self.records)
 
-    def test_errors(self):
-        return [r.test_error for r in self.records]
-
 
 CURVE_HEADER = ["epoch", "train_loss", "train_error", "test_error", "seconds"]
 

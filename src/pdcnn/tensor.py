@@ -59,9 +59,6 @@ class Rng:
         """Uniform integer in the half-open range [low, high)."""
         return int(self._gen.integers(low, high))
 
-    def random(self) -> float:
-        return float(self._gen.random())
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

@@ -65,6 +65,27 @@ def pool_naive(x, window, stride):
     return out
 
 
+def pool_argmax(x, window, stride, dout):
+    """Max pooling by argmax over a copy of every window, and its input
+    gradient by a float64 bincount of dout over the argmax positions: the
+    (out, dx) of an (N,C,H,W) batch x. Ties and NaNs go to the first
+    position in row-major scan order, as argmax picks them."""
+    n, c, h, w = x.shape
+    k, s = window, stride
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::s, ::s]
+    oh, ow = win.shape[2], win.shape[3]
+    flat = win.reshape(n, c, oh, ow, k * k)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    y = np.arange(oh)[:, None] * s + idx // k
+    xx = np.arange(ow) * s + idx % k
+    plane = np.arange(n * c).reshape(n, c, 1, 1)
+    flat_idx = (plane * h + y) * w + xx
+    dx = np.bincount(flat_idx.ravel(), weights=dout.ravel(), minlength=x.size)
+    return out, dx.reshape(x.shape).astype(dout.dtype)
+
+
 def lrn_naive(x, radius, k, alpha, beta):
     """Direct per-element evaluation of the cross-channel formula."""
     c, h, w = x.shape

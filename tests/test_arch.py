@@ -208,6 +208,17 @@ def test_arch_file_unknown_key(tmp_path):
         parse_arch_file(path)
 
 
+@pytest.mark.parametrize("line,key", [("conv1_stride=x", "conv1_stride"),
+                                      ("init_sigma=wide", "init_sigma"),
+                                      ("depths=4,x", "depths")])
+def test_arch_file_bad_value_names_line_and_key(tmp_path, line, key):
+    path = tmp_path / "arch.txt"
+    path.write_text(f"depths=4\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        parse_arch_file(path)
+    assert str(err.value).startswith(f"{path}:2: {key}: "), err.value
+
+
 def test_kv_file_comments_and_errors(tmp_path):
     path = tmp_path / "kv.txt"
     path.write_text("a=1  # trailing comment\n\n# full comment\nb=2\n",

@@ -156,6 +156,34 @@ def test_train_missing_depths_usage_error(tmp_path, capsys):
     assert "depths" in capsys.readouterr().err
 
 
+def test_train_arch_bad_value_names_file_line_and_key(tmp_path, capsys):
+    data = _gendata(tmp_path)
+    arch = tmp_path / "arch.txt"
+    arch.write_text("# preset\nconv1_stride=x\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(data / "manifest.csv"),
+                 "--depths", "4", "--arch", str(arch), "--epochs", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {arch}:2: conv1_stride: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--depths", "4"],
+    ["search", "--candidates", "3,4"],
+], ids=["train", "search"])
+def test_bad_dtype_is_usage_error_before_manifest_is_read(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.csv"
+    code = main([*argv, "--dtype", "int8", "--manifest", str(missing),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: dtype must be float32 or float64")
+    assert err.count("\n") == 1
+
+
 # --- eval ---
 
 def test_eval_prints_error_rate(tmp_path, capsys):

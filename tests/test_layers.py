@@ -1,11 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcnn.layers import (Conv2d, FullyConnected, Lrn, MaxPool, Relu,
                           ShapeError, conv_extent, softmax_xent,
                           softmax_xent_batch)
-from oracles import conv_naive, lrn_naive, max_rel_err, pool_naive
+from oracles import conv_naive, lrn_naive, max_rel_err, pool_argmax, pool_naive
 
 
 # --- conv2d ---
@@ -155,6 +156,63 @@ def test_pool_tie_routes_to_first_in_scan_order():
     pool.forward(x[None])
     dx = pool.backward(np.array([[[1.0]]])[None])[0]
     npt.assert_array_equal(dx, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
+
+
+def test_pool_nan_window_outputs_nan_and_routes_to_first_nan():
+    x = np.array([[[1.0, np.nan, 2.0], [np.nan, 5.0, 0.0]]])
+    pool = MaxPool(2, 1)
+    out = pool.forward(x[None])[0]
+    npt.assert_array_equal(out, np.array([[[np.nan, np.nan]]]))
+    dx = pool.backward(np.array([[[3.0, 4.0]]])[None])[0]
+    npt.assert_array_equal(dx, np.array([[[0.0, 7.0, 0.0], [0.0, 0.0, 0.0]]]))
+
+
+def _tied_batch(draw):
+    """A batch drawn continuous, quantized to 2-3 levels with zeros of both
+    signs, or through a ReLU, optionally with NaNs sprinkled in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 4))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(k, k + 7)), draw(st.integers(k, k + 7)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    kind = draw(st.sampled_from(["normal", "quantized", "relu"]))
+    x = rng.normal(0, 1, shape)
+    if kind == "quantized":
+        x = rng.integers(-1, draw(st.integers(1, 2)), shape) * 0.5
+        x = np.where(x == 0, np.copysign(0.0, rng.normal(0, 1, shape)), x)
+    elif kind == "relu":
+        x = np.maximum(x, 0.0)
+    if draw(st.booleans()):
+        x[rng.random(shape) < 0.05] = np.nan
+    return x.astype(dtype), k, draw(st.integers(1, 4)), rng
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_pool_matches_argmax_reference_bit_for_bit(data):
+    x, window, stride, rng = _tied_batch(data.draw)
+    pool = MaxPool(window, stride)
+    out = pool.forward(x)
+    dout = rng.normal(0, 1, out.shape).astype(x.dtype)
+    ref_out, ref_dx = pool_argmax(x, window, stride, dout)
+    assert out.dtype == x.dtype and out.shape == ref_out.shape
+    # NaN payloads aside, every bit agrees: the sign of each tied zero too
+    nan = np.isnan(ref_out)
+    npt.assert_array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == ref_out[~nan].tobytes()
+    dx = pool.backward(dout)
+    assert dx.dtype == dout.dtype
+    assert dx.tobytes() == ref_dx.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_relu_gradient_is_dout_where_input_positive(data):
+    x, _, _, rng = _tied_batch(data.draw)
+    relu = Relu()
+    relu.forward(x)
+    dout = rng.normal(0, 1, x.shape).astype(x.dtype)
+    assert relu.backward(dout).tobytes() == (dout * (x > 0)).tobytes()
 
 
 def test_pool_window_too_large():

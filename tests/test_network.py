@@ -211,6 +211,15 @@ def test_load_rejects_corrupt_meta_or_index(tmp_path, meta_edit, index_edit):
     assert str(err.value).startswith(f"{path}: "), err.value
 
 
+def test_load_meta_bad_value_names_line_and_key(tmp_path):
+    path = tmp_path / "bad.bin"
+    net = tiny_net([4], seed=6, dtype=np.float32)
+    _pdm1(path, "depths=4\ninput_size=20\nconv1_stride=two\n", net.parameters())
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value).startswith(f"{path}: meta:3: conv1_stride: "), err.value
+
+
 # a non-default config, so the meta text carries ArchConfig fields too
 PINNED = ArchConfig(conv1_stride=2, conv1_padding=1, pool_window=2,
                     pool_stride=2, lrn_alpha=2e-4, filter_scale=0.04,
