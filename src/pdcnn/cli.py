@@ -7,7 +7,8 @@ written only when --timing is passed. Exit codes: 0 success, 1 runtime or
 data error, 2 usage error.
 
 Options may also come from a flat key=value config file (--config); explicit
-flags win, and unknown config keys are errors.
+flags win, and an unknown key or a value its option cannot parse is a usage
+error naming the file, the line and the key.
 """
 
 import argparse
@@ -111,23 +112,25 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
+def _parse_bool(text):
+    low = text.lower()
+    if low not in _BOOL_TRUE | _BOOL_FALSE:
+        raise ValueError(f"must be boolean, got {text!r}")
+    return low in _BOOL_TRUE
+
+
 def _merge_config(args, command):
-    """Fill unset options from the config file, then from defaults."""
+    """Fill unset options from the config file, then from defaults. A bad
+    config key or value is a usage error naming the file, line and key."""
     table = _OPTS[command]
     file_values = {}
     if getattr(args, "config", None):
-        raw = parse_kv_file(args.config)
-        for key, text in raw.items():
-            if key not in table and key not in ("rotate", "timing"):
-                raise UsageError(f"unknown config key {key!r} for {command}")
-            if key in ("rotate", "timing"):
-                low = text.lower()
-                if low not in _BOOL_TRUE | _BOOL_FALSE:
-                    raise UsageError(f"config key {key} must be boolean, got {text!r}")
-                file_values[key] = low in _BOOL_TRUE
-            else:
-                typ, _ = table[key]
-                file_values[key] = typ(text)
+        parsers = {key: typ for key, (typ, _) in table.items()}
+        parsers.update(rotate=_parse_bool, timing=_parse_bool)
+        try:
+            file_values = parse_kv_file(args.config, parsers)
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     for key, (typ, default) in table.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))

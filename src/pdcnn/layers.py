@@ -15,12 +15,30 @@ forward computes only the output. Analytic gradients are finite-difference
 verified in the test suite (central differences, step 1e-3, double
 precision, relative error < 1e-4).
 
+Every layer has an `inference` attribute, off by default; PdcnnNet sets it
+on all of its layers while the network is in inference mode. With it on,
+forward computes the same output but keeps no backward cache.
+
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
-convolutional neural networks for document processing").
+convolutional neural networks for document processing"). When backward will
+follow (the default), forward builds the matrix for the whole batch in one
+block and keeps it as the cache. In inference mode a float32 conv builds it
+one block of samples at a time into reused buffers, each block's columns
+within COL_BUDGET bytes, and keeps none (cache blocking after Goto & van de
+Geijn 2008, "Anatomy of high-performance matrix multiplication"). The output
+bytes are the same either way.
 """
 
 import numpy as np
+
+# Column bytes per block of an inference-mode conv. Not small: with OpenBLAS
+# a block's GEMM gives the whole-batch GEMM's bits only while it is large
+# enough to run the same kernels (1-4 MiB do at every shape tried; 1 KiB and
+# 64 KiB blocks change the last bits at small shapes). float64 convs stay one
+# block: OpenBLAS's dgemm rounds an output column differently depending on
+# where it falls in the GEMM's column range, so any block edge changes bits.
+COL_BUDGET = 4 << 20
 
 
 class ShapeError(ValueError):
@@ -32,14 +50,29 @@ def conv_extent(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
-class Conv2d:
+class Layer:
+    """What every layer shares: the backward cache of the latest forward,
+    and the `inference` switch under which forward keeps none."""
+
+    inference = False
+    _cache = None
+
+
+class Conv2d(Layer):
     """2D convolution with symmetric zero padding and square kernels.
 
     out[o,y,x] = bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y*stride+i, x*stride+j]
 
     Columns are channel-major, cols_t[(c,i,j), (n,y,x)], so out = W @ cols_t
-    and grad_weights = dout @ cols_t.T. The input gradient W.T @ dout leaves
-    the GEMM contiguous as (C,kh,kw,N,oh,ow); col2im adds each kernel tap's
+    and grad_weights = dout @ cols_t.T. Forward loops over blocks of samples:
+    each block's columns are copied into one reused buffer and multiplied
+    into another, the bias is added there, and the result is copied
+    transposed into the block's rows of the (N,Co,oh*ow) output. Outside
+    inference mode there is one block, the whole batch, whose column matrix
+    is the backward cache. In inference mode a float32 conv runs in
+    ceil(column bytes / COL_BUDGET) blocks, at most one per sample, with
+    edges at n*i//nblk, and keeps no columns. The input gradient W.T @ dout
+    leaves the GEMM contiguous as (C,kh,kw,N,oh,ow); col2im adds each tap's
     (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, transposed back once.
     With input_grad=False, backward stops after the parameter gradients and
     returns None.
@@ -64,7 +97,6 @@ class Conv2d:
         self.input_grad = input_grad
         self.grad_weights = None
         self.grad_bias = None
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
@@ -80,13 +112,28 @@ class Conv2d:
         s, p = self.stride, self.padding
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::s, ::s]  # (N,C,oh,ow,kh,kw)
-        cols_t = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow)
-        out_t = self.weights.reshape(co, -1) @ cols_t + self.bias[:, None]
-        out = np.ascontiguousarray(
-            out_t.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
-        self._cache = (cols_t, x.shape, xp.shape)
-        return out
+        win = win[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3)  # (C,kh,kw,N,oh,ow)
+        k, m = c * kh * kw, oh * ow
+        wmat = self.weights.reshape(co, k)
+        gemm_dtype = np.result_type(wmat, x)
+        nblk = 1
+        if self.inference and gemm_dtype == np.float32:
+            nblk = max(1, min(n, -(-k * n * m * x.itemsize // COL_BUDGET)))
+        nb_max = -(-n // nblk)
+        col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
+        gemm_buf = np.empty(co * nb_max * m, dtype=gemm_dtype)
+        out = np.empty((n, co, m), dtype=gemm_dtype)
+        for i in range(nblk):
+            n0, n1 = n * i // nblk, n * (i + 1) // nblk
+            nb = n1 - n0
+            cols_t = col_buf[:k * nb * m].reshape(k, nb * m)
+            np.copyto(cols_t.reshape(c, kh, kw, nb, oh, ow), win[:, :, :, n0:n1])
+            gemm = np.matmul(wmat, cols_t,
+                             out=gemm_buf[:co * nb * m].reshape(co, nb * m))
+            gemm += self.bias[:, None]
+            out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
+        self._cache = None if self.inference else (cols_t, x.shape, xp.shape)
+        return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
         cols_t, x_shape, xp_shape = self._cache
@@ -109,7 +156,7 @@ class Conv2d:
         return np.ascontiguousarray(dx)
 
 
-class MaxPool:
+class MaxPool(Layer):
     """Max pooling; backward routes each upstream value to the window's first
     maximum (first NaN, if any) in row-major scan order, zero elsewhere."""
 
@@ -118,7 +165,6 @@ class MaxPool:
             raise ShapeError(f"bad pool window/stride ({window}, {stride})")
         self.window = window
         self.stride = stride
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         _, _, h, w = x.shape
@@ -133,7 +179,7 @@ class MaxPool:
         out = cols[:, :, :s * oh:s].copy()
         for i in range(1, k):
             np.maximum(cols[:, :, i:i + s * oh:s], out, out=out)
-        self._cache = (x, out)
+        self._cache = None if self.inference else (x, out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -174,7 +220,7 @@ def _channel_window_sum(v: np.ndarray, radius: int) -> np.ndarray:
     return cs[:, hi] - cs[:, lo]
 
 
-class Lrn:
+class Lrn(Layer):
     """Cross-channel local response normalization.
 
     out[c,y,x] = in[c,y,x] / (k + alpha * sum_{|c'-c| <= radius} in[c',y,x]^2)^beta
@@ -188,12 +234,11 @@ class Lrn:
         self.k = k
         self.alpha = alpha
         self.beta = beta
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         base = self.k + self.alpha * _channel_window_sum(x * x, self.radius)
         scale = base ** (-self.beta)
-        self._cache = (x, base, scale)
+        self._cache = None if self.inference else (x, base, scale)
         return x * scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -203,21 +248,19 @@ class Lrn:
             _channel_window_sum(inner, self.radius)
 
 
-class Relu:
+class Relu(Layer):
     """max(0, x); gradient passes where out > 0 (where x > 0), zero elsewhere."""
 
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = np.maximum(x, 0)
-        return self._cache
+        out = np.maximum(x, 0)
+        self._cache = None if self.inference else out
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout * (self._cache > 0)
 
 
-class FullyConnected:
+class FullyConnected(Layer):
     """Affine map W @ x + b over flattened feature vectors."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
@@ -230,13 +273,12 @@ class FullyConnected:
         self.bias = bias
         self.grad_weights = None
         self.grad_bias = None
-        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.weights.shape[1]:
             raise ShapeError(
                 f"fc expects {self.weights.shape[1]} features, got {x.shape[1]}")
-        self._cache = x
+        self._cache = None if self.inference else x
         return x @ self.weights.T + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -10,10 +10,11 @@ version tag, the architecture description, an index of tensor names, and
 the parameter tensors as concatenated PDT1 payloads.
 
 A network in inference mode (the `inference` attribute set, as
-optim.evaluate does for its duration) runs the same forward arithmetic but
-drops every layer's backward cache as soon as the layer returns, so a
-forward-only pass holds one layer's im2col matrix at a time instead of
-every branch's; backward() after such a forward raises ValueError. Each
+optim.evaluate does for its duration) sets the same attribute on every
+layer, so forward gives the same output bytes but no layer keeps a backward
+cache, and a float32 conv layer builds its im2col one block of samples at a
+time: a forward-only pass holds one block's columns instead of a layer's
+whole im2col matrix. backward() after such a forward raises ValueError. Each
 branch's first conv layer is built without an input gradient, since the
 gradient with respect to the images is never consumed.
 """
@@ -100,6 +101,19 @@ class PdcnnNet:
         self.inference = False
         self._feat_shapes = None
 
+    @property
+    def inference(self) -> bool:
+        """Forward-only mode: no backward caches, blocked convolutions."""
+        return self._inference
+
+    @inference.setter
+    def inference(self, on: bool) -> None:
+        self._inference = on
+        for layers in self.branches:
+            for layer in layers:
+                layer.inference = on
+        self.head.inference = on
+
     def _walk(self, attr_prefix):
         """(name, layer.<attr_prefix>weights / bias) for every parameterized
         layer: each branch's convs in order, then the head."""
@@ -151,14 +165,10 @@ class PdcnnNet:
             h = x
             for layer in layers:
                 h = layer.forward(h)
-                if self.inference:
-                    layer._cache = None
             feat_shapes.append(h.shape)
             feats.append(h.reshape(h.shape[0], -1))
         fused = np.concatenate(feats, axis=1)
         logits = self.head.forward(fused)
-        if self.inference:
-            self.head._cache = None
         self._feat_shapes = None if self.inference else feat_shapes
         return logits[0] if squeeze else logits
 

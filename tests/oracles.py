@@ -51,6 +51,26 @@ def conv_naive(x, w, b, stride, padding):
     return out
 
 
+def conv_whole_batch(x, w, b, stride, padding):
+    """Convolution of an (N,C,H,W) batch as one GEMM over the whole batch's
+    channel-major im2col matrix, then the bias, then the NCHW transpose: the
+    unblocked forward whose output bytes the blocked one must reproduce. The
+    column matrix is a contiguous copy: at a 1x1 output a plain reshape can
+    return a strided view, which numpy multiplies with a transposed GEMM that
+    rounds differently in float64."""
+    n, c, _, _ = x.shape
+    co, _, kh, kw = w.shape
+    p = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (N,C,oh,ow,kh,kw)
+    oh, ow = win.shape[2], win.shape[3]
+    cols_t = np.ascontiguousarray(
+        win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow))
+    out_t = w.reshape(co, -1) @ cols_t + b[:, None]
+    return np.ascontiguousarray(out_t.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
+
+
 def pool_naive(x, window, stride):
     """Exhaustive window-scan max pooling."""
     c, h, w = x.shape

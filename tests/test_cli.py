@@ -380,6 +380,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key", [("epochs=x", "epochs"),
+                                      ("rotate=maybe", "rotate")])
+def test_config_file_bad_value_names_file_line_and_key(tmp_path, capsys, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# preset\nseed=3\n{line}\n", encoding="utf-8")
+    code = main(["train", "--depths", "4", "--manifest", "m.csv",
+                 "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"usage error: {cfg}:3: {key}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_config_file_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_per_class=2\nsize=20\nseed=3\ndifficulty=0\n",

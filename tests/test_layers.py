@@ -3,10 +3,14 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdcnn.layers import (Conv2d, FullyConnected, Lrn, MaxPool, Relu,
-                          ShapeError, conv_extent, softmax_xent,
+from pdcnn import tensor as T
+from pdcnn.arch import ArchConfig, build_pdcnn
+from pdcnn.layers import (COL_BUDGET, Conv2d, FullyConnected, Lrn, MaxPool,
+                          Relu, ShapeError, conv_extent, softmax_xent,
                           softmax_xent_batch)
-from oracles import conv_naive, lrn_naive, max_rel_err, pool_argmax, pool_naive
+from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet
+from oracles import (conv_naive, conv_whole_batch, lrn_naive, max_rel_err,
+                     pool_argmax, pool_naive)
 
 
 # --- conv2d ---
@@ -106,6 +110,61 @@ def test_conv_batched_backward_matches_per_sample(stride, pad):
         sum_gb += conv.grad_bias
     npt.assert_allclose(grad_weights, sum_gw, atol=1e-12)
     npt.assert_allclose(grad_bias, sum_gb, atol=1e-12)
+
+
+DESK = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
+TINY = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
+                  filter_scale=0.04, init_sigma=0.5)
+
+
+def _conv_inputs(config, size, batch, dtype):
+    """(conv layer, its input) for every conv of a 4,3,4 network on a random
+    image batch, each input the batch run through the layers before it."""
+    net = PdcnnNet(build_pdcnn([4, 3, 4], input_shape=(3, size, size),
+                               config=config), T.Rng(9), dtype=dtype)
+    images = np.random.default_rng(batch).random((batch, 3, size, size))
+    x = ((images - INPUT_OFFSET) * INPUT_SCALE).astype(dtype)
+    pairs = []
+    for layers in net.branches:
+        h = x
+        for layer in layers:
+            if isinstance(layer, Conv2d):
+                pairs.append((layer, h))
+            h = layer.forward(h)
+    return pairs
+
+
+def _col_bytes(conv, x):
+    n, c, h, w = x.shape
+    _, _, k, _ = conv.weights.shape
+    oh = conv_extent(h, k, conv.stride, conv.padding)
+    ow = conv_extent(w, k, conv.stride, conv.padding)
+    return c * k * k * n * oh * ow * x.itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("config,size,batch", [(DESK, 56, 32), (DESK, 56, 64),
+                                               (TINY, 20, 7)],
+                         ids=["desk32", "desk64", "tiny7"])
+def test_conv_blocked_inference_forward_is_bit_equal(config, size, batch, dtype):
+    # every conv of 4,3,4 at the real COL_BUDGET; at the desk shapes conv1 and
+    # conv2 have several budgets' worth of columns, so float32 runs in blocks
+    pairs = _conv_inputs(config, size, batch, dtype)
+    if config is DESK:
+        assert sum(_col_bytes(conv, x) > COL_BUDGET for conv, x in pairs) >= 4
+    full = np.random.default_rng(5)
+    conv1 = Conv2d(full.normal(0, 0.01, (64, 3, 7, 7)).astype(dtype),
+                   full.normal(0, 1, 64).astype(dtype), stride=4, padding=2)
+    x1 = ((full.random((3, 3, 224, 224)) - INPUT_OFFSET) * INPUT_SCALE).astype(dtype)
+    assert _col_bytes(conv1, x1) > COL_BUDGET
+    for conv, x in pairs + [(conv1, x1)]:
+        conv.inference = True
+        out = conv.forward(x)
+        assert conv._cache is None
+        want = conv_whole_batch(x, conv.weights, conv.bias, conv.stride,
+                                conv.padding)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()
 
 
 def test_conv_shape_errors():

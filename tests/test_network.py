@@ -58,6 +58,21 @@ def test_input_convention_centered_pixel_scale():
     assert float(np.abs(first.forward((x[None] - INPUT_OFFSET) * INPUT_SCALE)).max()) == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inference_logits_bit_equal_to_training_forward(dtype):
+    # the desk 4,3,4 geometry at eval batch 64, where float32 inference runs
+    # conv1 and conv2 in blocks of samples; no layer keeps a cache
+    config = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
+    x = np.random.default_rng(6).random((64, 3, 56, 56))
+    net.inference = True
+    blocked = net.forward(x)
+    assert all(layer._cache is None for layers in net.branches for layer in layers)
+    net.inference = False
+    assert blocked.tobytes() == net.forward(x).tobytes()
+
+
 def test_whole_network_gradients_match_finite_differences():
     # end-to-end check through fusion and the shared head, double precision
     net = tiny_net([3, 3], seed=5)

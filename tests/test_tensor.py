@@ -34,6 +34,13 @@ def test_tensor_new_rejects_negative_and_overflow():
         T.tensor_new([2**40, 2**40])
 
 
+def test_gaussian_init_rejects_negative_and_overflow():
+    with pytest.raises(ValueError):
+        T.gaussian_init([2, -1], 1.0, T.Rng(0))
+    with pytest.raises(ValueError):
+        T.gaussian_init([2**40, 2**40], 1.0, T.Rng(0))
+
+
 def test_gaussian_init_sigma_zero():
     t = T.gaussian_init([4, 4], 0.0, T.Rng(3))
     npt.assert_array_equal(t, np.zeros((4, 4)))
