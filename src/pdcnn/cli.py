@@ -250,8 +250,11 @@ def _read_fixture(path):
                 continue
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns")
-            depths = tuple(int(v) for v in row[0].split(",") if v.strip())
-            fixture[depths] = float(row[1])
+            try:
+                depths = tuple(int(v) for v in row[0].split(",") if v.strip())
+                fixture[depths] = float(row[1])
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     return fixture
 
 
@@ -303,10 +306,12 @@ def cmd_diag(args):
     if out:
         out.mkdir(parents=True, exist_ok=True)
     if args.time:
-        parts = args.time.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"--time expects t,n,e, got {args.time!r}")
-        t, n, e = float(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            t, n, e = args.time.split(",")
+            t, n, e = float(t), int(n), int(e)
+        except ValueError:
+            raise UsageError(f"--time expects numbers t,n,e, "
+                             f"got {args.time!r}") from None
         total = G.convergence_time(t, n, e)
         print(f"T={total}")
         if out:

@@ -7,6 +7,9 @@ split (three batches train, one tests). Online augmentation crops a
 (crop x crop) patch at a random offset with an optional horizontal flip;
 for S=256 and crop 224 that is 32*32*2 = 2048 distinct choices. Test-time
 input is always the deterministic center crop, no flip.
+
+Images are read from their files on each access and nothing is kept, so
+the image memory a run holds is one batch, whatever the dataset size.
 """
 
 import csv
@@ -35,57 +38,41 @@ class AugmentationChoice:
     flip: bool
 
 
-class _ImageStore:
-    """Shared lazy cache of decoded (and rotated) image tensors."""
+def rotate90cw(img: np.ndarray) -> np.ndarray:
+    """Quarter turn clockwise: pixel (y, x) moves to (x, S-1-y). Returns a
+    view of img."""
+    return img.swapaxes(-2, -1)[..., ::-1]
 
-    def __init__(self):
-        self._cache = {}
 
-    def get(self, record: ManifestRecord) -> np.ndarray:
-        key = (record.path, record.rotation)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        base = self._cache.get((record.path, 0))
-        if base is None:
-            base = T.read_pdt(record.path)
-            if base.ndim != 3:
-                raise ValueError(f"{record.path}: expected a rank-3 image tensor, "
-                                 f"got shape {base.shape}")
-            T.check_finite(base, record.path)
-            self._cache[(record.path, 0)] = base
-        img = base
+class Dataset:
+    """Ordered records; each image is read from its file on every access and
+    nothing is kept, so image memory is what the current batch holds."""
+
+    def __init__(self, records, crop_size: int = 224):
+        self.records = list(records)
+        self.crop_size = crop_size
+
+    def __len__(self):
+        return len(self.records)
+
+    def image(self, i: int) -> np.ndarray:
+        """Record i's image, read from its file and turned by its rotation
+        (a view of the read array)."""
+        record = self.records[i]
+        img = T.read_pdt(record.path)
+        if img.ndim != 3:
+            raise ValueError(f"{record.path}: expected a rank-3 image tensor, "
+                             f"got shape {img.shape}")
+        T.check_finite(img, record.path)
         if record.rotation % 4:
             if img.shape[1] != img.shape[2]:
                 raise ValueError(f"{record.path}: rotation requires a square "
                                  f"image, got {img.shape[1]}x{img.shape[2]}")
             for _ in range(record.rotation % 4):
                 img = rotate90cw(img)
-            self._cache[key] = img
-        return img
-
-
-def rotate90cw(img: np.ndarray) -> np.ndarray:
-    """Quarter turn clockwise: pixel (y, x) moves to (x, S-1-y)."""
-    return np.ascontiguousarray(img.swapaxes(-2, -1)[..., ::-1])
-
-
-class Dataset:
-    """Ordered records plus lazily loaded image tensors."""
-
-    def __init__(self, records, crop_size: int = 224, store: _ImageStore = None):
-        self.records = list(records)
-        self.crop_size = crop_size
-        self._store = store if store is not None else _ImageStore()
-
-    def __len__(self):
-        return len(self.records)
-
-    def image(self, i: int) -> np.ndarray:
-        img = self._store.get(self.records[i])
         if img.shape[1] < self.crop_size or img.shape[2] < self.crop_size:
             raise ValueError(
-                f"{self.records[i].path}: image {img.shape[1]}x{img.shape[2]} "
+                f"{record.path}: image {img.shape[1]}x{img.shape[2]} "
                 f"smaller than crop size {self.crop_size}")
         return img
 
@@ -98,7 +85,7 @@ def load_manifest(path, crop_size: int = 224) -> Dataset:
     """Parse a manifest CSV; relative image paths resolve against its directory.
 
     Labels are validated per row (parse error with line number); image tensors
-    are validated lazily on first access.
+    are read and validated on each access.
     """
     path = Path(path)
     records = []
@@ -142,7 +129,7 @@ def rotate_augment(d: Dataset) -> Dataset:
     for r in d.records:
         for k in range(4):
             records.append(replace(r, rotation=(r.rotation + k) % 4))
-    return Dataset(records, crop_size=d.crop_size, store=d._store)
+    return Dataset(records, crop_size=d.crop_size)
 
 
 def split_batches(d: Dataset, rng: T.Rng):
@@ -159,8 +146,8 @@ def split_batches(d: Dataset, rng: T.Rng):
                for i in range(4)]
     train = batches[0] + batches[1] + batches[2]
     test = batches[3]
-    return (Dataset(train, crop_size=d.crop_size, store=d._store),
-            Dataset(test, crop_size=d.crop_size, store=d._store))
+    return (Dataset(train, crop_size=d.crop_size),
+            Dataset(test, crop_size=d.crop_size))
 
 
 def choice_count(source_size: int, crop: int) -> int:
@@ -188,20 +175,19 @@ def apply_choice(image: np.ndarray, choice: AugmentationChoice,
 
 def sample_patch(image: np.ndarray, crop: int, rng: T.Rng,
                  mode: str = "train") -> np.ndarray:
-    """Train mode: uniform random offset in [0, S-crop) per axis plus a fair
-    horizontal-flip coin (draw order: offset_y, offset_x, flip). Test mode:
-    deterministic center crop, no flip."""
-    s = image.shape[1]
-    if crop > s:
-        raise ValueError(f"crop {crop} exceeds source size {s}")
+    """Train mode: uniform random offset in [0, H-crop) on y and [0, W-crop)
+    on x plus a fair horizontal-flip coin (draw order: offset_y, offset_x,
+    flip). Test mode: deterministic center crop, no flip."""
+    h, w = image.shape[-2:]
+    if crop > h or crop > w:
+        raise ValueError(f"crop {crop} exceeds source size {h}x{w}")
     if mode == "test":
-        off = (s - crop) // 2
-        return apply_choice(image, AugmentationChoice(off, off, False), crop)
+        center = AugmentationChoice((h - crop) // 2, (w - crop) // 2, False)
+        return apply_choice(image, center, crop)
     if mode != "train":
         raise ValueError(f"mode must be 'train' or 'test', got {mode!r}")
-    span = s - crop
-    oy = rng.integers(0, span) if span > 0 else 0
-    ox = rng.integers(0, span) if span > 0 else 0
+    oy = rng.integers(0, h - crop) if h > crop else 0
+    ox = rng.integers(0, w - crop) if w > crop else 0
     flip = rng.integers(0, 2) == 1
     return apply_choice(image, AugmentationChoice(oy, ox, flip), crop)
 

@@ -152,8 +152,12 @@ def read_pdt_stream(f, path) -> np.ndarray:
     if 4 * count > left:
         raise ValueError(f"{path}: truncated file (header declares {count} "
                          f"floats, {left} bytes left)")
-    data = np.frombuffer(read_exact(f, 4 * count, path), dtype="<f4", count=count)
-    return data.reshape(shape).astype(np.float32)
+    data = np.empty(shape, dtype="<f4")
+    got = f.readinto(data)
+    if got != 4 * count:
+        raise ValueError(f"{path}: truncated file (needed {4 * count} bytes, "
+                         f"got {got})")
+    return data.astype(np.float32, copy=False)
 
 
 def write_pdt(path, t: np.ndarray) -> None:

@@ -299,6 +299,15 @@ def test_search_replay_missing_row_exit_1(tmp_path, capsys):
     assert "1,4,0.08571,4" in trace
 
 
+@pytest.mark.parametrize("row", ['"4,x",0.2', "4,abc"])
+def test_search_replay_bad_value_names_file_and_line(tmp_path, capsys, row):
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(f"depths,error\n3,0.09916\n{row}\n", encoding="utf-8")
+    code = main(["search", "--replay", str(fixture), "--out", str(tmp_path / "s")])
+    assert code == 1
+    assert f"error: {fixture}:3: " in capsys.readouterr().err
+
+
 def test_search_without_inputs_usage_error(tmp_path, capsys):
     code = main(["search", "--out", str(tmp_path / "s")])
     assert code == 2
@@ -367,6 +376,12 @@ def test_diag_without_inputs_usage_error(capsys):
 
 def test_diag_bad_time_format(capsys):
     assert main(["diag", "--time", "1,2"]) == 2
+
+
+@pytest.mark.parametrize("value", ["1.5,x,3", "x,2,3", "1.5,2,3.5"])
+def test_diag_bad_time_number_is_usage_error(capsys, value):
+    assert main(["diag", "--time", value]) == 2
+    assert value in capsys.readouterr().err
 
 
 # --- config files ---

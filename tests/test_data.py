@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,42 @@ def test_rotate_augment_nonsquare_errors(tmp_path):
         out.image(1)
 
 
+def test_dataset_keeps_no_image(tmp_path):
+    # each access reads the file; dropping the returned array (a view for a
+    # rotated record) frees the decoded image
+    _write_image(tmp_path / "a.pdt")
+    ds = rotate_augment(load_manifest(_manifest(tmp_path, [("a.pdt", 1, "c")]),
+                                      crop_size=8))
+    for i in range(4):
+        img = ds.image(i)
+        refs = [weakref.ref(a) for a in (img, img.base) if a is not None]
+        del img
+        assert all(ref() is None for ref in refs)
+
+
+def test_rotated_view_patches_match_contiguous_copy(tmp_path):
+    _write_image(tmp_path / "a.pdt", shape=(3, 12, 12), seed=5)
+    ds = rotate_augment(load_manifest(_manifest(tmp_path, [("a.pdt", 1, "c")]),
+                                      crop_size=8))
+    base = ds.image(0)
+    for k in range(4):
+        turned = base
+        for _ in range(k):
+            turned = rotate90cw(turned)
+        copy = np.ascontiguousarray(turned)
+        view = ds.image(k)
+        assert view.flags.c_contiguous == (k == 0)  # turned images are views
+        assert sample_patch(view, 8, None, "test").tobytes() == \
+            sample_patch(copy, 8, None, "test").tobytes()
+        for seed in range(32):
+            patch = sample_patch(view, 8, T.Rng(seed), "train")
+            assert patch.tobytes() == \
+                sample_patch(copy, 8, T.Rng(seed), "train").tobytes()
+        for choice in all_choices(12, 8):  # every offset, flipped or not
+            assert apply_choice(view, choice, 8).tobytes() == \
+                apply_choice(copy, choice, 8).tobytes()
+
+
 # --- split ---
 
 def _dataset_of(n, tmp_path):
@@ -236,6 +273,22 @@ def test_sample_patch_test_mode_center_crop():
     patch = sample_patch(img, 8, None, "test")
     npt.assert_array_equal(patch, img[:, 2:10, 2:10])
     npt.assert_array_equal(patch, sample_patch(img, 8, None, "test"))
+
+
+@pytest.mark.parametrize("shape", [(3, 40, 24), (3, 24, 40)])
+def test_sample_patch_non_square_offsets_per_axis(shape):
+    img = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    h, w = shape[1:]
+    center = sample_patch(img, 20, None, "test")
+    top, left = (h - 20) // 2, (w - 20) // 2
+    npt.assert_array_equal(center, img[:, top:top + 20, left:left + 20])
+    reachable = {apply_choice(img, AugmentationChoice(oy, ox, flip), 20).tobytes()
+                 for oy in range(h - 20) for ox in range(w - 20)
+                 for flip in (False, True)}
+    for seed in range(100):
+        patch = sample_patch(img, 20, T.Rng(seed), "train")
+        assert patch.shape == (3, 20, 20)
+        assert patch.tobytes() in reachable
 
 
 def test_sample_patch_crop_too_large():

@@ -1,8 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcnn import tensor as T
 from oracles import variance_loop
@@ -179,3 +181,59 @@ def test_pdt_rejects_extents_beyond_file(tmp_path):
     with pytest.raises(ValueError) as err:
         T.read_pdt(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def _pdt_reference(raw):
+    """(shape, payload bytes) of the PDT1 record that raw starts with, or None
+    when raw holds no complete record."""
+    if len(raw) < 8 or raw[:4] != T.PDT1_MAGIC:
+        return None
+    rank = int.from_bytes(raw[4:8], "little")
+    start = 8 + 4 * rank
+    if len(raw) < start:
+        return None
+    shape = tuple(int.from_bytes(raw[8 + 4 * i:12 + 4 * i], "little")
+                  for i in range(rank))
+    end = start + 4 * math.prod(shape)
+    if len(raw) < end:
+        return None
+    return shape, raw[start:end]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_pdt_read_fuzz_returns_record_or_names_path(tmp_path_factory, data):
+    # a cut or corrupted file either reads back exactly the record its bytes
+    # declare or raises a ValueError naming the file; an untouched file
+    # reads back the written float32 bytes
+    shape = tuple(data.draw(st.lists(st.integers(0, 4), max_size=4)))
+    payload = data.draw(st.binary(min_size=4 * math.prod(shape),
+                                  max_size=4 * math.prod(shape)))
+    path = tmp_path_factory.mktemp("fuzz") / "t.pdt"
+    T.write_pdt(path, np.frombuffer(payload, dtype="<f4").reshape(shape))
+    raw = bytearray(path.read_bytes())
+    kind = data.draw(st.sampled_from(["none", "magic", "rank", "extent"]))
+    if kind == "magic":
+        i = data.draw(st.integers(0, 3))
+        raw[i] = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]))
+    elif kind == "rank" or (kind == "extent" and shape):
+        at = 4
+        if kind == "extent":
+            at = 8 + 4 * data.draw(st.integers(0, len(shape) - 1))
+        value = data.draw(st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1)))
+        raw[at:at + 4] = struct.pack("<I", value)
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(raw))))
+    if cut is not None:
+        del raw[cut:]
+    path.write_bytes(bytes(raw))
+    expected = _pdt_reference(bytes(raw))
+    if expected is None:
+        with pytest.raises(ValueError) as err:
+            T.read_pdt(path)
+        assert str(err.value).startswith(f"{path}: ")
+    else:
+        back = T.read_pdt(path)
+        assert back.dtype == np.float32
+        assert (back.shape, back.tobytes()) == expected
+    if kind == "none" and cut is None:
+        assert expected == (shape, payload)
