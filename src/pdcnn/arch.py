@@ -8,6 +8,8 @@ connected head. Branches sharing a depth get distinct conv1/conv2 kernel
 sizes via a deterministic variant rule.
 """
 
+import csv
+import io
 from dataclasses import dataclass, field, fields
 
 from .layers import ShapeError, conv_extent
@@ -226,17 +228,40 @@ def param_count(spec: PdcnnSpec) -> int:
     return total + spec.num_classes * fused + spec.num_classes
 
 
-# --- architecture description files (flat key=value text) ---
+# --- text formats: UTF-8 files, comma lists, key=value lines, CSV tables ---
 
-def _int_list(text: str) -> list:
+def read_text(path) -> str:
+    """A UTF-8 file's text; ValueError naming the file on a bad byte."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
+def parse_int_list(text: str) -> list:
+    """'4,3,4' -> [4, 3, 4]; empty items are skipped."""
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+def format_int_list(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
 # Every architecture-description key and its parser: the four spec keys, then
 # the ArchConfig fields in declaration order (the order model files use).
-ARCH_KEYS = {"depths": _int_list, "variants": _int_list,
+ARCH_KEYS = {"depths": parse_int_list, "variants": parse_int_list,
              "input_channels": int, "input_size": int,
              **{f.name: f.type for f in fields(ArchConfig)}}
+
+
+def _parsed(parse, text, where, name):
+    """parse(text); a ValueError from it is re-raised naming where and name."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ValueError(f"{where}: {name}: {err}") from None
 
 
 def parse_kv_lines(lines, where, parsers=None) -> dict:
@@ -255,18 +280,52 @@ def parse_kv_lines(lines, where, parsers=None) -> dict:
         if parsers is not None:
             if key not in parsers:
                 raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
-            try:
-                value = parsers[key](value)
-            except ValueError as err:
-                raise ValueError(f"{where}:{lineno}: {key}: {err}") from None
+            value = _parsed(parsers[key], value, f"{where}:{lineno}", key)
         out[key] = value
     return out
 
 
+def format_kv_lines(d: dict) -> str:
+    """Inverse of parse_kv_lines; lists are written as comma lists."""
+    return "".join(f"{k}={format_int_list(v) if isinstance(v, list) else v}\n"
+                   for k, v in d.items())
+
+
 def parse_kv_file(path, parsers=None) -> dict:
     """parse_kv_lines over a UTF-8 text file."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_kv_lines(f, path, parsers)
+    return parse_kv_lines(read_text(path).splitlines(), path, parsers)
+
+
+def read_table(path, header, parsers) -> list:
+    """The rows of a UTF-8 CSV file whose first row is the list `header`,
+    blank rows skipped; each value goes through its column's parser. Errors
+    read '{path}:{line}: ...' and name the column of a bad value."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    rows = []
+    try:
+        got = next(reader, None)
+        if got != header:
+            raise ValueError(f"{path}:1: expected header {header}, got {got}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} columns, "
+                                 f"got {len(row)}")
+            rows.append([_parsed(parse, text, where, name)
+                         for name, parse, text in zip(header, parsers, row)])
+    except csv.Error as err:
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    return rows
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV file, UTF-8 with LF line endings: the header, then rows."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def parse_arch_file(path) -> dict:

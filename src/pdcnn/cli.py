@@ -12,7 +12,6 @@ error naming the file, the line and the key.
 """
 
 import argparse
-import csv
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -20,9 +19,9 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (build_pdcnn, config_from_arch_dict,
-                   input_shape_from_arch_dict, param_count, parse_arch_file,
-                   parse_kv_file)
+from .arch import (build_pdcnn, config_from_arch_dict, format_int_list,
+                   format_kv_lines, input_shape_from_arch_dict, param_count,
+                   parse_arch_file, parse_int_list, parse_kv_file, read_table)
 from .layers import ShapeError
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
@@ -36,6 +35,17 @@ class UsageError(Exception):
     pass
 
 
+_BOOL_TRUE = {"1", "true", "yes", "on"}
+_BOOL_FALSE = {"0", "false", "no", "off"}
+
+
+def _parse_bool(text):
+    low = text.lower()
+    if low not in _BOOL_TRUE | _BOOL_FALSE:
+        raise ValueError(f"must be boolean, got {text!r}")
+    return low in _BOOL_TRUE
+
+
 # the SgdConfig field each training option sets; epochs has a per-command
 # default, the others take SgdConfig's
 _SGD_OPTS = {"lr": "learning_rate", "momentum": "momentum",
@@ -44,13 +54,14 @@ _SGD_OPTS = {"lr": "learning_rate", "momentum": "momentum",
              "lr_patience": "lr_patience"}
 _SGD_FIELDS = {f.name: f for f in fields(SgdConfig)}
 
-# per-command option tables: name -> (type, default); None default = required
+# per-command option tables: name -> (type, default); _parse_bool = a flag
 _COMMON_TRAIN_OPTS = {
     **{opt: (_SGD_FIELDS[name].type, _SGD_FIELDS[name].default)
        for opt, name in _SGD_OPTS.items() if opt != "epochs"},
     "crop": (int, 0),       # 0 = take the arch file's input_size, else 224
     "dtype": (str, "float32"),
     "seed": (int, 0),
+    "rotate": (_parse_bool, False),
 }
 
 _OPTS = {
@@ -68,6 +79,7 @@ _OPTS = {
         "depths": (str, ""),
         "arch": (str, ""),
         "epochs": (int, 30),
+        "timing": (_parse_bool, False),
     },
     "eval": {
         "model": (str, ""),
@@ -99,6 +111,9 @@ _HELP = {
     "replay": "fixture CSV (depths,error) for table-driven search",
     "out": "output directory",
     "manifest": "dataset manifest CSV",
+    "rotate": "apply 90/180/270-degree rotation augmentation before the "
+              "train/test split",
+    "timing": "record wall-clock seconds (breaks byte-reproducibility)",
 }
 
 
@@ -108,40 +123,26 @@ def _require(args, command, *keys):
             raise UsageError(f"{command} requires --{key.replace('_', '-')} "
                              f"(flag or config file)")
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(text):
-    low = text.lower()
-    if low not in _BOOL_TRUE | _BOOL_FALSE:
-        raise ValueError(f"must be boolean, got {text!r}")
-    return low in _BOOL_TRUE
-
 
 def _merge_config(args, command):
     """Fill unset options from the config file, then from defaults. A bad
     config key or value is a usage error naming the file, line and key."""
     table = _OPTS[command]
     file_values = {}
-    if getattr(args, "config", None):
-        parsers = {key: typ for key, (typ, _) in table.items()}
-        parsers.update(rotate=_parse_bool, timing=_parse_bool)
+    if args.config:
         try:
-            file_values = parse_kv_file(args.config, parsers)
+            file_values = parse_kv_file(
+                args.config, {key: typ for key, (typ, _) in table.items()})
         except ValueError as err:
             raise UsageError(str(err)) from None
-    for key, (typ, default) in table.items():
-        if getattr(args, key, None) is None:
+    for key, (_, default) in table.items():
+        if getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
-    for key in ("rotate", "timing"):
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, file_values.get(key, False))
 
 
 def _parse_depths(text):
     try:
-        depths = [int(v) for v in text.split(",") if v.strip()]
+        depths = parse_int_list(text)
     except ValueError:
         raise UsageError(f"bad depths list {text!r}; expected e.g. 4,3,4")
     if not depths:
@@ -205,7 +206,7 @@ def cmd_train(args):
     write_curve_csv(curve, out / "curve.csv", timing=args.timing)
     save_model(net, out / "model.bin")
     _write_train_report(out / "report.txt", net, curve, args)
-    print(f"trained depths={','.join(str(d) for d in depths)} "
+    print(f"trained depths={format_int_list(depths)} "
           f"epochs={len(curve)} out={out}")
     return 0
 
@@ -213,17 +214,17 @@ def cmd_train(args):
 def _write_train_report(path, net, curve, args):
     best = min(curve.records, key=lambda r: r.test_error, default=None)
     conv_epoch = G.detect_convergence(curve)
-    lines = [
-        f"best_test_error={best.test_error:.6f}" if best else "best_test_error=none",
-        f"best_epoch={best.epoch}" if best else "best_epoch=none",
-        f"convergence_epoch={conv_epoch if conv_epoch is not None else 'none'}",
-        f"param_count={param_count(net.spec)}",
-        f"epochs_run={len(curve)}",
-        "test_protocol=center_crop_no_flip",
-    ]
+    report = {
+        "best_test_error": f"{best.test_error:.6f}" if best else "none",
+        "best_epoch": best.epoch if best else "none",
+        "convergence_epoch": conv_epoch if conv_epoch is not None else "none",
+        "param_count": param_count(net.spec),
+        "epochs_run": len(curve),
+        "test_protocol": "center_crop_no_flip",
+    }
     if args.timing:
-        lines.append(f"train_seconds={sum(r.seconds for r in curve.records):.3f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report["train_seconds"] = f"{sum(r.seconds for r in curve.records):.3f}"
+    Path(path).write_text(format_kv_lines(report), encoding="utf-8")
 
 
 def cmd_eval(args):
@@ -237,27 +238,6 @@ def cmd_eval(args):
     return 0
 
 
-def _read_fixture(path):
-    fixture = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["depths", "error"]:
-            raise ValueError(f"{path}: fixture header must be depths,error, "
-                             f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                depths = tuple(int(v) for v in row[0].split(",") if v.strip())
-                fixture[depths] = float(row[1])
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-    return fixture
-
-
 def cmd_search(args):
     _merge_config(args, "search")
     _require(args, "search", "out")
@@ -265,7 +245,9 @@ def cmd_search(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.replay:
-        oracle = S.replay_oracle(_read_fixture(args.replay))
+        rows = read_table(args.replay, ["depths", "error"],
+                          (parse_int_list, float))
+        oracle = S.replay_oracle({tuple(d): error for d, error in rows})
         input_shape = (3, 224, 224)
         config = None
     else:
@@ -291,10 +273,10 @@ def cmd_search(args):
             error = next(c.error for c in rnd.candidates
                          if c.depths == rnd.chosen)
             print(f"round {rnd.number}: chose "
-                  f"{','.join(str(d) for d in rnd.chosen)} (error {error:.6f})")
+                  f"{format_int_list(rnd.chosen)} (error {error:.6f})")
         else:
             print(f"round {rnd.number}: stop (no improvement)")
-    print(f"winner={','.join(str(d) for d in trace.winner)}")
+    print(f"winner={format_int_list(trace.winner)}")
     return 0
 
 
@@ -340,8 +322,12 @@ def build_parser():
         for key, (typ, default) in _OPTS[command].items():
             flag = "--" + key.replace("_", "-")
             extra = _HELP.get(key, "")
-            p.add_argument(flag, type=typ, default=None,
-                           help=f"{extra} (default {default!r})".strip())
+            if typ is _parse_bool:
+                p.add_argument(flag, action="store_true", default=None,
+                               help=extra)
+            else:
+                p.add_argument(flag, type=typ, default=None,
+                               help=f"{extra} (default {default!r})".strip())
         p.add_argument("--config", default=None,
                        help="key=value config file; flags win")
 
@@ -350,11 +336,6 @@ def build_parser():
     p.set_defaults(func=cmd_gendata)
 
     p = sub.add_parser("train", help="train a network on a manifest dataset")
-    p.add_argument("--rotate", action="store_true", default=None,
-                   help="apply 90/180/270-degree rotation augmentation "
-                        "before the train/test split")
-    p.add_argument("--timing", action="store_true", default=None,
-                   help="record wall-clock seconds (breaks byte-reproducibility)")
     add_table_opts(p, "train")
     p.set_defaults(func=cmd_train)
 
@@ -363,8 +344,6 @@ def build_parser():
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("search", help="greedy branch-selection search")
-    p.add_argument("--rotate", action="store_true", default=None)
-    p.add_argument("--timing", action="store_true", default=None)
     add_table_opts(p, "search")
     p.set_defaults(func=cmd_search)
 

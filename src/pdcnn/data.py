@@ -12,13 +12,13 @@ Images are read from their files on each access and nothing is kept, so
 the image memory a run holds is one batch, whatever the dataset size.
 """
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
+from .arch import read_table, write_table
 
 STREAM_SYNTH = 7  # seed-mixing tag for the synthetic generator
 
@@ -81,44 +81,28 @@ class Dataset:
         return np.array([r.label for r in self.records], dtype=np.int64)
 
 
-def load_manifest(path, crop_size: int = 224) -> Dataset:
-    """Parse a manifest CSV; relative image paths resolve against its directory.
+MANIFEST_HEADER = ["path", "label", "category"]
 
-    Labels are validated per row (parse error with line number); image tensors
-    are read and validated on each access.
-    """
+
+def _label(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, got {text!r}")
+    return int(text)
+
+
+def load_manifest(path, crop_size: int = 224) -> Dataset:
+    """Parse a manifest CSV; image paths resolve against its directory (an
+    absolute path stays as it is). Labels must be 0 or 1; image tensors are
+    read and validated on each access."""
     path = Path(path)
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["path", "label", "category"]:
-            raise ValueError(f"{path}:1: expected header path,label,category, "
-                             f"got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            img_path, label_text, category = row
-            if label_text not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: label must be 0 or 1, "
-                                 f"got {label_text!r}")
-            resolved = Path(img_path)
-            if not resolved.is_absolute():
-                resolved = path.parent / resolved
-            records.append(ManifestRecord(path=str(resolved),
-                                          label=int(label_text),
-                                          category=category))
-    return Dataset(records, crop_size=crop_size)
+    rows = read_table(path, MANIFEST_HEADER, (str, _label, str))
+    return Dataset([ManifestRecord(str(path.parent / image), label, category)
+                    for image, label, category in rows], crop_size=crop_size)
 
 
 def write_manifest(path, records) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["path", "label", "category"])
-        for r in records:
-            writer.writerow([r.path, r.label, r.category])
+    write_table(path, MANIFEST_HEADER,
+                ([r.path, r.label, r.category] for r in records))
 
 
 def rotate_augment(d: Dataset) -> Dataset:

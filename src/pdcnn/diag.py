@@ -6,10 +6,10 @@ layer weights (bias excluded); higher variance indicates better-learnt
 filters, and the mean over branches compares architectures.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
+from .arch import format_int_list, write_table
 from .optim import TrainCurve
 from .search import SearchTrace
 from .tensor import tensor_variance
@@ -89,33 +89,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _depths_text(depths) -> str:
-    return ",".join(str(d) for d in depths)
-
-
 def emit_report(report, path) -> None:
     """Serialize a report as CSV (LF endings, 6 significant digits);
     byte-deterministic for equal inputs."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if isinstance(report, FilterVarianceReport):
-            writer.writerow(["branch", "layer", "variance"])
-            for entry in report.entries:
-                writer.writerow([entry.branch, entry.layer,
-                                 _fmt(entry.variance)])
-            if report.entries:
-                writer.writerow(["mean", "", _fmt(report.mean_variance)])
-        elif isinstance(report, ConvergenceReport):
-            writer.writerow(["t", "n", "e", "T"])
-            writer.writerow([_fmt(report.t), report.n, report.e, report.total])
-        elif isinstance(report, SearchTrace):
-            writer.writerow(["round", "candidate_depths", "error", "chosen"])
-            for rnd in report.rounds:
-                decision = _depths_text(rnd.chosen) if rnd.chosen else "stop"
-                for cand in rnd.candidates:
-                    writer.writerow([rnd.number, _depths_text(cand.depths),
-                                     _fmt(cand.error), decision])
-            writer.writerow(["winner", _depths_text(report.winner),
-                             _fmt(report.winner_error), ""])
-        else:
-            raise TypeError(f"cannot emit report of type {type(report).__name__}")
+    if isinstance(report, FilterVarianceReport):
+        header = ["branch", "layer", "variance"]
+        rows = [[e.branch, e.layer, _fmt(e.variance)] for e in report.entries]
+        if report.entries:
+            rows.append(["mean", "", _fmt(report.mean_variance)])
+    elif isinstance(report, ConvergenceReport):
+        header = ["t", "n", "e", "T"]
+        rows = [[_fmt(report.t), report.n, report.e, report.total]]
+    elif isinstance(report, SearchTrace):
+        header = ["round", "candidate_depths", "error", "chosen"]
+        rows = [[rnd.number, format_int_list(cand.depths), _fmt(cand.error),
+                 format_int_list(rnd.chosen) if rnd.chosen else "stop"]
+                for rnd in report.rounds for cand in rnd.candidates]
+        rows.append(["winner", format_int_list(report.winner),
+                     _fmt(report.winner_error), ""])
+    else:
+        raise TypeError(f"cannot emit report of type {type(report).__name__}")
+    write_table(path, header, rows)

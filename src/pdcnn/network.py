@@ -25,8 +25,8 @@ from collections import Counter
 import numpy as np
 
 from . import tensor as T
-from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, parse_kv_lines,
-                   shape_check, spec_from_arch_dict)
+from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, format_kv_lines,
+                   parse_kv_lines, shape_check, spec_from_arch_dict)
 from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu
 
 # Image files carry values in [0, 1]; the network sees them centered and in
@@ -189,22 +189,12 @@ class PdcnnNet:
                 d = layer.backward(d)
 
 
-def _meta_text(net: PdcnnNet) -> str:
-    d = arch_dict_from_spec(net.spec)
-    d["dtype"] = net.dtype.name
-    lines = []
-    for key, value in d.items():
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key}={value}")
-    return "\n".join(lines) + "\n"
-
-
 def save_model(net: PdcnnNet, path) -> None:
     """Write a PDM1 model file. Parameter payloads are PDT1 (32-bit floats);
     double-precision models round to single in the file."""
     params = net.parameters()
-    meta = _meta_text(net).encode("utf-8")
+    meta = format_kv_lines({**arch_dict_from_spec(net.spec),
+                            "dtype": net.dtype.name}).encode("utf-8")
     with open(path, "wb") as f:
         f.write(PDM1_MAGIC)
         f.write(struct.pack("<I", PDM1_VERSION))
@@ -237,6 +227,7 @@ def load_model(path) -> PdcnnNet:
         names = [T.read_exact(f, T.read_u32(f, path), path)
                  for _ in range(count)]
         arrays = [T.read_pdt_stream(f, path) for _ in range(count)]
+        T.expect_end(f, path, "the last tensor")
     try:
         d = parse_kv_lines(meta.decode("utf-8").splitlines(), "meta",
                            _META_KEYS)

@@ -13,13 +13,13 @@ choices, and initialization all derive from the seed, and gradients are
 accumulated batch-vectorized in a fixed order.
 """
 
-import csv
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .arch import read_table, write_table
 from .data import Dataset, sample_patch
 from .layers import softmax_xent_batch
 from .network import PdcnnNet
@@ -72,31 +72,15 @@ CURVE_HEADER = ["epoch", "train_loss", "train_error", "test_error", "seconds"]
 def write_curve_csv(curve: TrainCurve, path, timing: bool = True) -> None:
     """One row per epoch; pass timing=False to zero the seconds column so the
     file is byte-reproducible across runs."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CURVE_HEADER)
-        for r in curve.records:
-            seconds = r.seconds if timing else 0.0
-            writer.writerow([r.epoch, f"{r.train_loss:.6f}",
-                             f"{r.train_error:.6f}", f"{r.test_error:.6f}",
-                             f"{seconds:.3f}"])
+    write_table(path, CURVE_HEADER,
+                ([r.epoch, f"{r.train_loss:.6f}", f"{r.train_error:.6f}",
+                  f"{r.test_error:.6f}", f"{r.seconds if timing else 0.0:.3f}"]
+                 for r in curve.records))
 
 
 def read_curve_csv(path) -> TrainCurve:
-    curve = TrainCurve()
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != CURVE_HEADER:
-            raise ValueError(f"{path}: expected curve header {CURVE_HEADER}, "
-                             f"got {header}")
-        for row in reader:
-            if not row:
-                continue
-            curve.records.append(EpochRecord(int(row[0]), float(row[1]),
-                                             float(row[2]), float(row[3]),
-                                             float(row[4])))
-    return curve
+    rows = read_table(path, CURVE_HEADER, (int, float, float, float, float))
+    return TrainCurve([EpochRecord(*row) for row in rows])
 
 
 def init_state(net: PdcnnNet, seed: int, cfg: SgdConfig) -> TrainState:

@@ -160,6 +160,14 @@ def read_pdt_stream(f, path) -> np.ndarray:
     return data.astype(np.float32, copy=False)
 
 
+def expect_end(f, path, what: str) -> None:
+    """ValueError naming path if the seekable f has bytes left after `what`."""
+    here = f.tell()
+    extra = f.seek(0, 2) - here
+    if extra:
+        raise ValueError(f"{path}: {extra} bytes after {what}")
+
+
 def write_pdt(path, t: np.ndarray) -> None:
     """Write a tensor as a PDT1 file holding one record (see write_pdt_stream)."""
     with open(path, "wb") as f:
@@ -167,6 +175,8 @@ def write_pdt(path, t: np.ndarray) -> None:
 
 
 def read_pdt(path) -> np.ndarray:
-    """Read a PDT1 file; returns a float32 array (cast at the call site if needed)."""
+    """Read a one-record PDT1 file as a float32 array (cast it if needed)."""
     with open(path, "rb") as f:
-        return read_pdt_stream(f, path)
+        t = read_pdt_stream(f, path)
+        expect_end(f, path, "the PDT1 record")
+    return t

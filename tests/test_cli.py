@@ -422,6 +422,63 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert "records=4" in capsys.readouterr().out
 
 
+# --- malformed text inputs: one line naming the file and line ---
+
+_CURVE_HEAD = "epoch,train_loss,train_error,test_error,seconds\n"
+
+
+def _text_argv(kind, path, tmp):
+    out = str(tmp / "out")
+    return {
+        "arch": ["train", "--arch", path, "--depths", "3",
+                 "--manifest", str(tmp / "m.csv"), "--out", out],
+        "config": ["gendata", "--config", path, "--out", out],
+        "manifest": ["train", "--manifest", path, "--depths", "3",
+                     "--out", out],
+        "fixture": ["search", "--replay", path, "--out", out],
+        "curve": ["diag", "--curve", path],
+    }[kind]
+
+
+@pytest.mark.parametrize("kind,content,code,tail", [
+    ("arch", b"conv1_stride=2\n\xff\n", 1, ": not UTF-8 text (byte 15)"),
+    ("config", b"seed=1\n\xfe\n", 2, ": not UTF-8 text (byte 7)"),
+    ("manifest", b"path,label,category\n\xffa.pdt,0,x\n", 1,
+     ": not UTF-8 text (byte 20)"),
+    ("fixture", b"depths,error\n3,0.1\xff\n", 1, ": not UTF-8 text (byte 18)"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,\xff,0\n", 1,
+     ": not UTF-8 text (byte 58)"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,0.5,0\n2,0.5,0.5\n", 1,
+     ":3: expected 5 columns, got 3"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,0.5,0,9\n", 1,
+     ":2: expected 5 columns, got 6"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,x,0\n", 1,
+     ":2: test_error: could not convert string to float: 'x'"),
+    ("manifest", b"path,label,category\na.pdt,2,x\n", 1,
+     ":2: label: must be 0 or 1, got '2'"),
+    ("config", b"# preset\nrotate=1\n", 2, ":2: unknown key 'rotate'"),
+], ids=["arch-utf8", "config-utf8", "manifest-utf8", "fixture-utf8",
+        "curve-utf8", "curve-short-row", "curve-long-row",
+        "curve-bad-test-error", "manifest-label-2", "gendata-config-rotate"])
+def test_malformed_text_input_is_one_line_error(tmp_path, capsys, kind,
+                                                content, code, tail):
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(content)
+    assert main(_text_argv(kind, str(path), tmp_path)) == code
+    err = capsys.readouterr().err
+    prefix = "usage error: " if code == 2 else "error: "
+    assert err == f"{prefix}{path}{tail}\n"
+
+
+def test_search_timing_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["search", "--timing", "--out", str(tmp_path / "s")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --timing" in err
+    assert "Traceback" not in err
+
+
 def test_console_entry_point_help():
     proc = subprocess.run([sys.executable, "-m", "pdcnn.cli", "--help"],
                           capture_output=True, text=True)

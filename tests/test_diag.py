@@ -202,3 +202,4 @@ def test_emit_byte_deterministic(tmp_path):
 def test_emit_unknown_type(tmp_path):
     with pytest.raises(TypeError):
         emit_report({"not": "a report"}, tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()  # raised before any file opened

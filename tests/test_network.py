@@ -186,6 +186,15 @@ def test_load_rejects_model_extents_beyond_file(tmp_path):
     assert str(err.value).startswith(f"{path}: ")
 
 
+def test_load_rejects_bytes_after_the_last_tensor(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(tiny_net([4, 3], seed=6, dtype=np.float32), path)
+    path.write_bytes(path.read_bytes() + b"\0" * 4)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: 4 bytes after the last tensor"
+
+
 def _pdm1(path, meta, named):
     """Write a PDM1 file from meta text and (name, array) pairs, unchecked."""
     with open(path, "wb") as f:

@@ -183,9 +183,22 @@ def test_pdt_rejects_extents_beyond_file(tmp_path):
     assert str(err.value).startswith(f"{path}: ")
 
 
+def test_pdt_rejects_bytes_after_the_record(tmp_path):
+    # a (3,4,4) image whose first extent is corrupted to 1 would otherwise
+    # read back as a (1,4,4) prefix of its own payload
+    path = tmp_path / "img.pdt"
+    T.write_pdt(path, np.ones((3, 4, 4), dtype=np.float32))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, 8, 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as err:
+        T.read_pdt(path)
+    assert str(err.value) == f"{path}: 128 bytes after the PDT1 record"
+
+
 def _pdt_reference(raw):
-    """(shape, payload bytes) of the PDT1 record that raw starts with, or None
-    when raw holds no complete record."""
+    """(shape, payload bytes) of the PDT1 record that raw holds, or None
+    when raw holds no complete record or bytes follow it."""
     if len(raw) < 8 or raw[:4] != T.PDT1_MAGIC:
         return None
     rank = int.from_bytes(raw[4:8], "little")
@@ -195,7 +208,7 @@ def _pdt_reference(raw):
     shape = tuple(int.from_bytes(raw[8 + 4 * i:12 + 4 * i], "little")
                   for i in range(rank))
     end = start + 4 * math.prod(shape)
-    if len(raw) < end:
+    if len(raw) != end:
         return None
     return shape, raw[start:end]
 

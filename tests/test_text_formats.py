@@ -1,6 +1,11 @@
 """Literal bytes of every text file the engine writes, and the shared text
 codecs in pdcnn.arch that read and write them."""
 
+import pytest
+
+from pdcnn.arch import (format_int_list, format_kv_lines, parse_int_list,
+                        parse_kv_file, parse_kv_lines, read_table, read_text,
+                        write_table)
 from pdcnn.cli import main
 from pdcnn.data import ManifestRecord, gen_synthetic, write_manifest
 from pdcnn.diag import (ConvergenceReport, FilterVarianceEntry,
@@ -97,3 +102,66 @@ def test_train_zero_epochs_report_bytes(tmp_path):
     assert main([*argv, "--timing", "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "b" / "report.txt").read_bytes() == \
         expected + b"train_seconds=0.000\n"
+
+
+# --- the shared codecs ---
+
+def test_read_text_names_file_and_offset_of_a_bad_byte(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes("é=1\n".encode() + b"\x80")
+    with pytest.raises(ValueError) as err:
+        read_text(path)
+    assert str(err.value) == f"{path}: not UTF-8 text (byte 5)"
+    path.write_bytes(b"a=1\r\nb=2\n")
+    assert read_text(path) == "a=1\r\nb=2\n"
+    assert parse_kv_file(path) == {"a": "1", "b": "2"}
+
+
+def test_int_lists_round_trip():
+    assert parse_int_list("4, 3,,4,") == [4, 3, 4]
+    assert parse_int_list("") == []
+    assert format_int_list((4, 3, 4)) == "4,3,4"
+    assert parse_int_list(format_int_list([5])) == [5]
+    with pytest.raises(ValueError):
+        parse_int_list("4,x")
+
+
+def test_format_kv_lines_inverts_parse_kv_lines():
+    d = {"depths": [4, 3, 4], "input_size": 56, "lrn_k": 2.0, "dtype": "float32"}
+    text = format_kv_lines(d)
+    assert text == "depths=4,3,4\ninput_size=56\nlrn_k=2.0\ndtype=float32\n"
+    parsers = {"depths": parse_int_list, "input_size": int, "lrn_k": float,
+               "dtype": str}
+    assert parse_kv_lines(text.splitlines(), "t", parsers) == d
+    assert format_kv_lines({}) == ""
+
+
+def test_table_round_trip_and_blank_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["name", "n"], [["a,b", 1], ['q"uote', 2], ["", 3]])
+    assert path.read_bytes() == b'name,n\n"a,b",1\n"q""uote",2\n,3\n'
+    assert read_table(path, ["name", "n"], (str, int)) == \
+        [["a,b", 1], ['q"uote', 2], ["", 3]]
+    path.write_bytes(b"name,n\r\n\r\nx,1\r\n\n")
+    assert read_table(path, ["name", "n"], (str, int)) == [["x", 1]]
+    write_table(path, ["name", "n"], [])
+    assert read_table(path, ["name", "n"], (str, int)) == []
+
+
+@pytest.mark.parametrize("body,message", [
+    (b"", ":1: expected header ['name', 'n'], got None"),
+    (b"name,count\n", ":1: expected header ['name', 'n'], got ['name', 'count']"),
+    (b"name,n\nx,1\n\ny\n", ":4: expected 2 columns, got 1"),
+    (b"name,n\nx,1,2\n", ":2: expected 2 columns, got 3"),
+    (b"name,n\nx,one\n", ":2: n: invalid literal for int() with base 10: 'one'"),
+    (b'name,n\n"x\ny",z\n', ":3: n: invalid literal for int() with base 10: 'z'"),
+    (b"name,n\n" + b"x" * 200000 + b",1\n",
+     ":2: field larger than field limit (131072)"),
+], ids=["empty", "header", "short", "long", "value", "quoted-newline",
+        "csv-error"])
+def test_read_table_errors_name_file_and_line(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError) as err:
+        read_table(path, ["name", "n"], (str, int))
+    assert str(err.value) == f"{path}{message}"
