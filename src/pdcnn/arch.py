@@ -10,6 +10,7 @@ sizes via a deterministic variant rule.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, fields
 
 from .layers import ShapeError, conv_extent
@@ -97,6 +98,8 @@ def build_arch(depth: int, variant: int = 0,
         raise ValueError(f"unsupported depth {depth}; expected one of 3, 4, 5")
     if variant < 0:
         raise ValueError(f"variant must be >= 0, got {variant}")
+    if not math.isfinite(config.filter_scale):
+        raise ValueError(f"filter_scale must be finite, got {config.filter_scale}")
     filters = [_scaled(f, config.filter_scale) for f in FILTERS[depth]]
     kernels = list(KERNELS[depth])
     if variant > 0:
@@ -156,6 +159,8 @@ def _branch_shapes(arch: ArchitectureSpec, branch_label: str, input_shape):
     rows = []
     for layer in arch.layers:
         where = f"{branch_label}/{layer.name}"
+        if layer.kind in ("conv", "pool") and layer.stride < 1:
+            raise ShapeError(f"{where}: stride must be >= 1, got {layer.stride}")
         if layer.kind == "conv":
             oh = conv_extent(h, layer.kernel, layer.stride, layer.padding)
             ow = conv_extent(w, layer.kernel, layer.stride, layer.padding)

@@ -8,7 +8,8 @@ data error, 2 usage error.
 
 Options may also come from a flat key=value config file (--config); explicit
 flags win, and an unknown key or a value its option cannot parse is a usage
-error naming the file, the line and the key.
+error naming the file, the line and the key. Every usage error, argparse's
+own included, is one "usage error: ..." line on stderr.
 """
 
 import argparse
@@ -33,6 +34,14 @@ STREAM_SPLIT = 5
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError, for main to print as
+    one line; add_subparsers builds the subcommand parsers from this class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -76,7 +85,7 @@ _OPTS = {
         **_COMMON_TRAIN_OPTS,
         "manifest": (str, ""),
         "out": (str, ""),
-        "depths": (str, ""),
+        "depths": (parse_int_list, ()),
         "arch": (str, ""),
         "epochs": (int, 30),
         "timing": (_parse_bool, False),
@@ -91,7 +100,7 @@ _OPTS = {
         "out": (str, ""),
         "arch": (str, ""),
         "epochs": (int, 10),
-        "candidates": (str, "3,4,5"),
+        "candidates": (parse_int_list, (3, 4, 5)),
         "max_branches": (int, 4),
         "replay": (str, ""),
     },
@@ -140,16 +149,6 @@ def _merge_config(args, command):
             setattr(args, key, file_values.get(key, default))
 
 
-def _parse_depths(text):
-    try:
-        depths = parse_int_list(text)
-    except ValueError:
-        raise UsageError(f"bad depths list {text!r}; expected e.g. 4,3,4")
-    if not depths:
-        raise UsageError(f"bad depths list {text!r}")
-    return depths
-
-
 def _arch_setup(args):
     """Resolve the optional architecture description file plus --crop into
     (arch dict, ArchConfig, input shape)."""
@@ -192,7 +191,7 @@ def cmd_train(args):
     _merge_config(args, "train")
     _require(args, "train", "manifest", "out")
     arch_d, config, input_shape = _arch_setup(args)
-    depths = _parse_depths(args.depths) if args.depths else arch_d.get("depths")
+    depths = args.depths or arch_d.get("depths")
     if not depths:
         raise UsageError("no architecture given: pass --depths or --arch FILE")
     spec = build_pdcnn(depths, variants=arch_d.get("variants"),
@@ -240,8 +239,7 @@ def cmd_eval(args):
 
 def cmd_search(args):
     _merge_config(args, "search")
-    _require(args, "search", "out")
-    candidates = _parse_depths(args.candidates)
+    _require(args, "search", "out", "candidates")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.replay:
@@ -259,7 +257,7 @@ def cmd_search(args):
         oracle = S.train_eval_oracle(train_set, test_set, _sgd_config(args),
                                      args.seed, input_shape, config, dtype=dtype)
     try:
-        spec, trace = S.greedy_pdcnn_search(candidates, oracle,
+        spec, trace = S.greedy_pdcnn_search(args.candidates, oracle,
                                             args.max_branches,
                                             input_shape=input_shape,
                                             config=config)
@@ -284,6 +282,10 @@ def cmd_diag(args):
     _merge_config(args, "diag")
     if not (args.time or args.model or args.curve):
         raise UsageError("diag needs --time t,n,e and/or --model and/or --curve")
+    if args.window < 1:
+        raise UsageError(f"--window must be >= 1, got {args.window}")
+    if not args.tol >= 0:
+        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
@@ -313,7 +315,7 @@ def cmd_diag(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdcnn",
         description="Paralleled deep convolutional network training engine")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -326,6 +328,8 @@ def build_parser():
                 p.add_argument(flag, action="store_true", default=None,
                                help=extra)
             else:
+                if typ is parse_int_list:
+                    default = format_int_list(default)
                 p.add_argument(flag, type=typ, default=None,
                                help=f"{extra} (default {default!r})".strip())
         p.add_argument("--config", default=None,
@@ -356,9 +360,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

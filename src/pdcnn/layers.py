@@ -4,16 +4,19 @@ cross-entropy loss.
 
 Layers take batches only: Conv2d, MaxPool and Lrn take (N,C,H,W), the fully
 connected layer (N,D), and Relu any shape. Single samples are accepted only
-at the network's edge, PdcnnNet.forward/backward. backward() consumes the
+at the network's edge, PdcnnNet.forward/backward. backward() takes the
 upstream gradient for the most recent forward(), returns the input gradient,
-and leaves parameter gradients on grad_* attributes. A Conv2d built with
-input_grad=False fills its grad_* attributes the same way but returns None:
-it skips the input-gradient GEMM and col2im, for a layer that reads the
-network input, whose gradient nothing consumes. Relu caches its output and
-MaxPool its input and output, and backward finds the routing from them, so
-forward computes only the output. Analytic gradients are finite-difference
-verified in the test suite (central differences, step 1e-3, double
-precision, relative error < 1e-4).
+and leaves parameter gradients on grad_* attributes. It consumes that
+forward's cache: the layer drops its reference before computing, so each
+cached buffer is freed at its last use within backward, not when the next
+forward replaces it, and a second backward() raises ValueError. A Conv2d
+built with input_grad=False fills its grad_* attributes the same way but
+returns None: it skips the input-gradient GEMM and col2im, for a layer that
+reads the network input, whose gradient nothing consumes. Relu caches its
+output and MaxPool its input and output, and backward finds the routing from
+them, so forward computes only the output. Analytic gradients are
+finite-difference verified in the test suite (central differences, step
+1e-3, double precision, relative error < 1e-4).
 
 Every layer has an `inference` attribute, off by default; PdcnnNet sets it
 on all of its layers while the network is in inference mode. With it on,
@@ -52,10 +55,20 @@ def conv_extent(size: int, kernel: int, stride: int, padding: int) -> int:
 
 class Layer:
     """What every layer shares: the backward cache of the latest forward,
-    and the `inference` switch under which forward keeps none."""
+    which backward consumes, and the `inference` switch under which forward
+    keeps none."""
 
     inference = False
     _cache = None
+
+    def _take_cache(self):
+        """The latest forward's cache, dropped from the layer so that
+        backward holds its only reference."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise ValueError("backward() needs a new forward() run outside "
+                             "inference mode")
+        return cache
 
 
 class Conv2d(Layer):
@@ -69,13 +82,14 @@ class Conv2d(Layer):
     into another, the bias is added there, and the result is copied
     transposed into the block's rows of the (N,Co,oh*ow) output. Outside
     inference mode there is one block, the whole batch, whose column matrix
-    is the backward cache. In inference mode a float32 conv runs in
-    ceil(column bytes / COL_BUDGET) blocks, at most one per sample, with
-    edges at n*i//nblk, and keeps no columns. The input gradient W.T @ dout
-    leaves the GEMM contiguous as (C,kh,kw,N,oh,ow); col2im adds each tap's
-    (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, transposed back once.
-    With input_grad=False, backward stops after the parameter gradients and
-    returns None.
+    is the backward cache; backward frees it right after the grad-weights
+    GEMM, before it allocates the column gradient. In inference mode a
+    float32 conv runs in ceil(column bytes / COL_BUDGET) blocks, at most one
+    per sample, with edges at n*i//nblk, and keeps no columns. The input
+    gradient W.T @ dout leaves the GEMM contiguous as (C,kh,kw,N,oh,ow);
+    col2im adds each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer,
+    transposed back once. With input_grad=False, backward stops after the
+    parameter gradients and returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -136,13 +150,14 @@ class Conv2d(Layer):
         return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
-        cols_t, x_shape, xp_shape = self._cache
+        cols_t, x_shape, xp_shape = self._take_cache()
         n, _, h, w = x_shape
         co, ci, kh, kw = self.weights.shape
         _, _, oh, ow = dout.shape
         s, p = self.stride, self.padding
         dmat_t = dout.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
         self.grad_weights = (dmat_t @ cols_t.T).reshape(self.weights.shape)
+        del cols_t  # the columns' last use: never alive beside dcols_t
         self.grad_bias = dmat_t.sum(axis=1)
         if not self.input_grad:
             return None
@@ -183,7 +198,7 @@ class MaxPool(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, out = self._cache
+        x, out = self._take_cache()
         n, c, h, w = x.shape
         k, s = self.window, self.stride
         oh, ow = out.shape[2], out.shape[3]
@@ -212,12 +227,21 @@ class MaxPool(Layer):
 
 
 def _channel_window_sum(v: np.ndarray, radius: int) -> np.ndarray:
-    """Per-position sum of v over the channel window [c-radius, c+radius]."""
-    c = v.shape[1]
-    cs = np.concatenate([np.zeros_like(v[:, :1]), np.cumsum(v, axis=1)], axis=1)
-    hi = np.minimum(np.arange(c) + radius + 1, c)
-    lo = np.maximum(np.arange(c) - radius, 0)
-    return cs[:, hi] - cs[:, lo]
+    """Per-position sum of v over the channel window [c-radius, c+radius].
+
+    The difference of two running sums over the channels, built channel by
+    channel with the adds of np.cumsum, in its order. The running sum sits
+    between r+1 zeros and r copies of its total, with r = min(radius, C), so
+    channel c's window is slot c+2r+1 minus slot c, one slice difference."""
+    n, c = v.shape[:2]
+    r = min(radius, c)
+    cs = np.empty((n, c + 2 * r + 1) + v.shape[2:], dtype=v.dtype)
+    cs[:, :r + 1] = 0
+    cs[:, r + 1] = v[:, 0]
+    for i in range(1, c):
+        np.add(cs[:, r + i], v[:, i], out=cs[:, r + i + 1])
+    cs[:, r + c + 1:] = cs[:, r + c:r + c + 1]
+    return cs[:, 2 * r + 1:] - cs[:, :c]
 
 
 class Lrn(Layer):
@@ -236,16 +260,21 @@ class Lrn(Layer):
         self.beta = beta
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        base = self.k + self.alpha * _channel_window_sum(x * x, self.radius)
+        base = _channel_window_sum(x * x, self.radius)
+        base *= self.alpha
+        base += self.k
         scale = base ** (-self.beta)
         self._cache = None if self.inference else (x, base, scale)
         return x * scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, base, scale = self._cache
-        inner = dout * x * base ** (-self.beta - 1.0)
-        return dout * scale - (2.0 * self.alpha * self.beta) * x * \
-            _channel_window_sum(inner, self.radius)
+        x, base, scale = self._take_cache()
+        # the cache is backward's alone now: base's buffer takes the inner term
+        base **= -self.beta - 1.0
+        base *= dout * x
+        grad = _channel_window_sum(base, self.radius)
+        grad *= (2.0 * self.alpha * self.beta) * x
+        return dout * scale - grad
 
 
 class Relu(Layer):
@@ -257,7 +286,7 @@ class Relu(Layer):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * (self._cache > 0)
+        return dout * (self._take_cache() > 0)
 
 
 class FullyConnected(Layer):
@@ -282,7 +311,7 @@ class FullyConnected(Layer):
         return x @ self.weights.T + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x = self._cache
+        x = self._take_cache()
         self.grad_weights = dout.T @ x
         self.grad_bias = dout.sum(axis=0)
         return dout @ self.weights

@@ -14,9 +14,12 @@ optim.evaluate does for its duration) sets the same attribute on every
 layer, so forward gives the same output bytes but no layer keeps a backward
 cache, and a float32 conv layer builds its im2col one block of samples at a
 time: a forward-only pass holds one block's columns instead of a layer's
-whole im2col matrix. backward() after such a forward raises ValueError. Each
-branch's first conv layer is built without an input gradient, since the
-gradient with respect to the images is never consumed.
+whole im2col matrix. backward() consumes the caches of the latest forward,
+each layer's freed at its last use, so one training step's caches are gone
+before the next forward builds its own; backward() after an inference
+forward, or a second backward() without a new forward(), raises ValueError.
+Each branch's first conv layer is built without an input gradient, since
+the gradient with respect to the images is never consumed.
 """
 
 import struct
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import tensor as T
 from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, format_kv_lines,
-                   parse_kv_lines, shape_check, spec_from_arch_dict)
+                   param_count, parse_kv_lines, shape_check,
+                   spec_from_arch_dict)
 from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu
 
 # Image files carry values in [0, 1]; the network sees them centered and in
@@ -173,14 +177,18 @@ class PdcnnNet:
         return logits[0] if squeeze else logits
 
     def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate from logit gradients; fills every grad_* attribute."""
-        if self._feat_shapes is None:
-            raise ValueError("backward() needs a forward() run outside inference mode")
+        """Backpropagate from logit gradients; fills every grad_* attribute.
+        Consumes the latest forward's caches, each layer's freed as its
+        backward finishes with it."""
+        feat_shapes, self._feat_shapes = self._feat_shapes, None
+        if feat_shapes is None:
+            raise ValueError("backward() needs a new forward() run outside "
+                             "inference mode")
         if dlogits.ndim == 1:
             dlogits = dlogits[None]
         dfused = self.head.backward(dlogits)
         offset = 0
-        for layers, fshape in zip(self.branches, self._feat_shapes):
+        for layers, fshape in zip(self.branches, feat_shapes):
             length = int(np.prod(fshape[1:]))
             dfeat = dfused[:, offset:offset + length].reshape(fshape)
             offset += length
@@ -232,7 +240,14 @@ def load_model(path) -> PdcnnNet:
         d = parse_kv_lines(meta.decode("utf-8").splitlines(), "meta",
                            _META_KEYS)
         dtype = d.pop("dtype", np.dtype(np.float64))
-        net = PdcnnNet(spec_from_arch_dict(d), rng=T.Rng(0), dtype=dtype)
+        spec = spec_from_arch_dict(d)
+        # checked before the network is built, so a corrupt meta text cannot
+        # make it allocate more parameters than the file holds
+        described, stored = param_count(spec), sum(a.size for a in arrays)
+        if described != stored:
+            raise ValueError(f"model/arch mismatch: the meta describes "
+                             f"{described} parameters, the file holds {stored}")
+        net = PdcnnNet(spec, rng=T.Rng(0), dtype=dtype)
         net.set_parameters((n.decode("utf-8"), a) for n, a in zip(names, arrays))
     except ValueError as err:  # ShapeError and UnicodeDecodeError included
         raise ValueError(f"{path}: {err}") from None

@@ -120,6 +120,28 @@ def lrn_naive(x, radius, k, alpha, beta):
     return out
 
 
+def channel_window_sum_cumsum(v, radius):
+    """Sum of an (N,C,H,W) v over each channel window [c-radius, c+radius],
+    as a difference of np.cumsum prefix sums picked by fancy indexing."""
+    c = v.shape[1]
+    cs = np.concatenate([np.zeros_like(v[:, :1]), np.cumsum(v, axis=1)], axis=1)
+    hi = np.minimum(np.arange(c) + radius + 1, c)
+    lo = np.maximum(np.arange(c) - radius, 0)
+    return cs[:, hi] - cs[:, lo]
+
+
+def lrn_cumsum(x, dout, radius, k, alpha, beta):
+    """(out, dx) of cross-channel LRN on an (N,C,H,W) batch, written as
+    whole-array expressions over channel_window_sum_cumsum: the operations,
+    in their order, whose bytes the layer must reproduce."""
+    base = k + alpha * channel_window_sum_cumsum(x * x, radius)
+    scale = base ** (-beta)
+    inner = dout * x * base ** (-beta - 1.0)
+    dx = dout * scale - (2.0 * alpha * beta) * x * \
+        channel_window_sum_cumsum(inner, radius)
+    return x * scale, dx
+
+
 def variance_loop(values):
     """Population variance by explicit summation."""
     values = [float(v) for v in np.asarray(values).reshape(-1)]

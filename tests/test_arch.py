@@ -127,6 +127,21 @@ def test_shape_check_collapse_names_layer():
         shape_check(spec, (3, 1, 1))
 
 
+@pytest.mark.parametrize("config,where", [
+    (ArchConfig(conv1_stride=0), "branch1/conv1"),
+    (ArchConfig(pool_stride=0), "branch1/pool1"),
+])
+def test_shape_check_rejects_stride_zero(config, where):
+    with pytest.raises(ShapeError, match=f"^{where}: stride must be >= 1, got 0$"):
+        shape_check(build_pdcnn([3], config=config))
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("-inf"), float("nan")])
+def test_build_arch_rejects_non_finite_filter_scale(scale):
+    with pytest.raises(ValueError, match="filter_scale must be finite"):
+        build_arch(4, config=ArchConfig(filter_scale=scale))
+
+
 def test_shape_check_fusion_additivity():
     two = build_pdcnn([4, 3])
     single4 = build_pdcnn([4])

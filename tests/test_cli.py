@@ -170,6 +170,23 @@ def test_train_arch_bad_value_names_file_line_and_key(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line,message", [
+    ("conv1_stride=0", "branch1/conv1: stride must be >= 1, got 0"),
+    ("filter_scale=inf", "filter_scale must be finite, got inf"),
+])
+def test_train_arch_impossible_value_is_one_line_error(tmp_path, capsys, line,
+                                                       message):
+    data = _gendata(tmp_path)
+    arch = tmp_path / "arch.txt"
+    arch.write_text(f"input_size=20\n{line}\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["train", "--manifest", str(data / "manifest.csv"),
+                 "--depths", "3", "--arch", str(arch), "--epochs", "1",
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--depths", "4"],
     ["search", "--candidates", "3,4"],
@@ -374,6 +391,18 @@ def test_diag_without_inputs_usage_error(capsys):
     assert main(["diag"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--window", "0"), ("--window", "-3"),
+                                        ("--tol", "-0.1"), ("--tol", "nan")])
+def test_diag_bad_window_or_tol_is_usage_error(tmp_path, capsys, flag, value):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("epoch,train_loss,train_error,test_error,seconds\n"
+                     "1,0.7,0.5,0.5,0\n", encoding="utf-8")
+    assert main(["diag", "--curve", str(curve), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {flag} must be >= ")
+    assert len(err.splitlines()) == 1
+
+
 def test_diag_bad_time_format(capsys):
     assert main(["diag", "--time", "1,2"]) == 2
 
@@ -405,6 +434,31 @@ def test_config_file_bad_value_names_file_line_and_key(tmp_path, capsys, line, k
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"usage error: {cfg}:3: {key}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,key", [("train", "depths"),
+                                         ("search", "candidates")])
+def test_config_file_bad_depth_list_names_file_line_and_key(tmp_path, capsys,
+                                                            command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=3\n{key}=4,x\n", encoding="utf-8")
+    code = main([command, "--manifest", "m.csv", "--out", str(tmp_path / "o"),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {cfg}:2: {key}: "
+        "invalid literal for int() with base 10: 'x'\n")
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (["train", "--depths", ","], "--depths or --arch"),
+    (["search", "--candidates", ""], "--candidates"),
+], ids=["train-depths", "search-candidates"])
+def test_empty_depth_list_is_usage_error(tmp_path, capsys, argv, needs):
+    assert main(argv + ["--manifest", "m.csv", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and needs in err
     assert len(err.splitlines()) == 1
 
 
@@ -471,12 +525,23 @@ def test_malformed_text_input_is_one_line_error(tmp_path, capsys, kind,
 
 
 def test_search_timing_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(["search", "--timing", "--out", str(tmp_path / "s")])
-    assert exit_.value.code == 2
+    assert main(["search", "--timing", "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err == \
+        "usage error: unrecognized arguments: --timing\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["train", "--epochs", "x"], "argument --epochs: invalid int value: 'x'"),
+    (["train", "--depths", "4,x"],
+     "argument --depths: invalid parse_int_list value: '4,x'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "bad-depths", "unknown-command", "no-command"])
+def test_argparse_errors_are_one_usage_error_line(capsys, argv, message):
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments: --timing" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"usage error: {message}")
+    assert len(err.splitlines()) == 1
 
 
 def test_console_entry_point_help():

@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdcnn import tensor as T
-from pdcnn.arch import ArchConfig, build_pdcnn
+from pdcnn.arch import ArchConfig, build_pdcnn, shape_check
 from pdcnn.layers import (COL_BUDGET, Conv2d, FullyConnected, Lrn, MaxPool,
-                          Relu, ShapeError, conv_extent, softmax_xent,
-                          softmax_xent_batch)
+                          Relu, ShapeError, _channel_window_sum, conv_extent,
+                          softmax_xent, softmax_xent_batch)
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet
-from oracles import (conv_naive, conv_whole_batch, lrn_naive, max_rel_err,
-                     pool_argmax, pool_naive)
+from oracles import (channel_window_sum_cumsum, conv_naive, conv_whole_batch,
+                     lrn_cumsum, lrn_naive, max_rel_err, pool_argmax,
+                     pool_naive)
 
 
 # --- conv2d ---
@@ -110,6 +113,43 @@ def test_conv_batched_backward_matches_per_sample(stride, pad):
         sum_gb += conv.grad_bias
     npt.assert_allclose(grad_weights, sum_gw, atol=1e-12)
     npt.assert_allclose(grad_bias, sum_gb, atol=1e-12)
+
+
+def test_conv_backward_frees_columns_before_column_gradient():
+    # a 5x5 float32 conv whose columns dwarf everything else backward
+    # allocates: the column gradient may only be built once they are freed
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((8, 16, 27, 27), dtype=np.float32)
+    conv = Conv2d(rng.standard_normal((8, 16, 5, 5), dtype=np.float32),
+                  np.zeros(8, dtype=np.float32), stride=1, padding=2)
+    dout = rng.standard_normal((8, 8, 27, 27), dtype=np.float32)
+    col_bytes = _col_bytes(conv, x)
+    tracemalloc.start()
+    try:
+        conv.forward(x)
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        conv.backward(dout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < col_bytes / 2, (peak - before, col_bytes)
+    assert conv._cache is None
+
+
+@pytest.mark.parametrize("layer,x", [
+    (Conv2d(np.ones((2, 1, 3, 3)), np.zeros(2), padding=1), np.ones((1, 1, 4, 4))),
+    (MaxPool(2, 2), np.ones((1, 1, 4, 4))),
+    (Lrn(1), np.ones((1, 3, 2, 2))),
+    (Relu(), np.ones((1, 3))),
+    (FullyConnected(np.ones((2, 3)), np.zeros(2)), np.ones((1, 3))),
+], ids=["conv", "pool", "lrn", "relu", "fc"])
+def test_backward_consumes_the_forward_cache(layer, x):
+    out = layer.forward(x)
+    layer.backward(np.ones_like(out))
+    assert layer._cache is None
+    with pytest.raises(ValueError, match="needs a new forward"):
+        layer.backward(np.ones_like(out))
 
 
 DESK = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
@@ -306,6 +346,43 @@ def test_lrn_matches_direct_formula():
         k, alpha, beta = 1.5, 0.3, 0.9
         out = Lrn(radius, k, alpha, beta).forward(x[None])[0]
         npt.assert_allclose(out, lrn_naive(x, radius, k, alpha, beta), atol=1e-12)
+
+
+def _lrn_shapes():
+    """The (C,H,W) at every LRN of 4,3,4 at desk and at full scale."""
+    shapes = set()
+    for size, config in ((56, DESK), (224, ArchConfig())):
+        spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+        shapes |= {row.shape for row in shape_check(spec)
+                   if row.layer.endswith(("norm1", "norm2", "norm3"))}
+    return sorted(shapes)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lrn_bytes_equal_cumsum_reference(dtype):
+    # the channel-loop running sum adds what np.cumsum adds, in its order,
+    # so the window sums, the outputs and the input gradients keep their
+    # bytes, signed zeros included; radius 0 and radii >= C at the edges
+    shapes = _lrn_shapes()
+    assert len(shapes) >= 6
+    rng = np.random.default_rng(12)
+    cases = [(shape, 2) for shape in shapes]
+    cases += [((5, 3, 4), 0), ((5, 3, 4), 5), ((5, 3, 4), 9), ((1, 2, 2), 1)]
+    for (c, h, w), radius in cases:
+        x = (rng.standard_normal((2, c, h, w)) * 40).astype(dtype)
+        dout = rng.standard_normal(x.shape).astype(dtype)
+        x.flat[::13] = -0.0
+        dout.flat[::17] = -0.0
+        for v in (x * x, dout * x):
+            assert (_channel_window_sum(v, radius).tobytes()
+                    == channel_window_sum_cumsum(v, radius).tobytes())
+        layer = Lrn(radius)
+        want_out, want_dx = lrn_cumsum(x, dout, radius, layer.k, layer.alpha,
+                                       layer.beta)
+        out = layer.forward(x)
+        assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
+        dx = layer.backward(dout)
+        assert dx.dtype == dtype and dx.tobytes() == want_dx.tobytes()
 
 
 def test_lrn_rejects_bad_constants():

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn
@@ -71,6 +72,20 @@ def test_inference_logits_bit_equal_to_training_forward(dtype):
     assert all(layer._cache is None for layers in net.branches for layer in layers)
     net.inference = False
     assert blocked.tobytes() == net.forward(x).tobytes()
+
+
+def test_backward_consumes_every_layer_cache():
+    net = tiny_net([4, 3])
+    x = np.random.default_rng(1).random((2, 3, 20, 20))
+    dlogits = np.ones((2, 2))
+    net.forward(x)
+    net.backward(dlogits)
+    assert all(layer._cache is None
+               for layer in sum(net.branches, [net.head]))
+    with pytest.raises(ValueError, match="needs a new forward"):
+        net.backward(dlogits)
+    net.forward(x)  # a new forward makes backward valid again
+    net.backward(dlogits)
 
 
 def test_whole_network_gradients_match_finite_differences():
@@ -242,6 +257,40 @@ def test_load_meta_bad_value_names_line_and_key(tmp_path):
     with pytest.raises(ValueError) as err:
         load_model(path)
     assert str(err.value).startswith(f"{path}: meta:3: conv1_stride: "), err.value
+
+
+def _text_offsets(raw):
+    """The file offsets of the meta text's bytes and of the tensor names'
+    bytes in a PDM1 file."""
+    meta_len = struct.unpack_from("<I", raw, 8)[0]
+    names = []
+    at = 12 + meta_len
+    for _ in range(struct.unpack_from("<I", raw, at)[0]):
+        size = struct.unpack_from("<I", raw, at + 4)[0]
+        names.extend(range(at + 8, at + 8 + size))
+        at += 4 + size
+    return list(range(12, 12 + meta_len)), names
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_load_meta_and_index_fuzz_loads_or_names_path(tmp_path_factory, data):
+    # bytes inside the meta text or the tensor-name index replaced, the
+    # length fields kept: the file loads, or a ValueError names the file
+    good = tmp_path_factory.mktemp("pdm1") / "good.bin"
+    save_model(tiny_net([4, 3], seed=6, dtype=np.float32), good)
+    raw = bytearray(good.read_bytes())
+    regions = _text_offsets(raw)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.sampled_from(data.draw(st.sampled_from(regions))))
+        raw[at] = data.draw(st.one_of(st.sampled_from(b"0123456789,.=-\n#e"),
+                                      st.integers(0, 255)))
+    path = good.with_name("fuzzed.bin")
+    path.write_bytes(bytes(raw))
+    try:
+        load_model(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: "), err
 
 
 # a non-default config, so the meta text carries ArchConfig fields too
