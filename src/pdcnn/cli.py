@@ -22,7 +22,8 @@ from . import diag as G
 from . import search as S
 from .arch import (build_pdcnn, config_from_arch_dict, format_int_list,
                    format_kv_lines, input_shape_from_arch_dict, param_count,
-                   parse_arch_file, parse_int_list, parse_kv_file, read_table)
+                   parse_arch_file, parse_int_list, parse_kv_file, read_table,
+                   shape_check)
 from .layers import ShapeError
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
@@ -46,6 +47,15 @@ class _Parser(argparse.ArgumentParser):
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
+
+
+def _int_list_flag(text):
+    """parse_int_list for argparse, which would otherwise report any error as
+    "invalid parse_int_list value" in place of the parser's own message."""
+    try:
+        return parse_int_list(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _parse_bool(text):
@@ -159,6 +169,20 @@ def _arch_setup(args):
             input_shape_from_arch_dict(arch_d))
 
 
+def _checked_spec(args, depths, variants, input_shape, config):
+    """The shape-checked PdcnnSpec for depths, built before any data is read;
+    an error names the --arch file when one gave the values."""
+    try:
+        spec = build_pdcnn(depths, variants=variants, input_shape=input_shape,
+                           config=config)
+        shape_check(spec)
+    except ValueError as err:  # ShapeError included
+        if not args.arch:
+            raise
+        raise ValueError(f"{args.arch}: {err}") from None
+    return spec
+
+
 def _sgd_config(args):
     return SgdConfig(**{name: getattr(args, opt)
                         for opt, name in _SGD_OPTS.items()})
@@ -194,8 +218,8 @@ def cmd_train(args):
     depths = args.depths or arch_d.get("depths")
     if not depths:
         raise UsageError("no architecture given: pass --depths or --arch FILE")
-    spec = build_pdcnn(depths, variants=arch_d.get("variants"),
-                       input_shape=input_shape, config=config)
+    spec = _checked_spec(args, depths, arch_d.get("variants"), input_shape,
+                         config)
     dtype = _np_dtype(args.dtype)
     train_set, test_set = _load_split(args, input_shape[1])
     net, curve = train(spec, train_set, test_set, _sgd_config(args), args.seed,
@@ -252,6 +276,8 @@ def cmd_search(args):
         if not args.manifest:
             raise UsageError("search needs --replay FIXTURE.csv or --manifest PATH")
         _, config, input_shape = _arch_setup(args)
+        for depth in args.candidates:
+            _checked_spec(args, [depth], None, input_shape, config)
         dtype = _np_dtype(args.dtype)
         train_set, test_set = _load_split(args, input_shape[1])
         oracle = S.train_eval_oracle(train_set, test_set, _sgd_config(args),
@@ -330,6 +356,7 @@ def build_parser():
             else:
                 if typ is parse_int_list:
                     default = format_int_list(default)
+                    typ = _int_list_flag
                 p.add_argument(flag, type=typ, default=None,
                                help=f"{extra} (default {default!r})".strip())
         p.add_argument("--config", default=None,

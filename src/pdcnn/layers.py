@@ -26,11 +26,11 @@ Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
 convolutional neural networks for document processing"). When backward will
 follow (the default), forward builds the matrix for the whole batch in one
-block and keeps it as the cache. In inference mode a float32 conv builds it
-one block of samples at a time into reused buffers, each block's columns
-within COL_BUDGET bytes, and keeps none (cache blocking after Goto & van de
-Geijn 2008, "Anatomy of high-performance matrix multiplication"). The output
-bytes are the same either way.
+block and keeps it as the cache. In inference mode a float32 conv pads the
+input and builds the matrix one block of samples at a time, into reused
+buffers, each block's columns within COL_BUDGET bytes, and keeps none (cache
+blocking after Goto & van de Geijn 2008, "Anatomy of high-performance matrix
+multiplication"). The output bytes are the same either way.
 """
 
 import numpy as np
@@ -78,18 +78,19 @@ class Conv2d(Layer):
 
     Columns are channel-major, cols_t[(c,i,j), (n,y,x)], so out = W @ cols_t
     and grad_weights = dout @ cols_t.T. Forward loops over blocks of samples:
-    each block's columns are copied into one reused buffer and multiplied
-    into another, the bias is added there, and the result is copied
-    transposed into the block's rows of the (N,Co,oh*ow) output. Outside
-    inference mode there is one block, the whole batch, whose column matrix
-    is the backward cache; backward frees it right after the grad-weights
-    GEMM, before it allocates the column gradient. In inference mode a
-    float32 conv runs in ceil(column bytes / COL_BUDGET) blocks, at most one
-    per sample, with edges at n*i//nblk, and keeps no columns. The input
-    gradient W.T @ dout leaves the GEMM contiguous as (C,kh,kw,N,oh,ow);
-    col2im adds each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer,
-    transposed back once. With input_grad=False, backward stops after the
-    parameter gradients and returns None.
+    each block is zero-padded into one reused buffer, its columns are copied
+    into a second and multiplied into a third, the bias is added there, and
+    the result is copied transposed into the block's rows of the
+    (N,Co,oh*ow) output. Outside inference mode there is one block, the
+    whole batch, whose column matrix is the backward cache; backward frees
+    it right after the grad-weights GEMM, before it allocates the column
+    gradient. In inference mode a float32 conv runs in ceil(column bytes /
+    COL_BUDGET) blocks, at most one per sample, with edges at n*i//nblk, and
+    keeps no columns. The input gradient W.T @ dout leaves the GEMM
+    contiguous as (C,kh,kw,N,oh,ow); col2im adds each tap's (C,N,oh,ow)
+    block into a (C,N,Hp,Wp) buffer, transposed back once. With
+    input_grad=False, backward stops after the parameter gradients and
+    returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -124,9 +125,6 @@ class Conv2d(Layer):
                 f"conv output extent collapsed to {oh}x{ow} "
                 f"(input {h}x{w}, kernel {kh}, stride {self.stride}, pad {self.padding})")
         s, p = self.stride, self.padding
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3)  # (C,kh,kw,N,oh,ow)
         k, m = c * kh * kw, oh * ow
         wmat = self.weights.reshape(co, k)
         gemm_dtype = np.result_type(wmat, x)
@@ -134,23 +132,31 @@ class Conv2d(Layer):
         if self.inference and gemm_dtype == np.float32:
             nblk = max(1, min(n, -(-k * n * m * x.itemsize // COL_BUDGET)))
         nb_max = -(-n // nblk)
+        if p:  # only the interior is written, so the border stays zero
+            pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
         gemm_buf = np.empty(co * nb_max * m, dtype=gemm_dtype)
         out = np.empty((n, co, m), dtype=gemm_dtype)
         for i in range(nblk):
             n0, n1 = n * i // nblk, n * (i + 1) // nblk
             nb = n1 - n0
+            xb = x[n0:n1]
+            if p:
+                xb = pad_buf[:nb]
+                xb[:, :, p:p + h, p:p + w] = x[n0:n1]
+            win = np.lib.stride_tricks.sliding_window_view(xb, (kh, kw), axis=(2, 3))
             cols_t = col_buf[:k * nb * m].reshape(k, nb * m)
-            np.copyto(cols_t.reshape(c, kh, kw, nb, oh, ow), win[:, :, :, n0:n1])
+            np.copyto(cols_t.reshape(c, kh, kw, nb, oh, ow),
+                      win[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3))
             gemm = np.matmul(wmat, cols_t,
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
             out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
-        self._cache = None if self.inference else (cols_t, x.shape, xp.shape)
+        self._cache = None if self.inference else (cols_t, x.shape)
         return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
-        cols_t, x_shape, xp_shape = self._take_cache()
+        cols_t, x_shape = self._take_cache()
         n, _, h, w = x_shape
         co, ci, kh, kw = self.weights.shape
         _, _, oh, ow = dout.shape
@@ -163,7 +169,7 @@ class Conv2d(Layer):
             return None
         dcols_t = (self.weights.reshape(co, -1).T @ dmat_t).reshape(
             ci, kh, kw, n, oh, ow)
-        dxp = np.zeros((ci, n) + xp_shape[2:], dtype=dout.dtype)
+        dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         for i in range(kh):
             for j in range(kw):
                 dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i, j]

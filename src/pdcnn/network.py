@@ -20,10 +20,30 @@ before the next forward builds its own; backward() after an inference
 forward, or a second backward() without a new forward(), raises ValueError.
 Each branch's first conv layer is built without an input gradient, since
 the gradient with respect to the images is never consumed.
+
+In training mode forward() and backward() run the branches' layer stacks on
+threads, one per usable core up to the branch count, the cores counted from
+the process's CPU affinity mask (os.cpu_count() where the OS has none). The
+branches are split into contiguous runs, the same every step: the calling
+thread takes the first, a module-level thread pool the rest. Handing out one
+branch at a time to whichever thread is free would move a branch's buffers
+between threads' malloc arenas from step to step, which raised peak memory;
+with two cores the one pool thread always runs the same branches. numpy
+releases the GIL inside GEMMs and ufunc loops, and the branches share nothing
+but the read-only input, so the bytes are those of a sequential run. The
+concatenation, the head, the slicing of the fused gradient and error handling
+stay on the calling thread, in branch order: every run finishes, then the
+first failing branch's exception is raised. With one usable core nothing runs
+on the pool. The inference forward stays sequential: branches run side by
+side hold their largest activations (conv1, its ReLU and pool, at the full
+batch) at the same time, which raised an eval batch's peak memory by more
+than the time it saved was worth.
 """
 
+import os
 import struct
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -52,6 +72,53 @@ def model_dtype(name: str) -> np.dtype:
 
 # PDM1 meta text: an architecture description plus the network's dtype
 _META_KEYS = {**ARCH_KEYS, "dtype": model_dtype}
+
+
+def usable_cores() -> int:
+    """The CPU cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this OS
+        return os.cpu_count() or 1
+
+
+# Runs every branch run but the first in training mode; its threads start on
+# first use, not at import.
+_POOL = ThreadPoolExecutor(max(1, usable_cores() - 1),
+                           thread_name_prefix="pdcnn-branch")
+
+
+def _in_order(fn, items):
+    return [fn(*item) for item in items]
+
+
+def _over_branches(fn, items):
+    """[fn(*item) for item in items], one item per branch, split into
+    contiguous runs over the usable cores; the calling thread runs the first.
+    Every run finishes before an exception is raised: the first failing
+    branch's."""
+    k = min(usable_cores(), len(items))
+    runs = [items[len(items) * i // k:len(items) * (i + 1) // k]
+            for i in range(k)]
+    futures = [_POOL.submit(_in_order, fn, run) for run in runs[1:]]
+    try:
+        out = _in_order(fn, runs[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        out += future.result()
+    return out
+
+
+def _branch_forward(layers, h):
+    for layer in layers:
+        h = layer.forward(h)
+    return h
+
+
+def _branch_backward(layers, d):
+    for layer in reversed(layers):
+        d = layer.backward(d)
 
 
 def _build_layer(layer_spec, in_channels, rng, dtype, sigma, first):
@@ -163,17 +230,12 @@ class PdcnnNet:
         x = (np.asarray(x, dtype=self.dtype) - INPUT_OFFSET) * INPUT_SCALE
         if squeeze:
             x = x[None]
-        feats = []
-        feat_shapes = []
-        for layers in self.branches:
-            h = x
-            for layer in layers:
-                h = layer.forward(h)
-            feat_shapes.append(h.shape)
-            feats.append(h.reshape(h.shape[0], -1))
-        fused = np.concatenate(feats, axis=1)
+        run = _in_order if self.inference else _over_branches
+        feats = run(_branch_forward, [(layers, x) for layers in self.branches])
+        fused = np.concatenate([h.reshape(h.shape[0], -1) for h in feats],
+                               axis=1)
         logits = self.head.forward(fused)
-        self._feat_shapes = None if self.inference else feat_shapes
+        self._feat_shapes = None if self.inference else [h.shape for h in feats]
         return logits[0] if squeeze else logits
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -187,14 +249,13 @@ class PdcnnNet:
         if dlogits.ndim == 1:
             dlogits = dlogits[None]
         dfused = self.head.backward(dlogits)
+        items = []
         offset = 0
         for layers, fshape in zip(self.branches, feat_shapes):
             length = int(np.prod(fshape[1:]))
-            dfeat = dfused[:, offset:offset + length].reshape(fshape)
+            items.append((layers, dfused[:, offset:offset + length].reshape(fshape)))
             offset += length
-            d = dfeat
-            for layer in reversed(layers):
-                d = layer.backward(d)
+        _over_branches(_branch_backward, items)
 
 
 def save_model(net: PdcnnNet, path) -> None:

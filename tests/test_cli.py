@@ -184,7 +184,21 @@ def test_train_arch_impossible_value_is_one_line_error(tmp_path, capsys, line,
                  "--depths", "3", "--arch", str(arch), "--epochs", "1",
                  "--out", str(tmp_path / "x")])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {arch}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--depths", "4"],
+    ["search", "--candidates", "3,4"],
+], ids=["train", "search"])
+def test_bad_arch_is_reported_before_manifest_is_read(tmp_path, capsys, argv):
+    arch = tmp_path / "arch.txt"
+    arch.write_text("conv1_stride=0\n", encoding="utf-8")
+    code = main([*argv, "--arch", str(arch), "--manifest",
+                 str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {arch}: branch1/conv1: stride must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -533,7 +547,7 @@ def test_search_timing_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["train", "--epochs", "x"], "argument --epochs: invalid int value: 'x'"),
     (["train", "--depths", "4,x"],
-     "argument --depths: invalid parse_int_list value: '4,x'"),
+     "argument --depths: invalid literal for int() with base 10: 'x'"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
 ], ids=["bad-int", "bad-depths", "unknown-command", "no-command"])

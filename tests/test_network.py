@@ -1,15 +1,18 @@
 import hashlib
 import struct
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdcnn import network as N
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn
-from pdcnn.layers import softmax_xent_batch
+from pdcnn.layers import ShapeError, softmax_xent_batch
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet, load_model, save_model
+from pdcnn.optim import SgdConfig, init_state, sgd_step
 from oracles import fd_grad, max_rel_err
 
 # tiny geometry that every depth survives: 20x20 input, pool window 2
@@ -72,6 +75,71 @@ def test_inference_logits_bit_equal_to_training_forward(dtype):
     assert all(layer._cache is None for layers in net.branches for layer in layers)
     net.inference = False
     assert blocked.tobytes() == net.forward(x).tobytes()
+
+
+def _desk_sgd_run(monkeypatch, tmp_path, cores, dtype):
+    """Parameters, gradients and model-file bytes after a few SGD steps of a
+    desk 4,3,4 net, its branches spread over `cores` threads."""
+    monkeypatch.setattr(N, "usable_cores", lambda: cores)
+    config = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
+    cfg = SgdConfig()
+    state = init_state(net, 0, cfg)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        _, dlogits = softmax_xent_batch(net.forward(rng.random((16, 3, 56, 56))),
+                                        rng.integers(0, 2, 16))
+        net.backward(dlogits / 16)
+        sgd_step(state, net.gradients(), cfg)
+    path = tmp_path / f"cores{cores}.bin"
+    save_model(net, path)
+    return ([w.tobytes() for _, w in net.parameters()],
+            [g.tobytes() for _, g in net.gradients()], path.read_bytes())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_parallel_branches_train_bit_equal_to_sequential(monkeypatch, tmp_path,
+                                                         dtype):
+    sequential = _desk_sgd_run(monkeypatch, tmp_path, 1, dtype)
+    for cores in (2, 3):  # runs [b1] [b2 b3], and one branch per run
+        assert _desk_sgd_run(monkeypatch, tmp_path, cores, dtype) == sequential
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+@pytest.mark.parametrize("failing", [[2], [0, 2]], ids=["pool", "both"])
+def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
+    # two cores: branch 1 runs on the calling thread, branches 2 and 3 on the
+    # pool; the first failing branch's exception is the one raised
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    net = tiny_net([4, 3, 3], seed=5)
+    x = np.random.default_rng(1).random((2, 3, 20, 20))
+    dlogits = np.ones((2, 2))
+    errors = {b: ShapeError(f"planted in branch{b + 1}") for b in failing}
+    threads = {}
+
+    def fail(b):
+        def raise_planted(_):
+            threads[b] = threading.get_ident()
+            raise errors[b]
+        return raise_planted
+
+    for b in failing:
+        setattr(net.branches[b][1], method, fail(b))
+    with pytest.raises(ShapeError) as got:
+        net.forward(x)
+        net.backward(dlogits)
+    assert got.value is errors[failing[0]]
+    assert threads[2] != threading.get_ident()
+    for b in failing:
+        delattr(net.branches[b][1], method)
+    net.forward(x)
+    net.backward(dlogits)
+    fresh = tiny_net([4, 3, 3], seed=5)
+    fresh.forward(x)
+    fresh.backward(dlogits)
+    for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
+        assert g.tobytes() == want.tobytes()
 
 
 def test_backward_consumes_every_layer_cache():
