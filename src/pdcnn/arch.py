@@ -78,8 +78,6 @@ class ArchitectureSpec:
 class PdcnnSpec:
     branches: tuple
     input_shape: tuple = (3, 224, 224)
-    num_classes: int = NUM_CLASSES
-    fusion: str = "concat"
     config: ArchConfig = field(default_factory=ArchConfig)
 
 
@@ -181,15 +179,14 @@ def _branch_shapes(arch: ArchitectureSpec, branch_label: str, input_shape):
     return rows, c * h * w
 
 
-def shape_check(spec: PdcnnSpec, input_shape=None):
-    """Dry-run forward shape propagation through every branch and the fusion.
+def shape_check(spec: PdcnnSpec):
+    """Dry-run forward shape propagation of spec.input_shape through every
+    branch and the concatenation.
 
     Returns ShapeRow entries for each layer, the fused feature vector, and the
     shared classifier; raises ShapeError naming the first offending layer.
     """
-    if input_shape is None:
-        input_shape = spec.input_shape
-    input_shape = tuple(int(v) for v in input_shape)
+    input_shape = tuple(int(v) for v in spec.input_shape)
     if len(input_shape) != 3 or any(v < 1 for v in input_shape):
         raise ShapeError(f"input shape must be 3 positive extents, got {input_shape}")
     rows = []
@@ -198,14 +195,13 @@ def shape_check(spec: PdcnnSpec, input_shape=None):
         branch_rows, feat = _branch_shapes(arch, f"branch{i + 1}", input_shape)
         rows.extend(branch_rows)
         fused += feat
-    rows.append(ShapeRow("fusion", spec.fusion, (fused,)))
-    rows.append(ShapeRow("head", "fc2", (spec.num_classes,)))
+    rows.append(ShapeRow("fusion", "concat", (fused,)))
+    rows.append(ShapeRow("head", "fc2", (NUM_CLASSES,)))
     return rows
 
 
-def fused_feature_length(spec: PdcnnSpec, input_shape=None) -> int:
-    rows = shape_check(spec, input_shape)
-    return rows[-2].shape[0]
+def fused_feature_length(spec: PdcnnSpec) -> int:
+    return shape_check(spec)[-2].shape[0]
 
 
 def layer_param_count(layer: LayerSpec, in_channels: int) -> int:
@@ -230,7 +226,7 @@ def param_count(spec: PdcnnSpec) -> int:
     """Total trainable scalars: all branch convolutions plus the shared head."""
     fused = fused_feature_length(spec)
     total = sum(branch_param_count(a, spec.input_shape[0]) for a in spec.branches)
-    return total + spec.num_classes * fused + spec.num_classes
+    return total + NUM_CLASSES * fused + NUM_CLASSES
 
 
 # --- text formats: UTF-8 files, comma lists, key=value lines, CSV tables ---
@@ -269,10 +265,10 @@ def _parsed(parse, text, where, name):
         raise ValueError(f"{where}: {name}: {err}") from None
 
 
-def parse_kv_lines(lines, where, parsers=None) -> dict:
+def parse_kv_lines(lines, where, parsers) -> dict:
     """Flat key=value text: one pair per line, '#' comments, blank lines ignored.
 
-    With parsers (key -> callable), unknown keys are errors and each value goes
+    Keys not in parsers (key -> callable) are errors and each value goes
     through its key's parser. Errors name `where`, the line and the key."""
     out = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -282,11 +278,9 @@ def parse_kv_lines(lines, where, parsers=None) -> dict:
         if "=" not in line:
             raise ValueError(f"{where}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if parsers is not None:
-            if key not in parsers:
-                raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
-            value = _parsed(parsers[key], value, f"{where}:{lineno}", key)
-        out[key] = value
+        if key not in parsers:
+            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
+        out[key] = _parsed(parsers[key], value, f"{where}:{lineno}", key)
     return out
 
 
@@ -296,7 +290,7 @@ def format_kv_lines(d: dict) -> str:
                    for k, v in d.items())
 
 
-def parse_kv_file(path, parsers=None) -> dict:
+def parse_kv_file(path, parsers) -> dict:
     """parse_kv_lines over a UTF-8 text file."""
     return parse_kv_lines(read_text(path).splitlines(), path, parsers)
 

@@ -20,10 +20,10 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (build_pdcnn, config_from_arch_dict, format_int_list,
-                   format_kv_lines, input_shape_from_arch_dict, param_count,
-                   parse_arch_file, parse_int_list, parse_kv_file, read_table,
-                   shape_check)
+from .arch import (DEFAULT_CONFIG, build_pdcnn, config_from_arch_dict,
+                   format_int_list, format_kv_lines,
+                   input_shape_from_arch_dict, param_count, parse_arch_file,
+                   parse_int_list, parse_kv_file, read_table, shape_check)
 from .layers import ShapeError
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
@@ -271,7 +271,7 @@ def cmd_search(args):
                           (parse_int_list, float))
         oracle = S.replay_oracle({tuple(d): error for d, error in rows})
         input_shape = (3, 224, 224)
-        config = None
+        config = DEFAULT_CONFIG
     else:
         if not args.manifest:
             raise UsageError("search needs --replay FIXTURE.csv or --manifest PATH")

@@ -1,45 +1,9 @@
-"""Executable parallel network: parameters, forward/backward, model files.
-
-A PdcnnNet instantiates every branch of a PdcnnSpec as layer objects, runs
-them on the same input batch, concatenates the flattened final feature maps,
-and applies the shared 2-way head. forward() and backward() also take a
-single sample, (C,H,W) images and (K,) logit gradients; the layers take
-batches only. Weights start Gaussian(0, 0.01), biases zero, drawn in
-declaration order from one seeded stream. Model files ("PDM1") carry a
-version tag, the architecture description, an index of tensor names, and
-the parameter tensors as concatenated PDT1 payloads.
-
-A network in inference mode (the `inference` attribute set, as
-optim.evaluate does for its duration) sets the same attribute on every
-layer, so forward gives the same output bytes but no layer keeps a backward
-cache, and a float32 conv layer builds its im2col one block of samples at a
-time: a forward-only pass holds one block's columns instead of a layer's
-whole im2col matrix. backward() consumes the caches of the latest forward,
-each layer's freed at its last use, so one training step's caches are gone
-before the next forward builds its own; backward() after an inference
-forward, or a second backward() without a new forward(), raises ValueError.
-Each branch's first conv layer is built without an input gradient, since
-the gradient with respect to the images is never consumed.
-
-In training mode forward() and backward() run the branches' layer stacks on
-threads, one per usable core up to the branch count, the cores counted from
-the process's CPU affinity mask (os.cpu_count() where the OS has none). The
-branches are split into contiguous runs, the same every step: the calling
-thread takes the first, a module-level thread pool the rest. Handing out one
-branch at a time to whichever thread is free would move a branch's buffers
-between threads' malloc arenas from step to step, which raised peak memory;
-with two cores the one pool thread always runs the same branches. numpy
-releases the GIL inside GEMMs and ufunc loops, and the branches share nothing
-but the read-only input, so the bytes are those of a sequential run. The
-concatenation, the head, the slicing of the fused gradient and error handling
-stay on the calling thread, in branch order: every run finishes, then the
-first failing branch's exception is raised. With one usable core nothing runs
-on the pool. The inference forward stays sequential: branches run side by
-side hold their largest activations (conv1, its ReLU and pool, at the full
-batch) at the same time, which raised an eval batch's peak memory by more
-than the time it saved was worth.
+"""Executable parallel network: parameters, forward/backward over batches,
+the threaded training-mode branch runs, and PDM1 model files. The README's
+`pdcnn.network` and `pdcnn.layers` entries describe the design.
 """
 
+import math
 import os
 import struct
 from collections import Counter
@@ -48,10 +12,10 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 
 from . import tensor as T
-from .arch import (ARCH_KEYS, PdcnnSpec, arch_dict_from_spec, format_kv_lines,
-                   param_count, parse_kv_lines, shape_check,
+from .arch import (ARCH_KEYS, NUM_CLASSES, PdcnnSpec, arch_dict_from_spec,
+                   format_kv_lines, param_count, parse_kv_lines, shape_check,
                    spec_from_arch_dict)
-from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu
+from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu, ShapeError
 
 # Image files carry values in [0, 1]; the network sees them centered and in
 # raw-pixel scale, the convention the Gaussian(0, 0.01) initialization and
@@ -142,10 +106,8 @@ def _build_layer(layer_spec, in_channels, rng, dtype, sigma, first):
 class PdcnnNet:
     """Runtime network for one PdcnnSpec, in a single uniform precision."""
 
-    def __init__(self, spec: PdcnnSpec, rng: T.Rng = None, dtype=np.float64):
+    def __init__(self, spec: PdcnnSpec, rng: T.Rng, dtype=np.float64):
         rows = shape_check(spec)  # fail early, naming the offending layer
-        if rng is None:
-            rng = T.Rng(0)
         self.spec = spec
         self.dtype = np.dtype(dtype)
         self.branches = []
@@ -164,13 +126,15 @@ class PdcnnNet:
                     c = ls.filters
             self.branches.append(layers)
             self.branch_layer_names.append(names)
-        fused = rows[-2].shape[0]
-        hw = T.gaussian_init((spec.num_classes, fused),
+        # each branch's (C,H,W) output: its last row in the shape table
+        last = {row.branch: row.shape for row in rows}
+        self._feat_shapes = [last[f"branch{i + 1}"]
+                             for i in range(len(self.branches))]
+        hw = T.gaussian_init((NUM_CLASSES, rows[-2].shape[0]),
                              spec.config.init_sigma, rng, dtype=self.dtype)
-        hb = T.tensor_new((spec.num_classes,), 0.0, dtype=self.dtype)
+        hb = T.tensor_new((NUM_CLASSES,), 0.0, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
         self.inference = False
-        self._feat_shapes = None
 
     @property
     def inference(self) -> bool:
@@ -226,36 +190,29 @@ class PdcnnNet:
             current[name][...] = np.asarray(value, dtype=self.dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        squeeze = x.ndim == 3
+        """(N,K) logits for an (N,C,H,W) batch of [0, 1] images whose
+        (C,H,W) is spec.input_shape."""
+        want = self.spec.input_shape
+        if x.shape[1:] != want:
+            raise ShapeError(f"network expects (N, {', '.join(map(str, want))})"
+                             f" input batches, got shape {x.shape}")
         x = (np.asarray(x, dtype=self.dtype) - INPUT_OFFSET) * INPUT_SCALE
-        if squeeze:
-            x = x[None]
         run = _in_order if self.inference else _over_branches
         feats = run(_branch_forward, [(layers, x) for layers in self.branches])
         fused = np.concatenate([h.reshape(h.shape[0], -1) for h in feats],
                                axis=1)
-        logits = self.head.forward(fused)
-        self._feat_shapes = None if self.inference else [h.shape for h in feats]
-        return logits[0] if squeeze else logits
+        return self.head.forward(fused)
 
     def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate from logit gradients; fills every grad_* attribute.
+        """Backpropagate (N,K) logit gradients; fills every grad_* attribute.
         Consumes the latest forward's caches, each layer's freed as its
         backward finishes with it."""
-        feat_shapes, self._feat_shapes = self._feat_shapes, None
-        if feat_shapes is None:
-            raise ValueError("backward() needs a new forward() run outside "
-                             "inference mode")
-        if dlogits.ndim == 1:
-            dlogits = dlogits[None]
-        dfused = self.head.backward(dlogits)
-        items = []
-        offset = 0
-        for layers, fshape in zip(self.branches, feat_shapes):
-            length = int(np.prod(fshape[1:]))
-            items.append((layers, dfused[:, offset:offset + length].reshape(fshape)))
-            offset += length
-        _over_branches(_branch_backward, items)
+        dfused = self.head.backward(dlogits)  # raises if there is no forward
+        edges = np.cumsum([math.prod(s) for s in self._feat_shapes])[:-1]
+        parts = np.split(dfused, edges, axis=1)
+        _over_branches(_branch_backward, [
+            (layers, d.reshape(len(d), *shape))
+            for layers, d, shape in zip(self.branches, parts, self._feat_shapes)])
 
 
 def save_model(net: PdcnnNet, path) -> None:

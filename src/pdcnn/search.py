@@ -11,7 +11,7 @@ either by a full train-and-evaluate run or by a recorded replay table.
 from dataclasses import dataclass, field
 
 from . import tensor as T
-from .arch import build_pdcnn
+from .arch import DEFAULT_CONFIG, build_pdcnn
 from .optim import evaluate, train
 
 STREAM_SEARCH = 11
@@ -72,7 +72,9 @@ def replay_oracle(fixture: dict):
 def train_eval_oracle(train_set, test_set, cfg, seed, input_shape, config,
                       dtype="float64"):
     """Oracle that trains each candidate from scratch, re-seeded
-    deterministically from (seed, round, candidate depth list). Any build or
+    deterministically from (seed, round, candidate depth list), and scores it
+    by its best epoch's test error: the epoch whose parameters train
+    restores. Only a run of zero epochs is evaluated afresh. Any build or
     training failure surfaces as an OracleError so the search can stop with
     its partial trace intact."""
 
@@ -80,8 +82,10 @@ def train_eval_oracle(train_set, test_set, cfg, seed, input_shape, config,
         try:
             run_seed = T.mix_seed(seed, STREAM_SEARCH, len(depths), *depths)
             spec = build_pdcnn(depths, input_shape=input_shape, config=config)
-            net, _ = train(spec, train_set, test_set, cfg, run_seed,
-                           dtype=dtype)
+            net, curve = train(spec, train_set, test_set, cfg, run_seed,
+                               dtype=dtype)
+            if curve.records:
+                return min(r.test_error for r in curve.records)
             return evaluate(net, test_set)
         except (ValueError, OSError) as err:
             raise OracleError(f"candidate {list(depths)} failed: {err}",
@@ -91,8 +95,7 @@ def train_eval_oracle(train_set, test_set, cfg, seed, input_shape, config,
 
 
 def greedy_pdcnn_search(candidates, oracle, max_branches: int,
-                        min_improvement: float = 0.0, input_shape=(3, 224, 224),
-                        config=None):
+                        input_shape=(3, 224, 224), config=DEFAULT_CONFIG):
     """Run the greedy fix-and-extend search.
 
     Ties break toward the smaller depth, then the earlier candidate position.
@@ -124,7 +127,7 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int,
         best_i = min(range(len(evals)),
                      key=lambda i: (evals[i].error, evals[i].depths[-1], i))
         best = evals[best_i]
-        if best.error < incumbent_error - min_improvement:
+        if best.error < incumbent_error:
             incumbent = best.depths
             incumbent_error = best.error
             trace.rounds.append(SearchRound(round_no, tuple(evals), incumbent))
@@ -133,9 +136,7 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int,
             break
     trace.winner = incumbent
     trace.winner_error = incumbent_error
-    kwargs = {"config": config} if config is not None else {}
-    spec = build_pdcnn(incumbent, input_shape=input_shape, **kwargs)
-    return spec, trace
+    return build_pdcnn(incumbent, input_shape=input_shape, config=config), trace
 
 
 def per_category_combine(table: dict, models) -> dict:

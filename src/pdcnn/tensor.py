@@ -41,15 +41,13 @@ class Rng:
     """Deterministic random stream: numpy PCG64 under an explicit 64-bit seed.
 
     Identical seeds give identical streams on every platform. An Rng is
-    single-owner; derive independent streams with spawn() instead of sharing.
+    single-owner; derive independent streams' seeds with mix_seed instead of
+    sharing.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def spawn(self, *keys: int) -> "Rng":
-        return Rng(mix_seed(self.seed, *keys))
 
     def normal(self, shape, sigma: float, dtype=np.float64) -> np.ndarray:
         out = self._gen.normal(0.0, sigma, size=shape)

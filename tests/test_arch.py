@@ -73,8 +73,8 @@ def test_build_pdcnn_single_branch_degenerates():
         assert len(spec.branches) == 1
         assert spec.branches[0] == build_arch(depth, 0)
         # identical shape tables: the shared head replaces the branch fc
-        rows = shape_check(spec, (3, 224, 224))
-        again = shape_check(build_pdcnn([depth]), (3, 224, 224))
+        rows = shape_check(spec)
+        again = shape_check(build_pdcnn([depth], input_shape=(3, 224, 224)))
         assert rows == again
         assert rows[-1].shape == (2,)
 
@@ -109,8 +109,8 @@ def test_duplicate_depths_always_differ_in_kernel():
 
 
 def test_shape_check_full_scale():
-    spec = build_pdcnn([4])
-    rows = shape_check(spec, (3, 224, 224))
+    spec = build_pdcnn([4], input_shape=(3, 224, 224))
+    rows = shape_check(spec)
     table = {(r.branch, r.layer): r.shape for r in rows}
     assert table[("branch1", "conv1")] == (64, 56, 56)
     assert table[("branch1", "pool1")] == (64, 27, 27)
@@ -122,9 +122,9 @@ def test_shape_check_full_scale():
 
 
 def test_shape_check_collapse_names_layer():
-    spec = build_pdcnn([4])
+    spec = build_pdcnn([4], input_shape=(3, 1, 1))
     with pytest.raises(ShapeError, match="conv1"):
-        shape_check(spec, (3, 1, 1))
+        shape_check(spec)
 
 
 @pytest.mark.parametrize("config,where", [
@@ -151,11 +151,10 @@ def test_shape_check_fusion_additivity():
 
 
 def test_shape_check_rejects_bad_input_shape():
-    spec = build_pdcnn([4])
     with pytest.raises(ShapeError):
-        shape_check(spec, (3, 224))
+        shape_check(build_pdcnn([4], input_shape=(3, 224)))
     with pytest.raises(ShapeError):
-        shape_check(spec, (3, 0, 224))
+        shape_check(build_pdcnn([4], input_shape=(3, 0, 224)))
 
 
 def test_shape_check_deterministic():
@@ -238,10 +237,10 @@ def test_kv_file_comments_and_errors(tmp_path):
     path = tmp_path / "kv.txt"
     path.write_text("a=1  # trailing comment\n\n# full comment\nb=2\n",
                     encoding="utf-8")
-    assert parse_kv_file(path) == {"a": "1", "b": "2"}
+    assert parse_kv_file(path, {"a": str, "b": str}) == {"a": "1", "b": "2"}
     path.write_text("oops\n", encoding="utf-8")
     with pytest.raises(ValueError, match="key=value"):
-        parse_kv_file(path)
+        parse_kv_file(path, {"a": str, "b": str})
 
 
 def test_explicit_variants_override():

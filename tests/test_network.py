@@ -48,7 +48,7 @@ def test_forward_batch_matches_single():
     xs = rng.random((4, 3, 20, 20))
     batched = net.forward(xs)
     for i in range(4):
-        npt.assert_allclose(net.forward(xs[i]), batched[i], atol=1e-12)
+        npt.assert_allclose(net.forward(xs[i][None])[0], batched[i], atol=1e-12)
 
 
 def test_input_convention_centered_pixel_scale():
@@ -56,7 +56,7 @@ def test_input_convention_centered_pixel_scale():
     x = np.full((3, 20, 20), INPUT_OFFSET)  # midpoint maps to exactly zero
     conv1 = net.branches[0][0]
     conv1.bias[...] = 0.0
-    net.forward(x)
+    net.forward(x[None])
     first = net.branches[0][0]
     # conv of an all-zero field with zero bias is zero
     assert float(np.abs(first.forward((x[None] - INPUT_OFFSET) * INPUT_SCALE)).max()) == 0.0
@@ -140,6 +140,30 @@ def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
     fresh.backward(dlogits)
     for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
         assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 20, 20), (2, 3, 20, 21), (3, 20, 20)],
+                         ids=["channels", "extent", "single-sample"])
+def test_forward_rejects_input_of_another_shape(shape):
+    net = tiny_net([4, 3])
+    with pytest.raises(ShapeError) as err:
+        net.forward(np.zeros(shape))
+    assert str(err.value) == ("network expects (N, 3, 20, 20) input batches, "
+                              f"got shape {shape}")
+
+
+@pytest.mark.parametrize("size,config", [
+    (20, TINY),
+    (56, ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)),
+    (224, ArchConfig()),
+], ids=["tiny", "desk", "full"])
+def test_feature_shapes_from_spec_match_branch_outputs(size, config):
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(1), dtype=np.float32)
+    net.inference = True
+    x = np.zeros((2, 3, size, size), dtype=np.float32)
+    assert ([N._branch_forward(layers, x).shape[1:] for layers in net.branches]
+            == net._feat_shapes)
 
 
 def test_backward_consumes_every_layer_cache():
@@ -396,6 +420,6 @@ def test_full_scale_forward_smoke():
     spec = build_pdcnn([4, 3], input_shape=(3, 224, 224))
     net = PdcnnNet(spec, T.Rng(7), dtype=np.float32)
     x = np.random.default_rng(0).random((3, 224, 224), dtype=np.float32)
-    logits = net.forward(x)
-    assert logits.shape == (2,)
+    logits = net.forward(x[None])
+    assert logits.shape == (1, 2)
     assert np.all(np.isfinite(logits))

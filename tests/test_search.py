@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from pdcnn import optim as O
+from pdcnn import search as S
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig
 from pdcnn.data import gen_synthetic, split_batches
-from pdcnn.optim import SgdConfig
+from pdcnn.optim import SgdConfig, evaluate
 from pdcnn.search import (OracleError, SearchError,
                           greedy_pdcnn_search, per_category_combine,
                           replay_oracle, train_eval_oracle)
@@ -107,13 +109,6 @@ def test_greedy_requires_strict_improvement():
     assert trace.rounds[-1].chosen is None
 
 
-def test_greedy_min_improvement_threshold():
-    fixture = {(3,): 0.2, (3, 3): 0.195, (3, 3, 3): 0.1}
-    _, trace = greedy_pdcnn_search((3,), replay_oracle(fixture),
-                                   max_branches=3, min_improvement=0.01)
-    assert trace.winner == (3,)  # 0.195 improves by less than the threshold
-
-
 def test_greedy_oracle_failure_carries_partial_trace():
     with pytest.raises(SearchError) as exc_info:
         greedy_pdcnn_search((3, 4, 5), replay_oracle(SINGLE), max_branches=3)
@@ -146,6 +141,43 @@ def test_train_eval_oracle_deterministic(tmp_path):
     e2 = oracle((3,))
     assert e1 == e2
     assert 0.0 <= e1 <= 1.0
+
+
+@pytest.mark.parametrize("epochs", [3, 0])
+def test_train_eval_oracle_scores_the_restored_epoch(tmp_path, monkeypatch,
+                                                     epochs):
+    # one evaluation per epoch, none after training; only a zero-epoch run is
+    # evaluated by the oracle itself. The score is the restored net's error,
+    # here lower than the last epoch's.
+    ds = gen_synthetic(10, 20, 0.0, seed=1, out_dir=tmp_path)
+    ds.crop_size = 20
+    train_set, test_set = split_batches(ds, T.Rng(3))
+    calls = []
+    runs = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    def kept(*args, **kwargs):
+        runs.append(O.train(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(O, "evaluate", counted)
+    monkeypatch.setattr(S, "evaluate", counted)
+    monkeypatch.setattr(S, "train", kept)
+    config = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
+                        filter_scale=0.05, init_sigma=0.3)
+    oracle = train_eval_oracle(train_set, test_set,
+                               SgdConfig(max_epochs=epochs, batch_size=4,
+                                         learning_rate=0.2),
+                               seed=5, input_shape=(3, 20, 20), config=config)
+    error = oracle((3,))
+    assert len(calls) == max(epochs, 1)
+    (net, curve), = runs
+    assert error == evaluate(net, test_set)
+    if epochs:
+        assert error < curve.records[-1].test_error
 
 
 # --- per-category combiner ---

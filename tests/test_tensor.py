@@ -150,15 +150,6 @@ def test_mix_seed_distinct_and_stable():
     assert T.mix_seed(42, 7, 9) != T.mix_seed(42, 9, 7)
 
 
-def test_rng_spawn_independent():
-    root = T.Rng(5)
-    a = root.spawn(1).normal((4,), 1.0)
-    b = root.spawn(2).normal((4,), 1.0)
-    assert not np.array_equal(a, b)
-    again = T.Rng(5).spawn(1).normal((4,), 1.0)
-    npt.assert_array_equal(a, again)
-
-
 def test_check_finite():
     T.check_finite(np.ones(3))
     with pytest.raises(ValueError):

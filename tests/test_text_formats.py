@@ -114,7 +114,7 @@ def test_read_text_names_file_and_offset_of_a_bad_byte(tmp_path):
     assert str(err.value) == f"{path}: not UTF-8 text (byte 5)"
     path.write_bytes(b"a=1\r\nb=2\n")
     assert read_text(path) == "a=1\r\nb=2\n"
-    assert parse_kv_file(path) == {"a": "1", "b": "2"}
+    assert parse_kv_file(path, {"a": str, "b": str}) == {"a": "1", "b": "2"}
 
 
 def test_int_lists_round_trip():
