@@ -23,6 +23,14 @@ from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu, ShapeError
 INPUT_OFFSET = 0.5
 INPUT_SCALE = 255.0
 
+# Fewest im2col column bytes an inference chunk gives the network's smallest
+# conv. Like Conv2d's blocks, a float32 chunk keeps the whole batch's bits only
+# while its GEMMs stay large enough for OpenBLAS to run the same kernels: 256
+# KiB was bit-equal at every batch tried (desk 16-500, full 5-64), desk chunks
+# of 4 or 8 samples were not. float64 never chunks (dgemm bits move with a
+# column's position).
+CHUNK_COL_BYTES = 256 << 10
+
 PDM1_MAGIC = b"PDM1"
 PDM1_VERSION = 1
 
@@ -46,8 +54,8 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Runs every branch run but the first in training mode; its threads start on
-# first use, not at import.
+# Runs every branch run but the first; its threads start on first use, not at
+# import.
 _POOL = ThreadPoolExecutor(max(1, usable_cores() - 1),
                            thread_name_prefix="pdcnn-branch")
 
@@ -57,10 +65,10 @@ def _in_order(fn, items):
 
 
 def _over_branches(fn, items):
-    """[fn(*item) for item in items], one item per branch, split into
-    contiguous runs over the usable cores; the calling thread runs the first.
-    Every run finishes before an exception is raised: the first failing
-    branch's."""
+    """[fn(*item) for item in items], the items (branches, or in inference
+    (branch, sample chunk) pairs) split into contiguous runs over the usable
+    cores; the calling thread runs the first. Every run finishes before an
+    exception is raised: the first failing item's."""
     k = min(usable_cores(), len(items))
     runs = [items[len(items) * i // k:len(items) * (i + 1) // k]
             for i in range(k)]
@@ -112,7 +120,9 @@ class PdcnnNet:
         self.dtype = np.dtype(dtype)
         self.branches = []
         self.branch_layer_names = []
-        for arch in spec.branches:
+        shapes = {(row.branch, row.layer): row.shape for row in rows}
+        cols = []  # each conv's per-sample im2col columns, C*k*k*oh*ow
+        for i, arch in enumerate(spec.branches):
             layers = []
             names = []
             c = spec.input_shape[0]
@@ -123,6 +133,8 @@ class PdcnnNet:
                                            spec.config.init_sigma, not layers))
                 names.append(ls.name)
                 if ls.kind == "conv":
+                    _, oh, ow = shapes[f"branch{i + 1}", ls.name]
+                    cols.append(c * ls.kernel ** 2 * oh * ow)
                     c = ls.filters
             self.branches.append(layers)
             self.branch_layer_names.append(names)
@@ -130,6 +142,8 @@ class PdcnnNet:
         last = {row.branch: row.shape for row in rows}
         self._feat_shapes = [last[f"branch{i + 1}"]
                              for i in range(len(self.branches))]
+        # float32 samples per inference chunk
+        self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
         hw = T.gaussian_init((NUM_CLASSES, rows[-2].shape[0]),
                              spec.config.init_sigma, rng, dtype=self.dtype)
         hb = T.tensor_new((NUM_CLASSES,), 0.0, dtype=self.dtype)
@@ -138,7 +152,8 @@ class PdcnnNet:
 
     @property
     def inference(self) -> bool:
-        """Forward-only mode: no backward caches, blocked convolutions."""
+        """Forward-only mode: no backward caches, blocked convolutions, and
+        a float32 forward runs the branches over sample chunks on threads."""
         return self._inference
 
     @inference.setter
@@ -197,11 +212,16 @@ class PdcnnNet:
             raise ShapeError(f"network expects (N, {', '.join(map(str, want))})"
                              f" input batches, got shape {x.shape}")
         x = (np.asarray(x, dtype=self.dtype) - INPUT_OFFSET) * INPUT_SCALE
-        run = _in_order if self.inference else _over_branches
-        feats = run(_branch_forward, [(layers, x) for layers in self.branches])
-        fused = np.concatenate([h.reshape(h.shape[0], -1) for h in feats],
-                               axis=1)
-        return self.head.forward(fused)
+        # inference layers keep no state, so two threads may run one branch
+        n, k = len(x), 1
+        if self.inference and self.dtype == np.float32:
+            k = max(1, n // self._chunk)  # k chunks, none below the rule
+        edges = [n * i // k for i in range(k + 1)]
+        run = _in_order if self.inference and k == 1 else _over_branches
+        feats = run(_branch_forward, [(layers, x[a:b]) for layers in self.branches
+                                      for a, b in zip(edges, edges[1:])])
+        flat = [h.reshape(len(h), -1) for h in feats]  # branch-major
+        return self.head.forward(np.block([flat[j::k] for j in range(k)]))
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate (N,K) logit gradients; fills every grad_* attribute.
@@ -239,8 +259,9 @@ def load_model(path) -> PdcnnNet:
     """Rebuild a network from a PDM1 file (architecture plus parameters).
 
     The meta text must parse as an architecture description plus a float32
-    or float64 dtype, and the index must name every parameter exactly once;
-    a ValueError starting with the path reports any other file."""
+    or float64 dtype, the index must name every parameter exactly once, and
+    every tensor must be finite; a ValueError starting with the path reports
+    any other file."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != PDM1_MAGIC:
@@ -265,8 +286,11 @@ def load_model(path) -> PdcnnNet:
         if described != stored:
             raise ValueError(f"model/arch mismatch: the meta describes "
                              f"{described} parameters, the file holds {stored}")
+        named = [(n.decode("utf-8"), a) for n, a in zip(names, arrays)]
+        for name, a in named:
+            T.check_finite(a, f"tensor {name}")
         net = PdcnnNet(spec, rng=T.Rng(0), dtype=dtype)
-        net.set_parameters((n.decode("utf-8"), a) for n, a in zip(names, arrays))
+        net.set_parameters(named)
     except ValueError as err:  # ShapeError and UnicodeDecodeError included
         raise ValueError(f"{path}: {err}") from None
     return net

@@ -147,7 +147,8 @@ def evaluate(net: PdcnnNet, test_set: Dataset, batch_size: int = 64) -> float:
     """Error rate (misclassified / total) on deterministic center crops.
 
     The network runs in inference mode for the duration of the call, so no
-    layer keeps a backward cache; training mode is back on return."""
+    layer keeps a backward cache and a float32 forward runs in sample
+    chunks; training mode is back on return, also when forward raises."""
     n = len(test_set)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")

@@ -2,9 +2,13 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from pdcnn import tensor as T
+from pdcnn.arch import ArchConfig, build_pdcnn
 from pdcnn.cli import main
+from pdcnn.network import PdcnnNet, save_model
 
 DESK_ARCH = (
     "conv1_stride=2\n"
@@ -273,6 +277,24 @@ def test_eval_bad_model_dtype_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model}: ")
     assert err.count("\n") == 1
+
+
+def test_eval_non_finite_model_tensor_exit_1(tmp_path, capsys):
+    config = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
+                        filter_scale=0.05, init_sigma=0.3)
+    net = PdcnnNet(build_pdcnn([4, 3], input_shape=(3, 20, 20), config=config),
+                   T.Rng(1), dtype=np.float32)
+    net.branches[0][0].weights[0, 0, 0, 0] = np.nan
+    model = tmp_path / "model.bin"
+    save_model(net, model)
+    data = _gendata(tmp_path, n=4)
+    capsys.readouterr()
+    code = main(["eval", "--model", str(model),
+                 "--manifest", str(data / "manifest.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: tensor branch1/conv1/weights contains non-finite "
+        "elements\n")
 
 
 def test_eval_image_extents_beyond_file_exit_1(tmp_path, capsys):

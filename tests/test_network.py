@@ -10,14 +10,16 @@ from hypothesis import given, settings, strategies as st
 from pdcnn import network as N
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn
+from pdcnn.data import gen_synthetic
 from pdcnn.layers import ShapeError, softmax_xent_batch
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet, load_model, save_model
-from pdcnn.optim import SgdConfig, init_state, sgd_step
+from pdcnn.optim import SgdConfig, evaluate, init_state, sgd_step
 from oracles import fd_grad, max_rel_err
 
 # tiny geometry that every depth survives: 20x20 input, pool window 2
 TINY = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
                   filter_scale=0.04, init_sigma=0.5)
+DESK = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
 
 
 def tiny_net(depths, seed=3, dtype=np.float64):
@@ -66,8 +68,7 @@ def test_input_convention_centered_pixel_scale():
 def test_inference_logits_bit_equal_to_training_forward(dtype):
     # the desk 4,3,4 geometry at eval batch 64, where float32 inference runs
     # conv1 and conv2 in blocks of samples; no layer keeps a cache
-    config = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
-    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=config)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
     net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
     x = np.random.default_rng(6).random((64, 3, 56, 56))
     net.inference = True
@@ -77,12 +78,46 @@ def test_inference_logits_bit_equal_to_training_forward(dtype):
     assert blocked.tobytes() == net.forward(x).tobytes()
 
 
+@pytest.mark.parametrize("size,config,batch,dtype,sizes", [
+    (56, DESK, 160, np.float32, [80, 80]),
+    (224, ArchConfig(), 8, np.float32, [4, 4]),
+    (56, DESK, 160, np.float64, [160]),
+], ids=["desk", "full", "desk-float64"])
+def test_chunked_inference_bit_equal_to_training_forward(monkeypatch, size, config,
+                                                         batch, dtype, sizes):
+    # float32 inference runs each 4,3,4 branch over 2 sample chunks, the
+    # fewest samples that give the smallest conv 256 KiB of columns being 76
+    # at desk and 3 at full scale; float64 runs whole-batch
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
+    x = np.random.default_rng(6).random((batch, 3, size, size))
+    seen = []
+    real = N._branch_forward
+
+    def branch_forward(layers, h):
+        seen.append(len(h))
+        return real(layers, h)
+
+    monkeypatch.setattr(N, "_branch_forward", branch_forward)
+    net.inference = True
+    chunked = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(N, "usable_cores", lambda: cores)
+        seen.clear()
+        chunked.append(net.forward(x).tobytes())
+        assert sorted(seen) == sorted(sizes * 3)
+    assert all(layer._cache is None for layers in net.branches for layer in layers)
+    net.inference = False
+    whole = net.forward(x).tobytes()
+    assert seen[-3:] == [batch] * 3
+    assert chunked == [whole] * 3
+
+
 def _desk_sgd_run(monkeypatch, tmp_path, cores, dtype):
     """Parameters, gradients and model-file bytes after a few SGD steps of a
     desk 4,3,4 net, its branches spread over `cores` threads."""
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
-    config = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
-    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=config)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
     net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
     cfg = SgdConfig()
     state = init_state(net, 0, cfg)
@@ -142,6 +177,39 @@ def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
         assert g.tobytes() == want.tobytes()
 
 
+def test_chunk_error_on_pool_thread_reaches_caller_unchanged(monkeypatch, tmp_path):
+    # desk 4,3,4 in float32 at eval batch 152: each branch runs as 2 chunks of
+    # 76 samples; on two cores the calling thread runs b1's chunks and b2's
+    # first, the pool b2's second and b3's, where the error is planted
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    test_set = gen_synthetic(76, 56, 0.0, seed=5, out_dir=tmp_path)
+    test_set.crop_size = 56
+    planted = ShapeError("planted in branch3")
+    threads = []
+
+    def raise_planted(_):
+        threads.append(threading.get_ident())
+        raise planted
+
+    net.branches[2][1].forward = raise_planted
+    with pytest.raises(ShapeError) as got:
+        evaluate(net, test_set, batch_size=152)
+    assert got.value is planted
+    assert threading.get_ident() not in threads
+    assert net.inference is False
+    del net.branches[2][1].forward
+    x = np.random.default_rng(1).random((4, 3, 56, 56))
+    dlogits = np.ones((4, 2))
+    fresh = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    for model in (net, fresh):
+        model.forward(x)
+        model.backward(dlogits)
+    for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
+        assert g.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(2, 4, 20, 20), (2, 3, 20, 21), (3, 20, 20)],
                          ids=["channels", "extent", "single-sample"])
 def test_forward_rejects_input_of_another_shape(shape):
@@ -154,7 +222,7 @@ def test_forward_rejects_input_of_another_shape(shape):
 
 @pytest.mark.parametrize("size,config", [
     (20, TINY),
-    (56, ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)),
+    (56, DESK),
     (224, ArchConfig()),
 ], ids=["tiny", "desk", "full"])
 def test_feature_shapes_from_spec_match_branch_outputs(size, config):
@@ -300,6 +368,18 @@ def test_load_rejects_bytes_after_the_last_tensor(tmp_path):
     with pytest.raises(ValueError) as err:
         load_model(path)
     assert str(err.value) == f"{path}: 4 bytes after the last tensor"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_tensor_naming_it(tmp_path, bad):
+    net = tiny_net([4, 3], seed=6, dtype=np.float32)
+    net.branches[1][0].weights[0, 0, 0, 0] = bad
+    path = tmp_path / "model.bin"
+    save_model(net, path)
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == (f"{path}: tensor branch2/conv1/weights "
+                              "contains non-finite elements")
 
 
 def _pdm1(path, meta, named):
