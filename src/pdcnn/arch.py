@@ -52,7 +52,7 @@ DEFAULT_CONFIG = ArchConfig()
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str            # conv | pool | lrn | relu | fc
+    kind: str            # conv | pool | lrn | relu
     name: str
     filters: int = 0     # conv
     kernel: int = 0      # conv
@@ -63,12 +63,10 @@ class LayerSpec:
     k: float = 0.0       # lrn
     alpha: float = 0.0   # lrn
     beta: float = 0.0    # lrn
-    classes: int = 0     # fc
 
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    name: str
     depth: int
     variant: int
     layers: tuple
@@ -119,10 +117,7 @@ def build_arch(depth: int, variant: int = 0,
             layers.append(LayerSpec(kind="lrn", name=norm_name,
                                     radius=config.lrn_radius, k=config.lrn_k,
                                     alpha=config.lrn_alpha, beta=config.lrn_beta))
-    layers.append(LayerSpec(kind="fc", name="fc2", classes=NUM_CLASSES))
-    name = f"dcnn{depth}" if variant == 0 else f"dcnn{depth}v{variant}"
-    return ArchitectureSpec(name=name, depth=depth, variant=variant,
-                            layers=tuple(layers))
+    return ArchitectureSpec(depth=depth, variant=variant, layers=tuple(layers))
 
 
 def build_pdcnn(depths, variants=None, input_shape=(3, 224, 224),
@@ -147,44 +142,16 @@ class ShapeRow:
     branch: str
     layer: str
     shape: tuple
-
-
-def _branch_shapes(arch: ArchitectureSpec, branch_label: str, input_shape):
-    """Shape propagation through one branch, excluding its fc layer.
-
-    Returns (rows, flattened feature length)."""
-    c, h, w = input_shape
-    rows = []
-    for layer in arch.layers:
-        where = f"{branch_label}/{layer.name}"
-        if layer.kind in ("conv", "pool") and layer.stride < 1:
-            raise ShapeError(f"{where}: stride must be >= 1, got {layer.stride}")
-        if layer.kind == "conv":
-            oh = conv_extent(h, layer.kernel, layer.stride, layer.padding)
-            ow = conv_extent(w, layer.kernel, layer.stride, layer.padding)
-            if oh < 1 or ow < 1:
-                raise ShapeError(f"{where}: output extent {oh}x{ow} collapsed "
-                                 f"(input {c}x{h}x{w})")
-            c, h, w = layer.filters, oh, ow
-        elif layer.kind == "pool":
-            if layer.window > h or layer.window > w:
-                raise ShapeError(f"{where}: pool window {layer.window} "
-                                 f"exceeds input {h}x{w}")
-            h = conv_extent(h, layer.window, layer.stride, 0)
-            w = conv_extent(w, layer.window, layer.stride, 0)
-        elif layer.kind == "fc":
-            continue  # branch fc is replaced by the shared head
-        # relu / lrn preserve shape
-        rows.append(ShapeRow(branch_label, layer.name, (c, h, w)))
-    return rows, c * h * w
+    params: int = 0  # trainable scalars: a conv's or the head's
 
 
 def shape_check(spec: PdcnnSpec):
     """Dry-run forward shape propagation of spec.input_shape through every
-    branch and the concatenation.
+    branch and the concatenation: the one walk over a spec's geometry.
 
-    Returns ShapeRow entries for each layer, the fused feature vector, and the
-    shared classifier; raises ShapeError naming the first offending layer.
+    Returns a ShapeRow for each branch layer, the fused feature vector, and
+    the shared classifier that replaces a branch's own fc; raises ShapeError
+    naming the first offending layer.
     """
     input_shape = tuple(int(v) for v in spec.input_shape)
     if len(input_shape) != 3 or any(v < 1 for v in input_shape):
@@ -192,41 +159,38 @@ def shape_check(spec: PdcnnSpec):
     rows = []
     fused = 0
     for i, arch in enumerate(spec.branches):
-        branch_rows, feat = _branch_shapes(arch, f"branch{i + 1}", input_shape)
-        rows.extend(branch_rows)
-        fused += feat
+        c, h, w = input_shape
+        for layer in arch.layers:
+            where = f"branch{i + 1}/{layer.name}"
+            if layer.kind in ("conv", "pool") and layer.stride < 1:
+                raise ShapeError(f"{where}: stride must be >= 1, got {layer.stride}")
+            params = 0
+            if layer.kind == "conv":
+                oh = conv_extent(h, layer.kernel, layer.stride, layer.padding)
+                ow = conv_extent(w, layer.kernel, layer.stride, layer.padding)
+                if oh < 1 or ow < 1:
+                    raise ShapeError(f"{where}: output extent {oh}x{ow} "
+                                     f"collapsed (input {c}x{h}x{w})")
+                params = layer.filters * (c * layer.kernel ** 2 + 1)
+                c, h, w = layer.filters, oh, ow
+            elif layer.kind == "pool":
+                if layer.window > h or layer.window > w:
+                    raise ShapeError(f"{where}: pool window {layer.window} "
+                                     f"exceeds input {h}x{w}")
+                h = conv_extent(h, layer.window, layer.stride, 0)
+                w = conv_extent(w, layer.window, layer.stride, 0)
+            # relu / lrn preserve shape
+            rows.append(ShapeRow(f"branch{i + 1}", layer.name, (c, h, w), params))
+        fused += c * h * w
     rows.append(ShapeRow("fusion", "concat", (fused,)))
-    rows.append(ShapeRow("head", "fc2", (NUM_CLASSES,)))
+    rows.append(ShapeRow("head", "fc2", (NUM_CLASSES,),
+                         NUM_CLASSES * (fused + 1)))
     return rows
-
-
-def fused_feature_length(spec: PdcnnSpec) -> int:
-    return shape_check(spec)[-2].shape[0]
-
-
-def layer_param_count(layer: LayerSpec, in_channels: int) -> int:
-    """Trainable scalars in one layer given its input channel count."""
-    if layer.kind == "conv":
-        return layer.filters * in_channels * layer.kernel ** 2 + layer.filters
-    return 0  # pool / lrn / relu carry no parameters; fc counted via the head
-
-
-def branch_param_count(arch: ArchitectureSpec, in_channels: int) -> int:
-    """Trainable scalars in one branch's conv stack (shared head excluded)."""
-    total = 0
-    c = in_channels
-    for layer in arch.layers:
-        total += layer_param_count(layer, c)
-        if layer.kind == "conv":
-            c = layer.filters
-    return total
 
 
 def param_count(spec: PdcnnSpec) -> int:
     """Total trainable scalars: all branch convolutions plus the shared head."""
-    fused = fused_feature_length(spec)
-    total = sum(branch_param_count(a, spec.input_shape[0]) for a in spec.branches)
-    return total + NUM_CLASSES * fused + NUM_CLASSES
+    return sum(row.params for row in shape_check(spec))
 
 
 # --- text formats: UTF-8 files, comma lists, key=value lines, CSV tables ---

@@ -184,8 +184,12 @@ def _checked_spec(args, depths, variants, input_shape, config):
 
 
 def _sgd_config(args):
-    return SgdConfig(**{name: getattr(args, opt)
-                        for opt, name in _SGD_OPTS.items()})
+    """The SgdConfig the training options give; a bad value is a usage error."""
+    try:
+        return SgdConfig(**{name: getattr(args, opt)
+                            for opt, name in _SGD_OPTS.items()})
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _np_dtype(name):
@@ -221,9 +225,9 @@ def cmd_train(args):
     spec = _checked_spec(args, depths, arch_d.get("variants"), input_shape,
                          config)
     dtype = _np_dtype(args.dtype)
+    cfg = _sgd_config(args)
     train_set, test_set = _load_split(args, input_shape[1])
-    net, curve = train(spec, train_set, test_set, _sgd_config(args), args.seed,
-                       dtype=dtype)
+    net, curve = train(spec, train_set, test_set, cfg, args.seed, dtype=dtype)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv", timing=args.timing)
@@ -279,9 +283,10 @@ def cmd_search(args):
         for depth in args.candidates:
             _checked_spec(args, [depth], None, input_shape, config)
         dtype = _np_dtype(args.dtype)
+        cfg = _sgd_config(args)
         train_set, test_set = _load_split(args, input_shape[1])
-        oracle = S.train_eval_oracle(train_set, test_set, _sgd_config(args),
-                                     args.seed, input_shape, config, dtype=dtype)
+        oracle = S.train_eval_oracle(train_set, test_set, cfg, args.seed,
+                                     input_shape, config, dtype=dtype)
     try:
         spec, trace = S.greedy_pdcnn_search(args.candidates, oracle,
                                             args.max_branches,

@@ -56,10 +56,11 @@ def filter_variance(net) -> FilterVarianceReport:
 
 def convergence_time(t: float, n: float, e: float) -> int:
     """Total convergence time T = t * n * e, rounded to the nearest second."""
-    if t < 0 or n < 0 or e < 0:
-        raise ValueError(f"convergence_time inputs must be >= 0, "
-                         f"got ({t}, {n}, {e})")
-    return int(math.floor(t * n * e + 0.5))
+    total = t * n * e
+    if not (t >= 0 and n >= 0 and e >= 0 and math.isfinite(total)):
+        raise ValueError(f"convergence_time inputs must be >= 0 with a finite "
+                         f"product, got ({t}, {n}, {e})")
+    return int(math.floor(total + 0.5))
 
 
 def detect_convergence(curve: TrainCurve, window: int = 10,

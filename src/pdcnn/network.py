@@ -120,28 +120,23 @@ class PdcnnNet:
         self.dtype = np.dtype(dtype)
         self.branches = []
         self.branch_layer_names = []
-        shapes = {(row.branch, row.layer): row.shape for row in rows}
+        self._feat_shapes = []  # each branch's (C,H,W) output
         cols = []  # each conv's per-sample im2col columns, C*k*k*oh*ow
-        for i, arch in enumerate(spec.branches):
+        branch_rows = iter(rows)  # the rows of every branch layer, in order
+        for arch in spec.branches:
             layers = []
-            names = []
-            c = spec.input_shape[0]
-            for ls in arch.layers:
-                if ls.kind == "fc":
-                    continue  # replaced by the shared head
-                layers.append(_build_layer(ls, c, rng, self.dtype,
+            shape = spec.input_shape  # the next layer's input
+            # layers first: zip stops without taking the next branch's row
+            for ls, row in zip(arch.layers, branch_rows):
+                layers.append(_build_layer(ls, shape[0], rng, self.dtype,
                                            spec.config.init_sigma, not layers))
-                names.append(ls.name)
                 if ls.kind == "conv":
-                    _, oh, ow = shapes[f"branch{i + 1}", ls.name]
-                    cols.append(c * ls.kernel ** 2 * oh * ow)
-                    c = ls.filters
+                    _, oh, ow = row.shape
+                    cols.append(shape[0] * ls.kernel ** 2 * oh * ow)
+                shape = row.shape
             self.branches.append(layers)
-            self.branch_layer_names.append(names)
-        # each branch's (C,H,W) output: its last row in the shape table
-        last = {row.branch: row.shape for row in rows}
-        self._feat_shapes = [last[f"branch{i + 1}"]
-                             for i in range(len(self.branches))]
+            self.branch_layer_names.append([ls.name for ls in arch.layers])
+            self._feat_shapes.append(shape)
         # float32 samples per inference chunk
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
         hw = T.gaussian_init((NUM_CLASSES, rows[-2].shape[0]),

@@ -13,8 +13,9 @@ choices, and initialization all derive from the seed, and gradients are
 accumulated batch-vectorized in a fixed order.
 """
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,6 +39,16 @@ class SgdConfig:
     max_epochs: int = 30
     lr_drop: float = 0.1      # multiply learning rate by this on plateau
     lr_patience: int = 20     # epochs without test-error improvement
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 0:
+            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
 
 @dataclass

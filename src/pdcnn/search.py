@@ -11,7 +11,7 @@ either by a full train-and-evaluate run or by a recorded replay table.
 from dataclasses import dataclass, field
 
 from . import tensor as T
-from .arch import DEFAULT_CONFIG, build_pdcnn
+from .arch import DEFAULT_CONFIG, MAX_BRANCHES, build_pdcnn
 from .optim import evaluate, train
 
 STREAM_SEARCH = 11
@@ -105,8 +105,9 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int,
     candidates = list(dict.fromkeys(int(d) for d in candidates))
     if not candidates:
         raise ValueError("candidate depth set is empty")
-    if max_branches < 1:
-        raise ValueError(f"max_branches must be >= 1, got {max_branches}")
+    if not 1 <= max_branches <= MAX_BRANCHES:
+        raise ValueError(f"max_branches must be in [1, {MAX_BRANCHES}], "
+                         f"got {max_branches}")
 
     trace = SearchTrace()
     incumbent = ()

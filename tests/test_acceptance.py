@@ -13,9 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from pdcnn import tensor as T
-from pdcnn.arch import (ArchConfig, build_arch, build_pdcnn,
-                        layer_param_count, branch_param_count,
-                        fused_feature_length, param_count, shape_check)
+from pdcnn.arch import ArchConfig, build_pdcnn, param_count, shape_check
 from pdcnn.cli import main
 from pdcnn.data import (all_choices, apply_choice, gen_synthetic,
                         rotate_augment, split_batches, write_manifest)
@@ -208,15 +206,15 @@ def test_08_shape_and_parameter_arithmetic():
         table = {(r.branch, r.layer): r.shape for r in rows}
         assert table[("branch1", "conv1")] == (64, 56, 56)
 
-        conv1 = build_arch(4).layers[0]
-        assert layer_param_count(conv1, 3) == 9472
+        assert (rows[0].layer, rows[0].params) == ("conv1", 9472)
+
+        def conv_params(depths):  # every row's parameters but the head's
+            return sum(r.params for r in shape_check(build_pdcnn(depths))[:-1])
 
         pair = build_pdcnn([4, 3])
-        fused = fused_feature_length(pair)
-        assert param_count(pair) == (
-            branch_param_count(pair.branches[0], 3)
-            + branch_param_count(pair.branches[1], 3)
-            + 2 * fused + 2)
+        fused = shape_check(pair)[-2].shape[0]
+        assert param_count(pair) == (conv_params([4]) + conv_params([3])
+                                     + 2 * fused + 2)
 
 
 def test_09_cmd_train_determinism(tmp_path):

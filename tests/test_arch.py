@@ -2,9 +2,8 @@ import itertools
 
 import pytest
 
-from pdcnn.arch import (ArchConfig, arch_dict_from_spec, branch_param_count,
-                        build_arch, build_pdcnn, fused_feature_length,
-                        layer_param_count, param_count, parse_arch_file,
+from pdcnn.arch import (ArchConfig, arch_dict_from_spec, build_arch,
+                        build_pdcnn, param_count, parse_arch_file,
                         parse_kv_file, shape_check, spec_from_arch_dict)
 from pdcnn.layers import ShapeError
 
@@ -22,7 +21,7 @@ def test_depth3_layout():
     names = _names(arch)
     assert "conv3" in names and "conv4" not in names
     assert names.index("conv3") < names.index("pool3") < names.index("rnorm3")
-    assert names[-1] == "fc2"
+    assert names[-2:] == ["pool3", "rnorm3"]  # no branch fc: the head replaces it
     assert [c.filters for c in _conv_layers(arch)] == [64, 96, 96]
 
 
@@ -32,7 +31,8 @@ def test_depth4_canonical_filters_and_kernels():
     assert [c.filters for c in convs] == [64, 96, 96, 64]
     assert [c.kernel for c in convs] == [7, 5, 3, 3]
     names = _names(arch)
-    assert names.index("rnorm3") < names.index("conv4") < names.index("fc2")
+    assert names.index("rnorm3") < names.index("conv4")
+    assert names[-2:] == ["conv4", "relu4"]
 
 
 def test_depth5_extends_with_conv5():
@@ -56,8 +56,7 @@ def test_relu_follows_every_conv_not_fc():
     names = _names(arch)
     for i in range(1, 5):
         assert names.index(f"relu{i}") == names.index(f"conv{i}") + 1
-    assert not any(n.startswith("relu") and names.index(n) > names.index("fc2")
-                   for n in names)
+    assert {layer.kind for layer in arch.layers} == {"conv", "relu", "pool", "lrn"}
 
 
 def test_unsupported_depth():
@@ -146,8 +145,8 @@ def test_shape_check_fusion_additivity():
     two = build_pdcnn([4, 3])
     single4 = build_pdcnn([4])
     single3 = build_pdcnn([3])
-    assert (fused_feature_length(two)
-            == fused_feature_length(single4) + fused_feature_length(single3))
+    fused = [shape_check(s)[-2].shape[0] for s in (two, single4, single3)]
+    assert fused[0] == fused[1] + fused[2]
 
 
 def test_shape_check_rejects_bad_input_shape():
@@ -162,23 +161,31 @@ def test_shape_check_deterministic():
     assert shape_check(spec) == shape_check(spec)
 
 
+def _conv_params(spec):
+    """The parameters of every branch conv: all rows but the head's."""
+    return sum(row.params for row in shape_check(spec)[:-1])
+
+
 def test_param_count_conv1():
-    conv1 = build_arch(4).layers[0]
-    assert layer_param_count(conv1, 3) == 64 * 3 * 49 + 64 == 9472
+    rows = shape_check(build_pdcnn([4]))
+    assert rows[0].layer == "conv1"
+    assert rows[0].params == 64 * 3 * 49 + 64 == 9472
 
 
 def test_param_count_parameterless_layers():
-    arch = build_arch(4)
-    for layer in arch.layers:
-        if layer.kind in ("pool", "lrn", "relu"):
-            assert layer_param_count(layer, 64) == 0
+    spec = build_pdcnn([4])
+    rows = shape_check(spec)
+    for layer, row in zip(spec.branches[0].layers, rows):
+        assert row.layer == layer.name
+        assert (row.params == 0) == (layer.kind != "conv")
+    assert rows[-2].params == 0  # the concatenation
+    assert rows[-1].params == 2 * rows[-2].shape[0] + 2  # the shared head
 
 
 def test_param_count_additive_over_branches():
     spec = build_pdcnn([4, 3])
-    fused = fused_feature_length(spec)
-    expected = (branch_param_count(spec.branches[0], 3)
-                + branch_param_count(spec.branches[1], 3)
+    fused = shape_check(spec)[-2].shape[0]
+    expected = (_conv_params(build_pdcnn([4])) + _conv_params(build_pdcnn([3]))
                 + 2 * fused + 2)
     assert param_count(spec) == expected
 

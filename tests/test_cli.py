@@ -219,6 +219,35 @@ def test_bad_dtype_is_usage_error_before_manifest_is_read(tmp_path, capsys, argv
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--depths", "4"],
+    ["search", "--candidates", "3,4"],
+], ids=["train", "search"])
+@pytest.mark.parametrize("flag,value,message", [
+    ("--batch-size", "-1", "batch_size must be >= 1, got -1"),
+    ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+    ("--epochs", "-1", "max_epochs must be >= 0, got -1"),
+    ("--lr", "nan", "learning_rate must be finite, got nan"),
+    ("--momentum", "inf", "momentum must be finite, got inf"),
+    ("--lr-drop", "-inf", "lr_drop must be finite, got -inf"),
+])
+def test_bad_sgd_option_is_usage_error_before_manifest_is_read(
+        tmp_path, capsys, argv, flag, value, message):
+    code = main([*argv, f"{flag}={value}", "--manifest", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_bad_sgd_config_file_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("batch_size=0\n", encoding="utf-8")
+    code = main(["train", "--depths", "4", "--config", str(cfg), "--manifest",
+                 str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: batch_size must be >= 1, got 0\n"
+
+
 # --- eval ---
 
 def test_eval_prints_error_rate(tmp_path, capsys):
@@ -340,6 +369,16 @@ def test_search_replay_max_branches_one(tmp_path, capsys):
     assert "winner=4" in capsys.readouterr().out
 
 
+def test_search_replay_max_branches_above_limit_exit_1(tmp_path, capsys):
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(FIXTURE_CSV, encoding="utf-8")
+    code = main(["search", "--replay", str(fixture),
+                 "--out", str(tmp_path / "s"), "--max-branches", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: max_branches must be in [1, 4], got 5\n")
+
+
 def test_search_replay_missing_row_exit_1(tmp_path, capsys):
     fixture = tmp_path / "fixture.csv"
     fixture.write_text("depths,error\n3,0.09916\n4,0.08571\n5,0.09832\n",
@@ -447,6 +486,15 @@ def test_diag_bad_time_format(capsys):
 def test_diag_bad_time_number_is_usage_error(capsys, value):
     assert main(["diag", "--time", value]) == 2
     assert value in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1,3,967", "inf,3,967", "nan,3,967",
+                                   "1e300,100000,100000"])
+def test_diag_time_out_of_range_is_one_error_line(capsys, value):
+    assert main(["diag", f"--time={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: convergence_time inputs must be >= 0 ")
+    assert len(err.splitlines()) == 1
 
 
 # --- config files ---

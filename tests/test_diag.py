@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,13 @@ def test_convergence_time_multiplicative_and_monotone():
 def test_convergence_time_rejects_negative():
     with pytest.raises(ValueError):
         convergence_time(-1.0, 3, 967)
+
+
+@pytest.mark.parametrize("t,n,e", [(math.inf, 3, 967), (math.nan, 3, 967),
+                                   (math.inf, 3, 0), (1e300, 100000, 100000)])
+def test_convergence_time_rejects_non_finite(t, n, e):
+    with pytest.raises(ValueError, match="finite product"):
+        convergence_time(t, n, e)
 
 
 # --- convergence detection ---

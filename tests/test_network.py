@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import threading
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdcnn import network as N
 from pdcnn import tensor as T
-from pdcnn.arch import ArchConfig, build_pdcnn
+from pdcnn.arch import ArchConfig, build_pdcnn, param_count, shape_check
 from pdcnn.data import gen_synthetic
 from pdcnn.layers import ShapeError, softmax_xent_batch
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet, load_model, save_model
@@ -232,6 +233,25 @@ def test_feature_shapes_from_spec_match_branch_outputs(size, config):
     x = np.zeros((2, 3, size, size), dtype=np.float32)
     assert ([N._branch_forward(layers, x).shape[1:] for layers in net.branches]
             == net._feat_shapes)
+
+
+@pytest.mark.parametrize("size,config", [
+    (20, TINY),
+    (56, DESK),
+    (224, ArchConfig()),
+], ids=["tiny", "desk", "full"])
+@pytest.mark.parametrize("depths", [[3], [4], [5], [3, 4, 5], [3, 3, 3],
+                                    [4, 4, 4, 4], [5, 3, 5]])
+def test_shape_rows_count_the_network_parameters(size, config, depths):
+    # load_model refuses a meta text by this count before building the net
+    spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(1), dtype=np.float32)
+    sizes = Counter()
+    for name, array in net.parameters():
+        sizes[name.rsplit("/", 1)[0]] += array.size
+    assert {f"{row.branch}/{row.layer}": row.params
+            for row in shape_check(spec) if row.params} == sizes
+    assert param_count(spec) == sum(sizes.values())
 
 
 def test_backward_consumes_every_layer_cache():

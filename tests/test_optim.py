@@ -221,6 +221,25 @@ def test_train_epoch_empty_errors():
         train_epoch(net, state, Dataset([], crop_size=20), SgdConfig())
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("batch_size", -1, "batch_size must be >= 1, got -1"),
+    ("max_epochs", -1, "max_epochs must be >= 0, got -1"),
+    ("learning_rate", float("nan"), "learning_rate must be finite, got nan"),
+    ("momentum", float("inf"), "momentum must be finite, got inf"),
+    ("weight_decay", float("-inf"), "weight_decay must be finite, got -inf"),
+    ("lr_drop", float("nan"), "lr_drop must be finite, got nan"),
+])
+def test_sgd_config_rejects_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SgdConfig(**{field: value})
+
+
+def test_sgd_config_allows_zero_learning_rate_and_epochs():
+    cfg = SgdConfig(learning_rate=0.0, max_epochs=0, batch_size=1)
+    assert (cfg.learning_rate, cfg.max_epochs, cfg.batch_size) == (0.0, 0, 1)
+
+
 def test_train_zero_epochs(tmp_path):
     train_set, test_set = _tiny_sets(tmp_path)
     spec = build_pdcnn([3], input_shape=(3, 20, 20), config=TINY)

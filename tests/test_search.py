@@ -127,6 +127,24 @@ def test_greedy_validates_arguments():
         greedy_pdcnn_search((3,), replay_oracle(SINGLE), max_branches=0)
 
 
+def test_greedy_rejects_max_branches_above_limit_before_any_round():
+    # every round improves, so a limit of 5 would reach a 5-branch candidate
+    fixture = {(3,) * k: 0.5 - 0.1 * k for k in range(1, 6)}
+    replay = replay_oracle(fixture)
+    asked = []
+
+    def oracle(depths):
+        asked.append(depths)
+        return replay(depths)
+
+    with pytest.raises(ValueError, match=r"max_branches must be in \[1, 4\], got 5"):
+        greedy_pdcnn_search((3,), oracle, max_branches=5)
+    assert asked == []
+    spec, trace = greedy_pdcnn_search((3,), oracle, max_branches=4)
+    assert trace.winner == (3, 3, 3, 3)
+    assert len(spec.branches) == 4
+
+
 def test_train_eval_oracle_deterministic(tmp_path):
     ds = gen_synthetic(6, 20, 0.0, seed=1, out_dir=tmp_path)
     ds.crop_size = 20
