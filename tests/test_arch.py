@@ -141,6 +141,15 @@ def test_build_arch_rejects_non_finite_filter_scale(scale):
         build_arch(4, config=ArchConfig(filter_scale=scale))
 
 
+# the other float fields; filter_scale is the test above
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("name", ["lrn_k", "lrn_alpha", "lrn_beta",
+                                  "init_sigma"])
+def test_arch_config_rejects_non_finite_float_fields(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        ArchConfig(**{name: value})
+
+
 def test_shape_check_fusion_additivity():
     two = build_pdcnn([4, 3])
     single4 = build_pdcnn([4])

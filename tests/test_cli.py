@@ -63,6 +63,33 @@ def test_gendata_missing_out_is_usage_error(tmp_path, capsys):
     assert "--out" in capsys.readouterr().err
 
 
+# the options each command requires, and the arguments that carry it on to
+# its next step once they are given: gendata writes a tiny set, train and eval
+# fail reading their missing input files
+_REQUIRED = {
+    "gendata": (("out",), ["--n-per-class", "1", "--size", "16"], 0),
+    "train": (("manifest", "out"), ["--depths", "4"], 1),
+    "eval": (("model", "manifest"), [], 1),
+}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, (keys, _, _) in _REQUIRED.items()
+    for key in keys])
+def test_required_option_is_checked_for_flag_and_config_file(tmp_path, capsys,
+                                                             command, key):
+    keys, extra, code = _REQUIRED[command]
+    value = {k: str(tmp_path / k) for k in keys}
+    others = [f"--{k}={value[k]}" for k in keys if k != key]
+    assert main([command, *others, *extra]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {command} requires --{key} (flag or config file)\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value[key]}\n", encoding="utf-8")
+    assert main([command, *others, *extra, "--config", str(cfg)]) == code
+    assert "requires" not in capsys.readouterr().err
+
+
 def test_config_file_can_supply_paths(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"out={tmp_path / 'd'}\nn_per_class=3\nsize=16\n"
@@ -177,14 +204,17 @@ def test_train_arch_bad_value_names_file_line_and_key(tmp_path, capsys):
 @pytest.mark.parametrize("line,message", [
     ("conv1_stride=0", "branch1/conv1: stride must be >= 1, got 0"),
     ("filter_scale=inf", "filter_scale must be finite, got inf"),
+    ("lrn_k=-inf", "lrn_k must be finite, got -inf"),
+    ("lrn_alpha=inf", "lrn_alpha must be finite, got inf"),
+    ("lrn_beta=nan", "lrn_beta must be finite, got nan"),
+    ("init_sigma=nan", "init_sigma must be finite, got nan"),
 ])
 def test_train_arch_impossible_value_is_one_line_error(tmp_path, capsys, line,
                                                        message):
-    data = _gendata(tmp_path)
+    # the manifest does not exist: the arch file is checked before it is read
     arch = tmp_path / "arch.txt"
     arch.write_text(f"input_size=20\n{line}\n", encoding="utf-8")
-    capsys.readouterr()
-    code = main(["train", "--manifest", str(data / "manifest.csv"),
+    code = main(["train", "--manifest", str(tmp_path / "missing.csv"),
                  "--depths", "3", "--arch", str(arch), "--epochs", "1",
                  "--out", str(tmp_path / "x")])
     assert code == 1
@@ -246,6 +276,17 @@ def test_bad_sgd_config_file_value_is_usage_error(tmp_path, capsys):
                  str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
     assert code == 2
     assert capsys.readouterr().err == "usage error: batch_size must be >= 1, got 0\n"
+
+
+def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 4.12 GiB for an array")
+
+    monkeypatch.setattr("pdcnn.cli.train", out_of_memory)
+    code, _ = _train(tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 4.12 GiB for an array\n")
 
 
 # --- eval ---

@@ -451,6 +451,20 @@ def test_load_meta_bad_value_names_line_and_key(tmp_path):
     assert str(err.value).startswith(f"{path}: meta:3: conv1_stride: "), err.value
 
 
+def test_load_meta_non_finite_constant_names_path_and_key(tmp_path):
+    good = tmp_path / "good.bin"
+    net = tiny_net([4], seed=6, dtype=np.float32)
+    save_model(net, good)
+    raw = good.read_bytes()
+    meta = raw[12:12 + struct.unpack_from("<I", raw, 8)[0]].decode()
+    assert "lrn_beta" not in meta
+    path = tmp_path / "bad.bin"
+    _pdm1(path, meta + "lrn_beta=nan\n", net.parameters())
+    with pytest.raises(ValueError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: lrn_beta must be finite, got nan"
+
+
 def _text_offsets(raw):
     """The file offsets of the meta text's bytes and of the tensor names'
     bytes in a PDM1 file."""

@@ -38,8 +38,8 @@ def test_replay_oracle_empty_fixture():
 
 
 def test_greedy_full_replay():
-    spec, trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(FULL_FIXTURE),
-                                      max_branches=4)
+    trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(FULL_FIXTURE),
+                                max_branches=4)
     assert trace.winner == (4, 3, 4)
     assert trace.winner_error == pytest.approx(0.079832, abs=0)
     assert len(trace.rounds) == 4
@@ -55,13 +55,10 @@ def test_greedy_full_replay():
     assert {c.depths: c.error for c in r4.candidates} == QUADS
     assert all(c.error >= trace.winner_error for c in r4.candidates)
 
-    assert [a.depth for a in spec.branches] == [4, 3, 4]
-    assert [a.variant for a in spec.branches] == [0, 0, 1]
-
 
 def test_greedy_incumbent_error_non_increasing():
-    _, trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(FULL_FIXTURE),
-                                   max_branches=4)
+    trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(FULL_FIXTURE),
+                                max_branches=4)
     errors = []
     for rnd in trace.rounds:
         if rnd.chosen is not None:
@@ -71,23 +68,23 @@ def test_greedy_incumbent_error_non_increasing():
 
 
 def test_greedy_trace_complete():
-    _, trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(FULL_FIXTURE),
-                                   max_branches=4)
+    trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(FULL_FIXTURE),
+                                max_branches=4)
     for rnd in trace.rounds:
         assert [c.depths[-1] for c in rnd.candidates] == [3, 4, 5]
 
 
 def test_greedy_max_branches_one_is_argmin():
-    spec, trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(SINGLE),
-                                      max_branches=1)
+    trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(SINGLE),
+                                max_branches=1)
     assert trace.winner == (4,)
     assert len(trace.rounds) == 1
-    assert len(spec.branches) == 1
+    assert len(trace.winner) == 1
 
 
 def test_greedy_branch_limit_ends_without_stop_round():
     fixture = {(3,): 0.5, (3, 3): 0.4}
-    _, trace = greedy_pdcnn_search((3,), replay_oracle(fixture), max_branches=2)
+    trace = greedy_pdcnn_search((3,), replay_oracle(fixture), max_branches=2)
     assert trace.winner == (3, 3)
     assert len(trace.rounds) == 2
     assert trace.rounds[-1].chosen == (3, 3)
@@ -96,15 +93,15 @@ def test_greedy_branch_limit_ends_without_stop_round():
 def test_greedy_tie_breaks_to_smaller_depth():
     fixture = {(3,): 0.2, (4,): 0.2, (5,): 0.3,
                (3, 3): 0.5, (3, 4): 0.5, (3, 5): 0.5}
-    _, trace = greedy_pdcnn_search((5, 4, 3), replay_oracle(fixture),
-                                   max_branches=2)
+    trace = greedy_pdcnn_search((5, 4, 3), replay_oracle(fixture),
+                                max_branches=2)
     assert trace.rounds[0].chosen == (3,)
     assert trace.winner == (3,)
 
 
 def test_greedy_requires_strict_improvement():
     fixture = {(3,): 0.2, (3, 3): 0.2}
-    _, trace = greedy_pdcnn_search((3,), replay_oracle(fixture), max_branches=3)
+    trace = greedy_pdcnn_search((3,), replay_oracle(fixture), max_branches=3)
     assert trace.winner == (3,)
     assert trace.rounds[-1].chosen is None
 
@@ -140,9 +137,8 @@ def test_greedy_rejects_max_branches_above_limit_before_any_round():
     with pytest.raises(ValueError, match=r"max_branches must be in \[1, 4\], got 5"):
         greedy_pdcnn_search((3,), oracle, max_branches=5)
     assert asked == []
-    spec, trace = greedy_pdcnn_search((3,), oracle, max_branches=4)
+    trace = greedy_pdcnn_search((3,), oracle, max_branches=4)
     assert trace.winner == (3, 3, 3, 3)
-    assert len(spec.branches) == 4
 
 
 def test_train_eval_oracle_deterministic(tmp_path):
