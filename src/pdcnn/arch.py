@@ -26,6 +26,11 @@ MAX_BRANCHES = 4
 CONV1_CYCLE = (7, 5, 9)
 CONV2_CYCLE = (5, 3, 5)
 
+# the least value of each ArchConfig field; the fields not named must be > 0
+_CONFIG_MINIMUM = {"conv1_stride": 1, "conv1_padding": 0, "pool_window": 1,
+                   "pool_stride": 1, "lrn_radius": 0, "lrn_alpha": 0,
+                   "init_sigma": 0}
+
 
 @dataclass(frozen=True)
 class ArchConfig:
@@ -51,6 +56,11 @@ class ArchConfig:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            low = _CONFIG_MINIMUM.get(f.name)
+            if low is None and not value > 0:
+                raise ValueError(f"{f.name} must be > 0, got {value}")
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value}")
 
 
 DEFAULT_CONFIG = ArchConfig()
@@ -166,8 +176,6 @@ def shape_check(spec: PdcnnSpec):
         c, h, w = input_shape
         for layer in arch.layers:
             where = f"branch{i + 1}/{layer.name}"
-            if layer.kind in ("conv", "pool") and layer.stride < 1:
-                raise ShapeError(f"{where}: stride must be >= 1, got {layer.stride}")
             params = 0
             if layer.kind == "conv":
                 oh = conv_extent(h, layer.kernel, layer.stride, layer.padding)
@@ -295,14 +303,10 @@ def write_table(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def parse_arch_file(path) -> dict:
-    """Read and type-check an architecture description file."""
-    return parse_kv_file(path, ARCH_KEYS)
-
-
 def spec_from_arch_dict(d: dict) -> PdcnnSpec:
-    """Build a PdcnnSpec from parse_arch_file output; the ArchConfig fields d
-    omits keep their defaults."""
+    """Build a PdcnnSpec from an architecture description, as
+    parse_kv_file(path, ARCH_KEYS) reads one; the ArchConfig fields d omits
+    keep their defaults."""
     if "depths" not in d:
         raise ValueError("architecture description must name a depths list")
     size = d.get("input_size", 224)

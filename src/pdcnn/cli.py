@@ -20,9 +20,9 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (format_int_list, format_kv_lines, param_count,
-                   parse_arch_file, parse_int_list, parse_kv_file, read_table,
-                   shape_check, spec_from_arch_dict)
+from .arch import (ARCH_KEYS, format_int_list, format_kv_lines, param_count,
+                   parse_int_list, parse_kv_file, read_table, shape_check,
+                   spec_from_arch_dict)
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
@@ -158,7 +158,7 @@ def _merge_config(args):
 def _arch_dict(args):
     """The optional architecture description file, with --crop as its
     input_size."""
-    arch_d = parse_arch_file(args.arch) if args.arch else {}
+    arch_d = parse_kv_file(args.arch, ARCH_KEYS) if args.arch else {}
     if args.crop:
         arch_d["input_size"] = args.crop
     return arch_d
@@ -229,7 +229,7 @@ def cmd_train(args):
 
 
 def _write_train_report(path, net, curve, args):
-    best = min(curve.records, key=lambda r: r.test_error, default=None)
+    best = min(curve, key=lambda r: r.test_error, default=None)
     conv_epoch = G.detect_convergence(curve)
     report = {
         "best_test_error": f"{best.test_error:.6f}" if best else "none",
@@ -240,7 +240,7 @@ def _write_train_report(path, net, curve, args):
         "test_protocol": "center_crop_no_flip",
     }
     if args.timing:
-        report["train_seconds"] = f"{sum(r.seconds for r in curve.records):.3f}"
+        report["train_seconds"] = f"{sum(r.seconds for r in curve):.3f}"
     Path(path).write_text(format_kv_lines(report), encoding="utf-8")
 
 

@@ -122,22 +122,11 @@ def split_batches(d: Dataset, rng: T.Rng):
     n = len(d)
     if n < 4:
         raise ValueError(f"need at least 4 samples to split, got {n}")
-    perm = rng.permutation(n)
-    base, extra = divmod(n, 4)
-    sizes = [base + (1 if i < extra else 0) for i in range(4)]
-    bounds = np.cumsum([0] + sizes)
-    batches = [[d.records[j] for j in perm[bounds[i]:bounds[i + 1]]]
-               for i in range(4)]
+    batches = [[d.records[j] for j in part]
+               for part in np.array_split(rng.permutation(n), 4)]
     train = batches[0] + batches[1] + batches[2]
-    test = batches[3]
     return (Dataset(train, crop_size=d.crop_size),
-            Dataset(test, crop_size=d.crop_size))
-
-
-def choice_count(source_size: int, crop: int) -> int:
-    """Number of distinct (offset, flip) augmentation choices."""
-    span = source_size - crop
-    return (span * span * 2) if span > 0 else 2
+            Dataset(batches[3], crop_size=d.crop_size))
 
 
 def all_choices(source_size: int, crop: int):

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .arch import format_int_list, write_table
-from .optim import TrainCurve
 from .search import SearchTrace
 from .tensor import tensor_variance
 
@@ -25,14 +24,13 @@ class FilterVarianceEntry:
 @dataclass(frozen=True)
 class FilterVarianceReport:
     entries: tuple
-    mean_variance: float = None  # None when there are no entries
 
-    @staticmethod
-    def from_entries(entries):
-        entries = tuple(entries)
-        mean = (sum(e.variance for e in entries) / len(entries)
-                if entries else None)
-        return FilterVarianceReport(entries, mean)
+    @property
+    def mean_variance(self):
+        """Mean of the entries' variances; None when there are no entries."""
+        if not self.entries:
+            return None
+        return sum(e.variance for e in self.entries) / len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ def filter_variance(net) -> FilterVarianceReport:
         if branch != "head" and kind == "weights" and branch not in entries:
             entries[branch] = FilterVarianceEntry(branch, layer,
                                                   tensor_variance(array))
-    return FilterVarianceReport.from_entries(entries.values())
+    return FilterVarianceReport(tuple(entries.values()))
 
 
 def convergence_time(t: float, n: float, e: float) -> int:
@@ -63,14 +61,13 @@ def convergence_time(t: float, n: float, e: float) -> int:
     return int(math.floor(total + 0.5))
 
 
-def detect_convergence(curve: TrainCurve, window: int = 10,
-                       tol: float = 0.005):
-    """First epoch from which every length-`window` test-error range stays
-    strictly below tol; None if the curve never stabilizes (or is shorter
-    than the window)."""
+def detect_convergence(curve, window: int = 10, tol: float = 0.005):
+    """First epoch from which every length-`window` test-error range of the
+    EpochRecord list curve stays strictly below tol; None if the curve never
+    stabilizes (or is shorter than the window)."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    errors = [r.test_error for r in curve.records]
+    errors = [r.test_error for r in curve]
     last_start = len(errors) - window  # 0-based index of the final window
     if last_start < 0:
         return None
@@ -84,30 +81,25 @@ def detect_convergence(curve: TrainCurve, window: int = 10,
     return first
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def emit_report(report, path) -> None:
     """Serialize a report as CSV (LF endings, 6 significant digits);
     byte-deterministic for equal inputs."""
     if isinstance(report, FilterVarianceReport):
         header = ["branch", "layer", "variance"]
-        rows = [[e.branch, e.layer, _fmt(e.variance)] for e in report.entries]
+        rows = [[e.branch, e.layer, f"{e.variance:.6g}"]
+                for e in report.entries]
         if report.entries:
-            rows.append(["mean", "", _fmt(report.mean_variance)])
+            rows.append(["mean", "", f"{report.mean_variance:.6g}"])
     elif isinstance(report, ConvergenceReport):
         header = ["t", "n", "e", "T"]
-        rows = [[_fmt(report.t), report.n, report.e, report.total]]
+        rows = [[f"{report.t:.6g}", report.n, report.e, report.total]]
     elif isinstance(report, SearchTrace):
         header = ["round", "candidate_depths", "error", "chosen"]
-        rows = [[rnd.number, format_int_list(cand.depths), _fmt(cand.error),
+        rows = [[rnd.number, format_int_list(cand.depths), f"{cand.error:.6g}",
                  format_int_list(rnd.chosen) if rnd.chosen else "stop"]
                 for rnd in report.rounds for cand in rnd.candidates]
         rows.append(["winner", format_int_list(report.winner),
-                     _fmt(report.winner_error), ""])
+                     f"{report.winner_error:.6g}", ""])
     else:
         raise TypeError(f"cannot emit report of type {type(report).__name__}")
     write_table(path, header, rows)

@@ -98,7 +98,7 @@ def _build_layer(layer_spec, in_channels, rng, dtype, sigma, first):
         w = T.gaussian_init(
             (layer_spec.filters, in_channels, layer_spec.kernel, layer_spec.kernel),
             sigma, rng, dtype=dtype)
-        b = T.tensor_new((layer_spec.filters,), 0.0, dtype=dtype)
+        b = np.zeros(layer_spec.filters, dtype=dtype)
         return Conv2d(w, b, stride=layer_spec.stride, padding=layer_spec.padding,
                       input_grad=not first)
     if layer_spec.kind == "pool":
@@ -141,7 +141,7 @@ class PdcnnNet:
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
         hw = T.gaussian_init((NUM_CLASSES, rows[-2].shape[0]),
                              spec.config.init_sigma, rng, dtype=self.dtype)
-        hb = T.tensor_new((NUM_CLASSES,), 0.0, dtype=self.dtype)
+        hb = np.zeros(NUM_CLASSES, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
         self.inference = False
 
@@ -206,7 +206,9 @@ class PdcnnNet:
         if x.shape[1:] != want:
             raise ShapeError(f"network expects (N, {', '.join(map(str, want))})"
                              f" input batches, got shape {x.shape}")
-        x = (np.asarray(x, dtype=self.dtype) - INPUT_OFFSET) * INPUT_SCALE
+        # a new array, so the in-place scale leaves the caller's batch alone
+        x = np.subtract(x, INPUT_OFFSET, dtype=self.dtype)
+        x *= INPUT_SCALE
         # inference layers keep no state, so two threads may run one branch
         n, k = len(x), 1
         if self.inference and self.dtype == np.float32:

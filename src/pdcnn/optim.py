@@ -15,7 +15,7 @@ accumulated batch-vectorized in a fixed order.
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class TrainState:
     parameters: list          # ordered (name, array); arrays update in place
     velocities: list          # same names and shapes, zero-initialized
     epoch: int                # completed epochs
-    rng: T.Rng                # root stream; per-epoch streams derive from it
+    seed: int                 # root seed; per-epoch streams derive from it
     learning_rate: float
 
 
@@ -69,36 +69,28 @@ class EpochRecord:
     seconds: float
 
 
-@dataclass
-class TrainCurve:
-    records: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-
 CURVE_HEADER = ["epoch", "train_loss", "train_error", "test_error", "seconds"]
 
 
-def write_curve_csv(curve: TrainCurve, path, timing: bool = True) -> None:
-    """One row per epoch; pass timing=False to zero the seconds column so the
-    file is byte-reproducible across runs."""
+def write_curve_csv(curve, path, timing: bool = True) -> None:
+    """One row per EpochRecord of curve; pass timing=False to zero the
+    seconds column so the file is byte-reproducible across runs."""
     write_table(path, CURVE_HEADER,
                 ([r.epoch, f"{r.train_loss:.6f}", f"{r.train_error:.6f}",
                   f"{r.test_error:.6f}", f"{r.seconds if timing else 0.0:.3f}"]
-                 for r in curve.records))
+                 for r in curve))
 
 
-def read_curve_csv(path) -> TrainCurve:
+def read_curve_csv(path) -> list:
     rows = read_table(path, CURVE_HEADER, (int, float, float, float, float))
-    return TrainCurve([EpochRecord(*row) for row in rows])
+    return [EpochRecord(*row) for row in rows]
 
 
 def init_state(net: PdcnnNet, seed: int, cfg: SgdConfig) -> TrainState:
     params = net.parameters()
     velocities = [(name, np.zeros_like(w)) for name, w in params]
     return TrainState(parameters=params, velocities=velocities, epoch=0,
-                      rng=T.Rng(seed), learning_rate=cfg.learning_rate)
+                      seed=seed, learning_rate=cfg.learning_rate)
 
 
 def sgd_step(state: TrainState, grads, cfg: SgdConfig) -> TrainState:
@@ -131,7 +123,7 @@ def train_epoch(net: PdcnnNet, state: TrainState, train_set: Dataset,
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
     epoch = state.epoch + 1
-    seed = state.rng.seed
+    seed = state.seed
     order = T.Rng(T.mix_seed(seed, STREAM_SHUFFLE, epoch)).permutation(n)
     labels = train_set.labels
     crop = train_set.crop_size
@@ -184,13 +176,13 @@ def train(spec, train_set: Dataset, test_set: Dataset, cfg: SgdConfig,
     """Full training run: init, epoch loop, curve recording, plateau learning
     rate drops, best-test-error checkpointing.
 
-    Returns (net, curve) with the parameters of the best epoch restored.
-    stop_when, if given, is called with each EpochRecord and may end the run
-    early (used for budgeted desk-scale runs).
+    Returns (net, curve), curve the list of EpochRecord, with the parameters
+    of the best epoch restored. stop_when, if given, is called with each
+    EpochRecord and may end the run early (used for budgeted desk-scale runs).
     """
     net = PdcnnNet(spec, rng=T.Rng(T.mix_seed(seed, STREAM_INIT)), dtype=dtype)
     state = init_state(net, seed, cfg)
-    curve = TrainCurve()
+    curve = []
     best_error = float("inf")
     best_params = None
     since_improve = 0
@@ -200,7 +192,7 @@ def train(spec, train_set: Dataset, test_set: Dataset, cfg: SgdConfig,
         test_error = evaluate(net, test_set)
         record = EpochRecord(state.epoch, mean_loss, train_error, test_error,
                              time.perf_counter() - started)
-        curve.records.append(record)
+        curve.append(record)
         if test_error < best_error:
             best_error = test_error
             best_params = [(name, w.copy()) for name, w in state.parameters]

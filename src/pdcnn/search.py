@@ -79,8 +79,8 @@ def train_eval_oracle(train_set, test_set, cfg, seed, input_shape, config,
             spec = build_pdcnn(depths, input_shape=input_shape, config=config)
             net, curve = train(spec, train_set, test_set, cfg, run_seed,
                                dtype=dtype)
-            if curve.records:
-                return min(r.test_error for r in curve.records)
+            if curve:
+                return min(r.test_error for r in curve)
             return evaluate(net, test_set)
         except (ValueError, OSError) as err:
             raise OracleError(f"candidate {list(depths)} failed: {err}") from err

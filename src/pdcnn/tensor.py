@@ -61,35 +61,12 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def _checked_shape(shape) -> tuple:
-    """shape as a tuple of ints; ValueError on negative extents or an element
-    count beyond addressable size."""
-    shape = tuple(int(s) for s in shape)
-    total = 1
-    for s in shape:
-        if s < 0:
-            raise ValueError(f"negative extent {s} in shape {shape}")
-        total *= s
-        if total > 2**62:
-            raise ValueError(f"shape {shape} overflows addressable size")
-    return shape
-
-
-def tensor_new(shape, fill: float = 0.0, dtype=np.float64) -> np.ndarray:
-    """Row-major tensor of the given shape with every element == fill.
-
-    An empty shape denotes a scalar. Raises ValueError on negative extents or
-    an element count beyond addressable size.
-    """
-    return np.full(_checked_shape(shape), fill, dtype=dtype, order="C")
-
-
 def gaussian_init(shape, sigma: float, rng: Rng, dtype=np.float64) -> np.ndarray:
-    """Tensor with i.i.d. Normal(0, sigma^2) elements drawn from rng; shapes
-    are checked as tensor_new checks them."""
+    """Tensor with i.i.d. Normal(0, sigma^2) elements drawn from rng; numpy
+    raises ValueError on a negative extent or an oversized shape."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return rng.normal(_checked_shape(shape), sigma, dtype=dtype)
+    return rng.normal(shape, sigma, dtype=dtype)
 
 
 def tensor_variance(t: np.ndarray) -> float:

@@ -130,7 +130,7 @@ def test_05_desk_scale_learning(desk_dataset, tmp_path, capsys):
         net_single, curve_single = train(
             spec_single, train_set, test_set, sgd, seed=99, dtype=np.float32,
             stop_when=lambda r: r.train_error <= 0.02)
-        best_train = min(r.train_error for r in curve_single.records)
+        best_train = min(r.train_error for r in curve_single)
         assert len(curve_single) <= 30
         assert best_train <= 0.05, f"train error {best_train:.4f}"
         single_error = evaluate(net_single, test_set)
@@ -177,7 +177,7 @@ def test_07_optimizer_oracle():
         params = [("w/weights", np.array([1.0]))]
         state = TrainState(parameters=params,
                            velocities=[("w/weights", np.zeros(1))],
-                           epoch=0, rng=T.Rng(0), learning_rate=0.1)
+                           epoch=0, seed=0, learning_rate=0.1)
         cfg = SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
         grads = [("w/weights", np.array([1.0]))]
         sgd_step(state, grads, cfg)
@@ -190,7 +190,7 @@ def test_07_optimizer_oracle():
         g = rng.normal(0, 1, 64)
         state = TrainState(parameters=[("w/weights", w0.copy())],
                            velocities=[("w/weights", np.zeros(64))],
-                           epoch=0, rng=T.Rng(0), learning_rate=0.07)
+                           epoch=0, seed=0, learning_rate=0.07)
         cfg = SgdConfig(learning_rate=0.07, momentum=0.0, weight_decay=0.0)
         sgd_step(state, [("w/weights", g)], cfg)
         assert state.parameters[0][1].tobytes() == (w0 - 0.07 * g).tobytes()

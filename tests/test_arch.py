@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from pdcnn.arch import (ArchConfig, arch_dict_from_spec, build_arch,
-                        build_pdcnn, param_count, parse_arch_file,
-                        parse_kv_file, shape_check, spec_from_arch_dict)
+from pdcnn.arch import (ARCH_KEYS, ArchConfig, arch_dict_from_spec, build_arch,
+                        build_pdcnn, param_count, parse_kv_file, shape_check,
+                        spec_from_arch_dict)
 from pdcnn.layers import ShapeError
 
 
@@ -126,13 +126,18 @@ def test_shape_check_collapse_names_layer():
         shape_check(spec)
 
 
-@pytest.mark.parametrize("config,where", [
-    (ArchConfig(conv1_stride=0), "branch1/conv1"),
-    (ArchConfig(pool_stride=0), "branch1/pool1"),
-])
-def test_shape_check_rejects_stride_zero(config, where):
-    with pytest.raises(ShapeError, match=f"^{where}: stride must be >= 1, got 0$"):
-        shape_check(build_pdcnn([3], config=config))
+@pytest.mark.parametrize("name", ["conv1_stride", "pool_stride"])
+def test_arch_config_rejects_stride_zero(name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+        ArchConfig(**{name: 0})
+
+
+def test_arch_config_accepts_each_lower_bound():
+    config = ArchConfig(conv1_stride=1, conv1_padding=0, pool_window=1,
+                        pool_stride=1, lrn_radius=0, lrn_alpha=0.0,
+                        init_sigma=0.0)
+    assert shape_check(build_pdcnn([3], input_shape=(3, 20, 20),
+                                   config=config))
 
 
 @pytest.mark.parametrize("scale", [float("inf"), float("-inf"), float("nan")])
@@ -217,7 +222,7 @@ def test_arch_file_round_trip(tmp_path):
         "init_sigma=0.06\n"
         "input_size=56\n",
         encoding="utf-8")
-    d = parse_arch_file(path)
+    d = parse_kv_file(path, ARCH_KEYS)
     spec = spec_from_arch_dict(d)
     assert [a.depth for a in spec.branches] == [4, 3, 4]
     assert spec.config.conv1_stride == 2
@@ -235,7 +240,7 @@ def test_arch_file_unknown_key(tmp_path):
     path = tmp_path / "arch.txt"
     path.write_text("depths=4\nlearning_rate=0.1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="learning_rate"):
-        parse_arch_file(path)
+        parse_kv_file(path, ARCH_KEYS)
 
 
 @pytest.mark.parametrize("line,key", [("conv1_stride=x", "conv1_stride"),
@@ -245,7 +250,7 @@ def test_arch_file_bad_value_names_line_and_key(tmp_path, line, key):
     path = tmp_path / "arch.txt"
     path.write_text(f"depths=4\n{line}\n", encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        parse_arch_file(path)
+        parse_kv_file(path, ARCH_KEYS)
     assert str(err.value).startswith(f"{path}:2: {key}: "), err.value
 
 

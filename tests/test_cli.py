@@ -168,6 +168,20 @@ def test_train_rotate_flag(tmp_path):
     # 6 per class -> 12 images -> 48 after rotation -> 36 train samples
 
 
+def test_train_rotate_from_config_file_matches_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rotate=yes\n", encoding="utf-8")
+    runs = {name: _train(tmp_path, name, extra=extra, epochs=1)
+            for name, extra in (("flag", ["--rotate"]),
+                                ("config", ["--config", str(cfg)]),
+                                ("plain", []))}
+    assert all(code == 0 for code, _ in runs.values())
+    model = {name: (out / "model.bin").read_bytes()
+             for name, (_, out) in runs.items()}
+    assert model["config"] == model["flag"]
+    assert model["plain"] != model["flag"]
+
+
 def test_train_three_branch_winner_shape(tmp_path):
     code, out = _train(tmp_path, "multi", depths="4,3,4", epochs=1)
     assert code == 0
@@ -202,7 +216,15 @@ def test_train_arch_bad_value_names_file_line_and_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("conv1_stride=0", "branch1/conv1: stride must be >= 1, got 0"),
+    ("conv1_stride=0", "conv1_stride must be >= 1, got 0"),
+    ("conv1_padding=-1", "conv1_padding must be >= 0, got -1"),
+    ("pool_window=0", "pool_window must be >= 1, got 0"),
+    ("lrn_radius=-1", "lrn_radius must be >= 0, got -1"),
+    ("lrn_k=0", "lrn_k must be > 0, got 0.0"),
+    ("lrn_alpha=-5", "lrn_alpha must be >= 0, got -5.0"),
+    ("lrn_beta=0", "lrn_beta must be > 0, got 0.0"),
+    ("filter_scale=-3", "filter_scale must be > 0, got -3.0"),
+    ("init_sigma=-1", "init_sigma must be >= 0, got -1.0"),
     ("filter_scale=inf", "filter_scale must be finite, got inf"),
     ("lrn_k=-inf", "lrn_k must be finite, got -inf"),
     ("lrn_alpha=inf", "lrn_alpha must be finite, got inf"),
@@ -232,7 +254,7 @@ def test_bad_arch_is_reported_before_manifest_is_read(tmp_path, capsys, argv):
                  str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: {arch}: branch1/conv1: stride must be >= 1, got 0\n")
+        f"error: {arch}: conv1_stride must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,11 +371,15 @@ def test_eval_bad_model_dtype_exit_1(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_eval_non_finite_model_tensor_exit_1(tmp_path, capsys):
+def _tiny_net():
     config = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
                         filter_scale=0.05, init_sigma=0.3)
-    net = PdcnnNet(build_pdcnn([4, 3], input_shape=(3, 20, 20), config=config),
-                   T.Rng(1), dtype=np.float32)
+    return PdcnnNet(build_pdcnn([4, 3], input_shape=(3, 20, 20), config=config),
+                    T.Rng(1), dtype=np.float32)
+
+
+def test_eval_non_finite_model_tensor_exit_1(tmp_path, capsys):
+    net = _tiny_net()
     net.branches[0][0].weights[0, 0, 0, 0] = np.nan
     model = tmp_path / "model.bin"
     save_model(net, model)
@@ -380,6 +406,60 @@ def test_eval_image_extents_beyond_file_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {image}: ")
     assert err.count("\n") == 1
+
+
+def _tiny_model(tmp_path):
+    model = tmp_path / "model.bin"
+    save_model(_tiny_net(), model)
+    return model
+
+
+def _version_2(raw):
+    return raw[:4] + struct.pack("<I", 2) + raw[8:]
+
+
+def _conv3_bias_named_conv2(raw):
+    # same total size: conv2 and conv3 of branch 1 have equal filter counts
+    assert raw.count(b"branch1/conv3/bias") == 1
+    return raw.replace(b"branch1/conv3/bias", b"branch1/conv2/bias")
+
+
+def _meta_without_depths(raw):
+    size = struct.unpack_from("<I", raw, 8)[0]
+    lines = raw[12:12 + size].decode().splitlines(keepends=True)
+    meta = "".join(line for line in lines
+                   if not line.startswith("depths=")).encode()
+    return raw[:8] + struct.pack("<I", len(meta)) + meta + raw[12 + size:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_version_2, "unsupported model version 2"),
+    (_conv3_bias_named_conv2, "model/arch mismatch: tensor 'branch1/conv2/bias' "
+                              "given 2 times, expected once"),
+    (_meta_without_depths, "architecture description must name a depths list"),
+], ids=["version-2", "tensor-named-twice", "meta-without-depths"])
+def test_eval_bad_model_file_is_one_line_error(tmp_path, capsys, edit, message):
+    model = _tiny_model(tmp_path)
+    model.write_bytes(edit(model.read_bytes()))
+    code = main(["eval", "--model", str(model),
+                 "--manifest", str(tmp_path / "missing.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+
+
+@pytest.mark.parametrize("shape,message", [
+    ((20, 20), "expected a rank-3 image tensor, got shape (20, 20)"),
+    ((3, 12, 20), "image 12x20 smaller than crop size 20"),
+], ids=["rank-2", "smaller-than-crop"])
+def test_eval_bad_image_is_one_line_error(tmp_path, capsys, shape, message):
+    model = _tiny_model(tmp_path)
+    image = tmp_path / "img.pdt"
+    T.write_pdt(image, np.full(shape, 0.5, dtype=np.float32))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"path,label,category\n{image},0,t\n", encoding="utf-8")
+    code = main(["eval", "--model", str(model), "--manifest", str(manifest)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {image}: {message}\n"
 
 
 # --- search ---

@@ -9,7 +9,7 @@ from pdcnn.diag import (ConvergenceReport, FilterVarianceEntry,
                         FilterVarianceReport, convergence_time,
                         detect_convergence, emit_report, filter_variance)
 from pdcnn.network import PdcnnNet
-from pdcnn.optim import EpochRecord, TrainCurve
+from pdcnn.optim import EpochRecord
 from pdcnn.search import CandidateEval, SearchRound, SearchTrace
 from oracles import variance_loop
 
@@ -115,8 +115,7 @@ def test_convergence_time_rejects_non_finite(t, n, e):
 # --- convergence detection ---
 
 def _curve(errors):
-    return TrainCurve([EpochRecord(i + 1, 0.5, 0.5, e, 0.0)
-                       for i, e in enumerate(errors)])
+    return [EpochRecord(i + 1, 0.5, 0.5, e, 0.0) for i, e in enumerate(errors)]
 
 
 def test_detect_constant_curve():
@@ -158,15 +157,15 @@ def test_detect_rejects_bad_window():
 
 def test_emit_empty_variance_header_only(tmp_path):
     path = tmp_path / "v.csv"
-    emit_report(FilterVarianceReport.from_entries([]), path)
+    emit_report(FilterVarianceReport(()), path)
     assert path.read_text(encoding="utf-8") == "branch,layer,variance\n"
 
 
 def test_emit_variance_with_mean_row(tmp_path):
-    report = FilterVarianceReport.from_entries([
+    report = FilterVarianceReport((
         FilterVarianceEntry("branch1", "conv1", 0.007642),
         FilterVarianceEntry("branch2", "conv1", 0.013350),
-    ])
+    ))
     path = tmp_path / "v.csv"
     emit_report(report, path)
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -200,8 +199,8 @@ def test_emit_search_trace(tmp_path):
 
 
 def test_emit_byte_deterministic(tmp_path):
-    report = FilterVarianceReport.from_entries(
-        [FilterVarianceEntry("branch1", "conv1", 1 / 3)])
+    report = FilterVarianceReport(
+        (FilterVarianceEntry("branch1", "conv1", 1 / 3),))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_report(report, p1)
     emit_report(report, p2)

@@ -65,6 +65,29 @@ def test_input_convention_centered_pixel_scale():
     assert float(np.abs(first.forward((x[None] - INPUT_OFFSET) * INPUT_SCALE)).max()) == 0.0
 
 
+@pytest.mark.parametrize("inference", [False, True])
+@pytest.mark.parametrize("net_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_dtype", [np.float32, np.float64])
+def test_forward_leaves_input_batch_unchanged(monkeypatch, in_dtype, net_dtype,
+                                              inference):
+    # the batch is normalized in place in the network's own copy, which holds
+    # the bits (x - INPUT_OFFSET) * INPUT_SCALE gives in the network's dtype
+    net = tiny_net([4, 3], dtype=net_dtype)
+    net.inference = inference
+    conv1 = net.branches[0][0]
+    seen = []
+    monkeypatch.setattr(conv1, "forward",
+                        lambda h, forward=conv1.forward:
+                        forward(seen.append(h.copy()) or h))
+    x = np.random.default_rng(5).random((3, 3, 20, 20)).astype(in_dtype)
+    before = x.copy()
+    net.forward(x)
+    assert x.tobytes() == before.tobytes()
+    normalized = (before.astype(net_dtype) - INPUT_OFFSET) * INPUT_SCALE
+    assert seen[0].dtype == net_dtype
+    assert seen[0].tobytes() == normalized.tobytes()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_inference_logits_bit_equal_to_training_forward(dtype):
     # the desk 4,3,4 geometry at eval batch 64, where float32 inference runs

@@ -6,7 +6,7 @@ from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn
 from pdcnn.data import Dataset, ManifestRecord, gen_synthetic, split_batches
 from pdcnn.network import PdcnnNet
-from pdcnn.optim import (EpochRecord, SgdConfig, TrainCurve, TrainState,
+from pdcnn.optim import (EpochRecord, SgdConfig, TrainState,
                          evaluate, init_state, read_curve_csv, sgd_step,
                          train, train_epoch, write_curve_csv, _batches)
 
@@ -18,7 +18,7 @@ def _state(named, lr=0.1):
     params = [(name, np.array(w, dtype=np.float64)) for name, w in named]
     vel = [(name, np.zeros_like(w)) for name, w in params]
     return TrainState(parameters=params, velocities=vel, epoch=0,
-                      rng=T.Rng(0), learning_rate=lr)
+                      seed=0, learning_rate=lr)
 
 
 def test_sgd_zero_grad_is_fixed_point():
@@ -258,8 +258,8 @@ def test_train_curve_length_and_determinism(tmp_path):
     net1, curve1 = train(spec, train_set, test_set, cfg, seed=4)
     net2, curve2 = train(spec, train_set, test_set, cfg, seed=4)
     assert len(curve1) == 3
-    assert [r.epoch for r in curve1.records] == [1, 2, 3]
-    for r1, r2 in zip(curve1.records, curve2.records):
+    assert [r.epoch for r in curve1] == [1, 2, 3]
+    for r1, r2 in zip(curve1, curve2):
         assert (r1.train_loss, r1.train_error, r1.test_error) == \
                (r2.train_loss, r2.train_error, r2.test_error)
     for (_, w1), (_, w2) in zip(net1.parameters(), net2.parameters()):
@@ -271,7 +271,7 @@ def test_train_restores_best_epoch(tmp_path):
     spec = build_pdcnn([3], input_shape=(3, 20, 20), config=TINY)
     net, curve = train(spec, train_set, test_set,
                        SgdConfig(max_epochs=4, batch_size=4), seed=4)
-    best = min(curve.records, key=lambda r: r.test_error)
+    best = min(curve, key=lambda r: r.test_error)
     assert evaluate(net, test_set) == pytest.approx(best.test_error)
 
 
@@ -308,8 +308,8 @@ def test_stop_when_ends_early(tmp_path):
 
 
 def test_curve_csv_round_trip(tmp_path):
-    curve = TrainCurve([EpochRecord(1, 0.693147, 0.5, 0.5, 1.25),
-                        EpochRecord(2, 0.401, 0.25, 0.3, 1.5)])
+    curve = [EpochRecord(1, 0.693147, 0.5, 0.5, 1.25),
+             EpochRecord(2, 0.401, 0.25, 0.3, 1.5)]
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     text = path.read_text(encoding="utf-8")
@@ -317,12 +317,12 @@ def test_curve_csv_round_trip(tmp_path):
     assert "\r" not in text
     back = read_curve_csv(path)
     assert len(back) == 2
-    assert back.records[0].train_loss == pytest.approx(0.693147)
-    assert back.records[1].seconds == pytest.approx(1.5)
+    assert back[0].train_loss == pytest.approx(0.693147)
+    assert back[1].seconds == pytest.approx(1.5)
 
 
 def test_curve_csv_timing_zeroed(tmp_path):
-    curve = TrainCurve([EpochRecord(1, 0.7, 0.5, 0.5, 123.456)])
+    curve = [EpochRecord(1, 0.7, 0.5, 0.5, 123.456)]
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path, timing=False)
     assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",0.000")

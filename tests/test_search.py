@@ -191,7 +191,7 @@ def test_train_eval_oracle_scores_the_restored_epoch(tmp_path, monkeypatch,
     (net, curve), = runs
     assert error == evaluate(net, test_set)
     if epochs:
-        assert error < curve.records[-1].test_error
+        assert error < curve[-1].test_error
 
 
 # --- per-category combiner ---

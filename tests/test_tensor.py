@@ -10,32 +10,6 @@ from pdcnn import tensor as T
 from oracles import variance_loop
 
 
-def test_tensor_new_zero_fill():
-    t = T.tensor_new([2, 2], 0.0)
-    assert t.shape == (2, 2)
-    npt.assert_array_equal(t, np.zeros((2, 2)))
-
-
-def test_tensor_new_scalar_shape():
-    t = T.tensor_new([], 3.5)
-    assert t.shape == ()
-    assert t.size == 1
-    assert float(t) == 3.5
-
-
-def test_tensor_new_degenerate_extent():
-    t = T.tensor_new([3, 0, 2], 1.0)
-    assert t.shape == (3, 0, 2)
-    assert t.size == 0
-
-
-def test_tensor_new_rejects_negative_and_overflow():
-    with pytest.raises(ValueError):
-        T.tensor_new([2, -1])
-    with pytest.raises(ValueError):
-        T.tensor_new([2**40, 2**40])
-
-
 def test_gaussian_init_rejects_negative_and_overflow():
     with pytest.raises(ValueError):
         T.gaussian_init([2, -1], 1.0, T.Rng(0))
@@ -100,7 +74,7 @@ def test_row_major_index_round_trip():
     rng = np.random.default_rng(8)
     for _ in range(10):
         shape = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4))))
-        t = T.tensor_new(shape)
+        t = np.zeros(shape)
         flat = t.reshape(-1)
         flat[:] = np.arange(flat.size)
         for flat_i in rng.integers(0, flat.size, size=min(8, flat.size)):

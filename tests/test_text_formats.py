@@ -10,11 +10,11 @@ from pdcnn.cli import main
 from pdcnn.data import ManifestRecord, gen_synthetic, write_manifest
 from pdcnn.diag import (ConvergenceReport, FilterVarianceEntry,
                         FilterVarianceReport, emit_report)
-from pdcnn.optim import EpochRecord, TrainCurve, write_curve_csv
+from pdcnn.optim import EpochRecord, write_curve_csv
 from pdcnn.search import CandidateEval, SearchRound, SearchTrace
 
-CURVE = TrainCurve([EpochRecord(1, 0.6931471805599453, 0.5, 0.4375, 1.25),
-                    EpochRecord(2, 0.4012345678, 0.25, 1 / 3, 12.3456789)])
+CURVE = [EpochRecord(1, 0.6931471805599453, 0.5, 0.4375, 1.25),
+         EpochRecord(2, 0.4012345678, 0.25, 1 / 3, 12.3456789)]
 
 
 # --- byte pins: fixed inputs, literal expected text ---
@@ -49,15 +49,15 @@ def test_write_curve_csv_bytes_without_timing(tmp_path):
 
 def test_emit_variance_report_bytes(tmp_path):
     path = tmp_path / "v.csv"
-    emit_report(FilterVarianceReport.from_entries([
+    emit_report(FilterVarianceReport((
         FilterVarianceEntry("branch1", "conv1", 0.0076421234),
-        FilterVarianceEntry("branch2", "conv1", 1 / 3)]), path)
+        FilterVarianceEntry("branch2", "conv1", 1 / 3))), path)
     assert path.read_bytes() == (
         b"branch,layer,variance\n"
         b"branch1,conv1,0.00764212\n"
         b"branch2,conv1,0.333333\n"
         b"mean,,0.170488\n")
-    emit_report(FilterVarianceReport.from_entries([]), path)
+    emit_report(FilterVarianceReport(()), path)
     assert path.read_bytes() == b"branch,layer,variance\n"
 
 
