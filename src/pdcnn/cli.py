@@ -75,7 +75,6 @@ _SGD_FIELDS = {f.name: f for f in fields(SgdConfig)}
 _COMMON_TRAIN_OPTS = {
     **{opt: (_SGD_FIELDS[name].type, _SGD_FIELDS[name].default)
        for opt, name in _SGD_OPTS.items() if opt != "epochs"},
-    "crop": (int, 0),       # 0 = take the arch file's input_size, else 224
     "dtype": (str, "float32"),
     "seed": (int, 0),
     "rotate": (_parse_bool, False),
@@ -155,15 +154,6 @@ def _merge_config(args):
                              f"--{key.replace('_', '-')} (flag or config file)")
 
 
-def _arch_dict(args):
-    """The optional architecture description file, with --crop as its
-    input_size."""
-    arch_d = parse_kv_file(args.arch, ARCH_KEYS) if args.arch else {}
-    if args.crop:
-        arch_d["input_size"] = args.crop
-    return arch_d
-
-
 def _checked_spec(args, arch_d):
     """The shape-checked PdcnnSpec arch_d describes, built before any data is
     read; an error names the --arch file when one gave the values."""
@@ -208,7 +198,7 @@ def _load_split(args, crop):
 
 
 def cmd_train(args):
-    arch_d = _arch_dict(args)
+    arch_d = parse_kv_file(args.arch, ARCH_KEYS) if args.arch else {}
     if args.depths:
         arch_d["depths"] = args.depths
     if not arch_d.get("depths"):
@@ -246,24 +236,41 @@ def _write_train_report(path, net, curve, args):
 
 def cmd_eval(args):
     net = load_model(args.model)
-    crop = net.spec.input_shape[1]
-    dataset = D.load_manifest(args.manifest, crop_size=crop)
+    dataset = D.load_manifest(args.manifest, crop_size=net.spec.input_shape[1])
     error = evaluate(net, dataset)
     print(f"error_rate={error:.6f}")
     return 0
+
+
+def _replay_table(path):
+    """The replay fixture as {depth tuple: error}. An error outside [0, 1]
+    or a repeated depth list is an error naming its line."""
+    seen = set()
+
+    def depths(text):
+        key = tuple(parse_int_list(text))
+        if key in seen:
+            raise ValueError(f"depth list {list(key)} is repeated")
+        seen.add(key)
+        return key
+
+    def error(text):
+        if not 0.0 <= float(text) <= 1.0:  # NaN and infinities fail too
+            raise ValueError(f"must be in [0, 1], got {text!r}")
+        return float(text)
+
+    return dict(read_table(path, ["depths", "error"], (depths, error)))
 
 
 def cmd_search(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.replay:
-        rows = read_table(args.replay, ["depths", "error"],
-                          (parse_int_list, float))
-        oracle = S.replay_oracle({tuple(d): error for d, error in rows})
+        oracle = S.replay_oracle(_replay_table(args.replay))
     else:
         if not args.manifest:
             raise UsageError("search needs --replay FIXTURE.csv or --manifest PATH")
-        arch_d = _arch_dict(args)
+        arch_d = parse_kv_file(args.arch, ARCH_KEYS) if args.arch else {}
         # every candidate shares the input shape and config the oracle takes
         for depth in args.candidates:
             spec = _checked_spec(args, {**arch_d, "depths": [depth],
@@ -277,10 +284,10 @@ def cmd_search(args):
         trace = S.greedy_pdcnn_search(args.candidates, oracle,
                                       args.max_branches)
     except S.SearchError as err:
-        G.emit_report(err.trace, out / "search.csv")
+        S.write_trace_csv(err.trace, out / "search.csv")
         print(f"search failed: {err}", file=sys.stderr)
         return 1
-    G.emit_report(trace, out / "search.csv")
+    S.write_trace_csv(trace, out / "search.csv")
     for rnd in trace.rounds:
         if rnd.chosen:
             error = next(c.error for c in rnd.candidates
@@ -313,14 +320,13 @@ def cmd_diag(args):
         total = G.convergence_time(t, n, e)
         print(f"T={total}")
         if out:
-            G.emit_report(G.ConvergenceReport(t, n, e, total),
-                          out / "convergence.csv")
+            G.write_convergence_csv(t, n, e, total, out / "convergence.csv")
     if args.model:
-        report = G.filter_variance(load_model(args.model))
-        if report.mean_variance is not None:
-            print(f"mean_variance={report.mean_variance:.6g}")
+        rows, mean = G.filter_variance(load_model(args.model))
+        if mean is not None:
+            print(f"mean_variance={mean:.6g}")
         if out:
-            G.emit_report(report, out / "variance.csv")
+            G.write_variance_csv(rows, mean, out / "variance.csv")
     if args.curve:
         curve = read_curve_csv(args.curve)
         epoch = G.detect_convergence(curve, window=args.window, tol=args.tol)

@@ -129,14 +129,6 @@ def split_batches(d: Dataset, rng: T.Rng):
             Dataset(batches[3], crop_size=d.crop_size))
 
 
-def all_choices(source_size: int, crop: int):
-    """Exhaustive enumeration of AugmentationChoice for tests and audits."""
-    span = source_size - crop
-    offsets = range(span) if span > 0 else range(1)
-    return [AugmentationChoice(y, x, flip)
-            for y in offsets for x in offsets for flip in (False, True)]
-
-
 def apply_choice(image: np.ndarray, choice: AugmentationChoice,
                  crop: int) -> np.ndarray:
     patch = image[:, choice.offset_y:choice.offset_y + crop,

@@ -322,19 +322,6 @@ class FullyConnected(Layer):
         return dout @ self.weights
 
 
-def softmax_xent(logits: np.ndarray, label: int):
-    """Stabilized softmax cross-entropy for one sample.
-
-    Returns (loss, grad) with loss = -log softmax(logits)[label] and
-    grad = softmax(logits) - onehot(label).
-    """
-    logits = np.asarray(logits)
-    if not 0 <= label < logits.shape[-1]:
-        raise ValueError(f"label {label} out of range [0, {logits.shape[-1]})")
-    losses, grads = softmax_xent_batch(logits[None], np.array([label]))
-    return float(losses[0]), grads[0]
-
-
 def softmax_xent_batch(logits: np.ndarray, labels: np.ndarray):
     """Per-sample losses (N,) and logit gradients (N,K) for a batch."""
     z = logits - logits.max(axis=1, keepdims=True)

@@ -29,6 +29,17 @@ STREAM_INIT = 1
 STREAM_SHUFFLE = 2
 STREAM_PATCH = 3
 
+# each SgdConfig field's range: (test, how the error states it)
+_SGD_RANGE = {
+    "learning_rate": (lambda v: v >= 0, ">= 0"),
+    "momentum": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "weight_decay": (lambda v: v >= 0, ">= 0"),
+    "batch_size": (lambda v: v >= 1, ">= 1"),
+    "max_epochs": (lambda v: v >= 0, ">= 0"),
+    "lr_drop": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lr_patience": (lambda v: v >= 1, ">= 1"),
+}
+
 
 @dataclass
 class SgdConfig:
@@ -45,10 +56,9 @@ class SgdConfig:
             value = getattr(self, f.name)
             if f.type is float and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+            in_range, text = _SGD_RANGE[f.name]
+            if not in_range(value):
+                raise ValueError(f"{f.name} must be {text}, got {value}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Greedy branch-selection search and the per-category model combiner.
+"""Greedy branch-selection search and its search.csv trace writer.
 
 The search fixes the incumbent branch list and tries appending each candidate
 depth: round 1 evaluates the single depths, round k+1 evaluates every
@@ -11,7 +11,7 @@ either by a full train-and-evaluate run or by a recorded replay table.
 from dataclasses import dataclass, field
 
 from . import tensor as T
-from .arch import MAX_BRANCHES, build_pdcnn
+from .arch import MAX_BRANCHES, build_pdcnn, format_int_list, write_table
 from .optim import evaluate, train
 
 STREAM_SEARCH = 11
@@ -118,9 +118,7 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
             trace.winner = incumbent
             trace.winner_error = incumbent_error
             raise SearchError(str(err), trace) from err
-        best_i = min(range(len(evals)),
-                     key=lambda i: (evals[i].error, evals[i].depths[-1], i))
-        best = evals[best_i]
+        best = min(evals, key=lambda c: (c.error, c.depths[-1]))
         if best.error < incumbent_error:
             incumbent = best.depths
             incumbent_error = best.error
@@ -133,24 +131,13 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
     return trace
 
 
-def per_category_combine(table: dict, models) -> dict:
-    """Pick the best model per category by accuracy; ties go to the model
-    listed first (by convention the fewer-branch one)."""
-    models = list(models)
-    chosen = {}
-    for category, accuracies in table.items():
-        best_model = None
-        best_acc = -1.0
-        for model in models:
-            if model not in accuracies:
-                raise ValueError(f"missing accuracy for category={category!r}, "
-                                 f"model={model!r}")
-            acc = float(accuracies[model])
-            if not 0.0 <= acc <= 1.0:
-                raise ValueError(f"accuracy out of range for "
-                                 f"category={category!r}, model={model!r}: {acc}")
-            if acc > best_acc:
-                best_model = model
-                best_acc = acc
-        chosen[category] = best_model
-    return chosen
+def write_trace_csv(trace, path) -> None:
+    """search.csv: one row per candidate evaluation (round, depth list,
+    error, the round's chosen list or "stop"), then the winner row; errors
+    to 6 significant digits, LF endings."""
+    rows = [[rnd.number, format_int_list(cand.depths), f"{cand.error:.6g}",
+             format_int_list(rnd.chosen) if rnd.chosen else "stop"]
+            for rnd in trace.rounds for cand in rnd.candidates]
+    rows.append(["winner", format_int_list(trace.winner),
+                 f"{trace.winner_error:.6g}", ""])
+    write_table(path, ["round", "candidate_depths", "error", "chosen"], rows)

@@ -11,8 +11,8 @@ the step so the difference quotient stays valid.
 import numpy as np
 
 from pdcnn.layers import (Conv2d, FullyConnected, Lrn, MaxPool, Relu,
-                          conv_extent, softmax_xent)
-from oracles import fd_grad, max_rel_err
+                          conv_extent)
+from oracles import fd_grad, max_rel_err, softmax_xent
 
 TOLERANCE = 1e-4
 STEP = 1e-3

@@ -1,10 +1,15 @@
 """Independent reference implementations used to freeze expected test values.
 
 These stay deliberately naive (explicit loops, direct formulas) so they never
-share code with the production paths they check.
+share code with the production paths they check. The two at the end are
+test-only API rather than references: an enumeration of augmentation
+choices and a one-sample adapter over the batch softmax cross-entropy.
 """
 
 import numpy as np
+
+from pdcnn.data import AugmentationChoice
+from pdcnn.layers import softmax_xent_batch
 
 
 def fd_grad(f, x, h=1e-3):
@@ -188,3 +193,25 @@ def highpass_energy_fast(img):
         total += float((resp ** 2).sum())
         count += resp.size
     return total / count
+
+
+def all_choices(source_size: int, crop: int):
+    """Every AugmentationChoice of a crop from a square source, in offset
+    order."""
+    span = source_size - crop
+    offsets = range(span) if span > 0 else range(1)
+    return [AugmentationChoice(y, x, flip)
+            for y in offsets for x in offsets for flip in (False, True)]
+
+
+def softmax_xent(logits: np.ndarray, label: int):
+    """Stabilized softmax cross-entropy for one sample.
+
+    Returns (loss, grad) with loss = -log softmax(logits)[label] and
+    grad = softmax(logits) - onehot(label).
+    """
+    logits = np.asarray(logits)
+    if not 0 <= label < logits.shape[-1]:
+        raise ValueError(f"label {label} out of range [0, {logits.shape[-1]})")
+    losses, grads = softmax_xent_batch(logits[None], np.array([label]))
+    return float(losses[0]), grads[0]

@@ -15,14 +15,14 @@ import pytest
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, param_count, shape_check
 from pdcnn.cli import main
-from pdcnn.data import (all_choices, apply_choice, gen_synthetic,
-                        rotate_augment, split_batches, write_manifest)
+from pdcnn.data import (apply_choice, gen_synthetic, rotate_augment,
+                        split_batches, write_manifest)
 from pdcnn.diag import convergence_time, filter_variance
-from pdcnn.layers import softmax_xent
 from pdcnn.network import PdcnnNet, save_model
 from pdcnn.optim import SgdConfig, TrainState, evaluate, sgd_step, train
 from pdcnn.search import greedy_pdcnn_search, replay_oracle
 from gradcheck import run_gradient_checks
+from oracles import all_choices, softmax_xent
 
 DESK_SEED = 20240
 DESK_CONFIG = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
@@ -247,16 +247,17 @@ def test_10_variance_diagnostic():
         net = PdcnnNet(build_pdcnn([4], input_shape=(3, 20, 20), config=tiny),
                        T.Rng(3))
         net.branches[0][0].weights[...] = 0.125
-        report = filter_variance(net)
-        assert report.entries[0].variance == 0.0
-        assert report.mean_variance == 0.0
+        rows, mean = filter_variance(net)
+        assert rows == [("branch1", "conv1", 0.0)]
+        assert mean == 0.0
 
         net.branches[0][0].weights = \
             np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-        assert filter_variance(net).entries[0].variance == 1.25
+        rows, _ = filter_variance(net)
+        assert rows == [("branch1", "conv1", 1.25)]
 
         full = PdcnnNet(build_pdcnn([4], input_shape=(3, 224, 224)), T.Rng(21))
         conv1 = full.branches[0][0]
         assert conv1.weights.size >= 4096
-        variance = filter_variance(full).entries[0].variance
+        (_, _, variance), = filter_variance(full)[0]
         assert 0.5e-4 <= variance <= 1.5e-4

@@ -155,8 +155,10 @@ def test_train_shape_error_exit_1(tmp_path, capsys):
     data = _gendata(tmp_path)
     out = tmp_path / "bad"
     # default full-scale strides collapse on 20-pixel inputs
+    arch = tmp_path / "size20.arch"
+    arch.write_text("input_size=20\n", encoding="utf-8")
     code = main(["train", "--manifest", str(data / "manifest.csv"),
-                 "--depths", "4", "--crop", "20", "--epochs", "1",
+                 "--depths", "4", "--arch", str(arch), "--epochs", "1",
                  "--out", str(out)])
     assert code == 1
     assert "pool" in capsys.readouterr().err
@@ -282,6 +284,13 @@ def test_bad_dtype_is_usage_error_before_manifest_is_read(tmp_path, capsys, argv
     ("--lr", "nan", "learning_rate must be finite, got nan"),
     ("--momentum", "inf", "momentum must be finite, got inf"),
     ("--lr-drop", "-inf", "lr_drop must be finite, got -inf"),
+    ("--lr", "-0.5", "learning_rate must be >= 0, got -0.5"),
+    ("--momentum", "1.5", "momentum must be in [0, 1), got 1.5"),
+    ("--momentum", "1", "momentum must be in [0, 1), got 1.0"),
+    ("--weight-decay", "-1", "weight_decay must be >= 0, got -1.0"),
+    ("--lr-drop", "-2", "lr_drop must be in (0, 1], got -2.0"),
+    ("--lr-drop", "0", "lr_drop must be in (0, 1], got 0.0"),
+    ("--lr-patience", "-3", "lr_patience must be >= 1, got -3"),
 ])
 def test_bad_sgd_option_is_usage_error_before_manifest_is_read(
         tmp_path, capsys, argv, flag, value, message):
@@ -512,13 +521,17 @@ def test_search_replay_missing_row_exit_1(tmp_path, capsys):
     assert "1,4,0.08571,4" in trace
 
 
-@pytest.mark.parametrize("row", ['"4,x",0.2', "4,abc"])
+@pytest.mark.parametrize("row", ['"4,x",0.2', "4,abc", "4,nan", "4,inf",
+                                 "4,-3", "4,1.5", "3,0.1", '" 3",0.1'])
 def test_search_replay_bad_value_names_file_and_line(tmp_path, capsys, row):
     fixture = tmp_path / "fixture.csv"
     fixture.write_text(f"depths,error\n3,0.09916\n{row}\n", encoding="utf-8")
     code = main(["search", "--replay", str(fixture), "--out", str(tmp_path / "s")])
     assert code == 1
-    assert f"error: {fixture}:3: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fixture}:3: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "s" / "search.csv").exists()
 
 
 def test_search_without_inputs_usage_error(tmp_path, capsys):

@@ -8,10 +8,11 @@ import pytest
 
 from pdcnn import tensor as T
 from pdcnn.data import (AugmentationChoice, Dataset, ManifestRecord,
-                        all_choices, apply_choice, gen_synthetic,
-                        load_manifest, rotate90cw, rotate_augment,
-                        sample_patch, split_batches, write_manifest)
-from oracles import highpass_energy, highpass_energy_fast, rotate90cw_naive
+                        apply_choice, gen_synthetic, load_manifest,
+                        rotate90cw, rotate_augment, sample_patch,
+                        split_batches, write_manifest)
+from oracles import (all_choices, highpass_energy, highpass_energy_fast,
+                     rotate90cw_naive)
 
 
 def _write_image(path, shape=(3, 8, 8), seed=0):

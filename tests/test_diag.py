@@ -5,12 +5,13 @@ import pytest
 
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn
-from pdcnn.diag import (ConvergenceReport, FilterVarianceEntry,
-                        FilterVarianceReport, convergence_time,
-                        detect_convergence, emit_report, filter_variance)
+from pdcnn.diag import (convergence_time, detect_convergence,
+                        filter_variance, write_convergence_csv,
+                        write_variance_csv)
 from pdcnn.network import PdcnnNet
 from pdcnn.optim import EpochRecord
-from pdcnn.search import CandidateEval, SearchRound, SearchTrace
+from pdcnn.search import (CandidateEval, SearchRound, SearchTrace,
+                          write_trace_csv)
 from oracles import variance_loop
 
 TINY = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
@@ -28,37 +29,36 @@ def test_filter_variance_constant_weights_zero():
     net = _net([4])
     for layers in net.branches:
         layers[0].weights[...] = 0.25
-    report = filter_variance(net)
-    assert [e.variance for e in report.entries] == [0.0]
-    assert report.mean_variance == 0.0
+    rows, mean = filter_variance(net)
+    assert [variance for _, _, variance in rows] == [0.0]
+    assert mean == 0.0
 
 
 def test_filter_variance_toy_values():
     net = _net([4])
     conv1 = net.branches[0][0]
     conv1.weights = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
-    report = filter_variance(net)
-    assert report.entries[0].variance == pytest.approx(1.25, abs=0)
-    assert report.entries[0].variance == pytest.approx(
-        variance_loop([1, 2, 3, 4]), abs=0)
+    (_, _, variance), = filter_variance(net)[0]
+    assert variance == pytest.approx(1.25, abs=0)
+    assert variance == pytest.approx(variance_loop([1, 2, 3, 4]), abs=0)
 
 
 def test_filter_variance_three_branches():
-    report = filter_variance(_net([4, 3, 4]))
-    assert len(report.entries) == 3
-    assert [e.branch for e in report.entries] == ["branch1", "branch2",
-                                                  "branch3"]
-    assert all(e.layer == "conv1" for e in report.entries)
-    expected_mean = sum(e.variance for e in report.entries) / 3
-    assert report.mean_variance == pytest.approx(expected_mean, abs=0)
+    rows, mean = filter_variance(_net([4, 3, 4]))
+    assert len(rows) == 3
+    assert [branch for branch, _, _ in rows] == ["branch1", "branch2",
+                                                 "branch3"]
+    assert all(layer == "conv1" for _, layer, _ in rows)
+    expected_mean = sum(variance for _, _, variance in rows) / 3
+    assert mean == pytest.approx(expected_mean, abs=0)
 
 
 def test_filter_variance_translation_invariant():
     net = _net([4, 3])
-    before = filter_variance(net)
+    before = filter_variance(net)[0]
     net.branches[0][0].weights += 3.7
-    after = filter_variance(net)
-    assert abs(after.entries[0].variance - before.entries[0].variance) < 1e-12
+    after = filter_variance(net)[0]
+    assert abs(after[0][2] - before[0][2]) < 1e-12
 
 
 def test_filter_variance_gaussian_init_scale():
@@ -66,8 +66,8 @@ def test_filter_variance_gaussian_init_scale():
     spec = build_pdcnn([4], input_shape=(3, 224, 224))
     net = PdcnnNet(spec, T.Rng(8))
     assert net.branches[0][0].weights.size >= 4096
-    report = filter_variance(net)
-    assert 0.5e-4 <= report.entries[0].variance <= 1.5e-4
+    (_, _, variance), = filter_variance(net)[0]
+    assert 0.5e-4 <= variance <= 1.5e-4
 
 
 def test_filter_variance_excludes_bias():
@@ -76,7 +76,7 @@ def test_filter_variance_excludes_bias():
     with_bias = filter_variance(net)
     net.branches[0][0].bias[...] = 0.0
     without = filter_variance(net)
-    assert with_bias.entries[0].variance == without.entries[0].variance
+    assert with_bias == without
 
 
 # --- convergence time ---
@@ -157,17 +157,14 @@ def test_detect_rejects_bad_window():
 
 def test_emit_empty_variance_header_only(tmp_path):
     path = tmp_path / "v.csv"
-    emit_report(FilterVarianceReport(()), path)
+    write_variance_csv([], None, path)
     assert path.read_text(encoding="utf-8") == "branch,layer,variance\n"
 
 
 def test_emit_variance_with_mean_row(tmp_path):
-    report = FilterVarianceReport((
-        FilterVarianceEntry("branch1", "conv1", 0.007642),
-        FilterVarianceEntry("branch2", "conv1", 0.013350),
-    ))
+    rows = [("branch1", "conv1", 0.007642), ("branch2", "conv1", 0.013350)]
     path = tmp_path / "v.csv"
-    emit_report(report, path)
+    write_variance_csv(rows, (0.007642 + 0.01335) / 2, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "branch,layer,variance"
     assert lines[1] == "branch1,conv1,0.007642"
@@ -177,7 +174,7 @@ def test_emit_variance_with_mean_row(tmp_path):
 
 def test_emit_convergence_report(tmp_path):
     path = tmp_path / "c.csv"
-    emit_report(ConvergenceReport(8.32633, 3, 967, 24155), path)
+    write_convergence_csv(8.32633, 3, 967, 24155, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["t,n,e,T", "8.32633,3,967,24155"]
 
@@ -189,7 +186,7 @@ def test_emit_search_trace(tmp_path):
                 SearchRound(2, (CandidateEval((4, 3), 0.082353),), None)],
         winner=(4,), winner_error=0.08571)
     path = tmp_path / "s.csv"
-    emit_report(trace, path)
+    write_trace_csv(trace, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "round,candidate_depths,error,chosen"
     assert lines[1] == "1,3,0.09916,4"
@@ -199,15 +196,8 @@ def test_emit_search_trace(tmp_path):
 
 
 def test_emit_byte_deterministic(tmp_path):
-    report = FilterVarianceReport(
-        (FilterVarianceEntry("branch1", "conv1", 1 / 3),))
+    rows = [("branch1", "conv1", 1 / 3)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(report, p1)
-    emit_report(report, p2)
+    write_variance_csv(rows, 1 / 3, p1)
+    write_variance_csv(rows, 1 / 3, p2)
     assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_emit_unknown_type(tmp_path):
-    with pytest.raises(TypeError):
-        emit_report({"not": "a report"}, tmp_path / "x.csv")
-    assert not (tmp_path / "x.csv").exists()  # raised before any file opened

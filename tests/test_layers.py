@@ -9,11 +9,11 @@ from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, shape_check
 from pdcnn.layers import (COL_BUDGET, Conv2d, FullyConnected, Lrn, MaxPool,
                           Relu, ShapeError, _channel_window_sum, conv_extent,
-                          softmax_xent, softmax_xent_batch)
+                          softmax_xent_batch)
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet
 from oracles import (channel_window_sum_cumsum, conv_naive, conv_whole_batch,
                      lrn_cumsum, lrn_naive, max_rel_err, pool_argmax,
-                     pool_naive)
+                     pool_naive, softmax_xent)
 
 
 # --- conv2d ---

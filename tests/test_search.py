@@ -7,8 +7,7 @@ from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig
 from pdcnn.data import gen_synthetic, split_batches
 from pdcnn.optim import SgdConfig, evaluate
-from pdcnn.search import (OracleError, SearchError,
-                          greedy_pdcnn_search, per_category_combine,
+from pdcnn.search import (OracleError, SearchError, greedy_pdcnn_search,
                           replay_oracle, train_eval_oracle)
 
 # recorded error rates for every single branch and every greedy extension,
@@ -192,48 +191,6 @@ def test_train_eval_oracle_scores_the_restored_epoch(tmp_path, monkeypatch,
     assert error == evaluate(net, test_set)
     if epochs:
         assert error < curve[-1].test_error
-
-
-# --- per-category combiner ---
-
-NIGHT = {"2-PDCNN": 0.8966, "3-PDCNN": 0.8839}
-LANDSCAPE = {"2-PDCNN": 0.9366, "3-PDCNN": 0.9500}
-
-
-def test_combine_picks_argmax_per_category():
-    table = {"night": NIGHT, "landscape": LANDSCAPE}
-    chosen = per_category_combine(table, ["2-PDCNN", "3-PDCNN"])
-    assert chosen == {"night": "2-PDCNN", "landscape": "3-PDCNN"}
-
-
-def test_combine_tie_goes_to_first_listed():
-    table = {"static": {"2-PDCNN": 0.9, "3-PDCNN": 0.9}}
-    assert per_category_combine(table, ["2-PDCNN", "3-PDCNN"]) == \
-        {"static": "2-PDCNN"}
-    assert per_category_combine(table, ["3-PDCNN", "2-PDCNN"]) == \
-        {"static": "3-PDCNN"}
-
-
-def test_combine_missing_cell_names_it():
-    table = {"plant": {"2-PDCNN": 0.9}}
-    with pytest.raises(ValueError, match="plant.*3-PDCNN"):
-        per_category_combine(table, ["2-PDCNN", "3-PDCNN"])
-
-
-def test_combine_rejects_out_of_range_accuracy():
-    with pytest.raises(ValueError):
-        per_category_combine({"x": {"m": 1.5}}, ["m"])
-
-
-def test_combine_chosen_dominates_category():
-    rng = np.random.default_rng(6)
-    models = ["a", "b", "c"]
-    table = {f"cat{i}": {m: float(rng.random()) for m in models}
-             for i in range(8)}
-    chosen = per_category_combine(table, models)
-    for category, model in chosen.items():
-        assert all(table[category][model] >= table[category][other]
-                   for other in models)
 
 
 def test_train_eval_oracle_wraps_failures(tmp_path):

@@ -8,10 +8,10 @@ from pdcnn.arch import (format_int_list, format_kv_lines, parse_int_list,
                         write_table)
 from pdcnn.cli import main
 from pdcnn.data import ManifestRecord, gen_synthetic, write_manifest
-from pdcnn.diag import (ConvergenceReport, FilterVarianceEntry,
-                        FilterVarianceReport, emit_report)
+from pdcnn.diag import write_convergence_csv, write_variance_csv
 from pdcnn.optim import EpochRecord, write_curve_csv
-from pdcnn.search import CandidateEval, SearchRound, SearchTrace
+from pdcnn.search import (CandidateEval, SearchRound, SearchTrace,
+                          write_trace_csv)
 
 CURVE = [EpochRecord(1, 0.6931471805599453, 0.5, 0.4375, 1.25),
          EpochRecord(2, 0.4012345678, 0.25, 1 / 3, 12.3456789)]
@@ -49,27 +49,27 @@ def test_write_curve_csv_bytes_without_timing(tmp_path):
 
 def test_emit_variance_report_bytes(tmp_path):
     path = tmp_path / "v.csv"
-    emit_report(FilterVarianceReport((
-        FilterVarianceEntry("branch1", "conv1", 0.0076421234),
-        FilterVarianceEntry("branch2", "conv1", 1 / 3))), path)
+    write_variance_csv([("branch1", "conv1", 0.0076421234),
+                        ("branch2", "conv1", 1 / 3)],
+                       (0.0076421234 + 1 / 3) / 2, path)
     assert path.read_bytes() == (
         b"branch,layer,variance\n"
         b"branch1,conv1,0.00764212\n"
         b"branch2,conv1,0.333333\n"
         b"mean,,0.170488\n")
-    emit_report(FilterVarianceReport(()), path)
+    write_variance_csv([], None, path)
     assert path.read_bytes() == b"branch,layer,variance\n"
 
 
 def test_emit_convergence_report_bytes(tmp_path):
     path = tmp_path / "c.csv"
-    emit_report(ConvergenceReport(8.32633, 3, 967, 24155), path)
+    write_convergence_csv(8.32633, 3, 967, 24155, path)
     assert path.read_bytes() == b"t,n,e,T\n8.32633,3,967,24155\n"
 
 
 def test_emit_search_trace_bytes(tmp_path):
     path = tmp_path / "s.csv"
-    emit_report(SearchTrace(
+    write_trace_csv(SearchTrace(
         rounds=[SearchRound(1, (CandidateEval((3,), 0.09916),
                                 CandidateEval((4,), 0.08571)), (4,)),
                 SearchRound(2, (CandidateEval((4, 3), 0.0823531234),
