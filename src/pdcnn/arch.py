@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 
 from .layers import ShapeError, conv_extent
 
-FILTERS = {3: (64, 96, 96), 4: (64, 96, 96, 64), 5: (64, 96, 96, 64, 64)}
-KERNELS = {3: (7, 5, 3), 4: (7, 5, 3, 3), 5: (7, 5, 3, 3, 3)}
-CONV_PADS = (2, 2, 1, 1, 1)
+FILTERS = (64, 96, 96, 64, 64)  # a depth-d branch takes the first d
+KERNELS = (7, 5, 3, 3, 3)
+CONV_PADS = (2, 1, 1, 1)  # conv2 on; conv1's is ArchConfig.conv1_padding
 NUM_CLASSES = 2
 MAX_BRANCHES = 4
 
@@ -68,17 +68,12 @@ DEFAULT_CONFIG = ArchConfig()
 
 @dataclass(frozen=True)
 class LayerSpec:
-    kind: str            # conv | pool | lrn | relu
+    kind: str            # conv | pool | lrn | relu; pool/lrn use ArchConfig's
     name: str
     filters: int = 0     # conv
     kernel: int = 0      # conv
-    stride: int = 1      # conv / pool
+    stride: int = 1      # conv
     padding: int = 0     # conv
-    window: int = 0      # pool
-    radius: int = 0      # lrn
-    k: float = 0.0       # lrn
-    alpha: float = 0.0   # lrn
-    beta: float = 0.0    # lrn
 
 
 @dataclass(frozen=True)
@@ -95,10 +90,6 @@ class PdcnnSpec:
     config: ArchConfig = field(default_factory=ArchConfig)
 
 
-def _scaled(filters: int, scale: float) -> int:
-    return max(1, int(round(filters * scale)))
-
-
 def build_arch(depth: int, variant: int = 0,
                config: ArchConfig = DEFAULT_CONFIG) -> ArchitectureSpec:
     """Single-branch layout for the given conv depth (3, 4, or 5).
@@ -106,31 +97,27 @@ def build_arch(depth: int, variant: int = 0,
     Variant 0 is canonical; higher variants cycle the conv1/conv2 kernel
     sizes so branches of equal depth stay structurally distinct.
     """
-    if depth not in FILTERS:
+    if depth not in (3, 4, 5):
         raise ValueError(f"unsupported depth {depth}; expected one of 3, 4, 5")
     if variant < 0:
         raise ValueError(f"variant must be >= 0, got {variant}")
-    filters = [_scaled(f, config.filter_scale) for f in FILTERS[depth]]
-    kernels = list(KERNELS[depth])
+    kernels = list(KERNELS[:depth])
     if variant > 0:
         kernels[0] = CONV1_CYCLE[variant % 3]
         kernels[1] = CONV2_CYCLE[(variant + variant // 3) % 3]
     layers = []
     for i in range(depth):
+        filters = max(1, round(FILTERS[i] * config.filter_scale))
         stride = config.conv1_stride if i == 0 else 1
-        padding = config.conv1_padding if i == 0 else CONV_PADS[i]
+        padding = config.conv1_padding if i == 0 else CONV_PADS[i - 1]
         layers.append(LayerSpec(kind="conv", name=f"conv{i + 1}",
-                                filters=filters[i], kernel=kernels[i],
+                                filters=filters, kernel=kernels[i],
                                 stride=stride, padding=padding))
         layers.append(LayerSpec(kind="relu", name=f"relu{i + 1}"))
         if i < 3:
-            layers.append(LayerSpec(kind="pool", name=f"pool{i + 1}",
-                                    window=config.pool_window,
-                                    stride=config.pool_stride))
+            layers.append(LayerSpec(kind="pool", name=f"pool{i + 1}"))
             norm_name = "norm1" if i == 0 else f"rnorm{i + 1}"
-            layers.append(LayerSpec(kind="lrn", name=norm_name,
-                                    radius=config.lrn_radius, k=config.lrn_k,
-                                    alpha=config.lrn_alpha, beta=config.lrn_beta))
+            layers.append(LayerSpec(kind="lrn", name=norm_name))
     return ArchitectureSpec(depth=depth, variant=variant, layers=tuple(layers))
 
 
@@ -170,6 +157,7 @@ def shape_check(spec: PdcnnSpec):
     input_shape = tuple(int(v) for v in spec.input_shape)
     if len(input_shape) != 3 or any(v < 1 for v in input_shape):
         raise ShapeError(f"input shape must be 3 positive extents, got {input_shape}")
+    window, stride = spec.config.pool_window, spec.config.pool_stride
     rows = []
     fused = 0
     for i, arch in enumerate(spec.branches):
@@ -186,11 +174,11 @@ def shape_check(spec: PdcnnSpec):
                 params = layer.filters * (c * layer.kernel ** 2 + 1)
                 c, h, w = layer.filters, oh, ow
             elif layer.kind == "pool":
-                if layer.window > h or layer.window > w:
-                    raise ShapeError(f"{where}: pool window {layer.window} "
+                if window > h or window > w:
+                    raise ShapeError(f"{where}: pool window {window} "
                                      f"exceeds input {h}x{w}")
-                h = conv_extent(h, layer.window, layer.stride, 0)
-                w = conv_extent(w, layer.window, layer.stride, 0)
+                h = conv_extent(h, window, stride, 0)
+                w = conv_extent(w, window, stride, 0)
             # relu / lrn preserve shape
             rows.append(ShapeRow(f"branch{i + 1}", layer.name, (c, h, w), params))
         fused += c * h * w
@@ -220,6 +208,13 @@ def read_text(path) -> str:
 def parse_int_list(text: str) -> list:
     """'4,3,4' -> [4, 3, 4]; empty items are skipped."""
     return [int(v) for v in text.split(",") if v.strip()]
+
+
+def parse_rate(text: str) -> float:
+    """A float in [0, 1], such as an error rate; NaN and infinities fail."""
+    if not 0.0 <= float(text) <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {text!r}")
+    return float(text)
 
 
 def format_int_list(values) -> str:

@@ -21,8 +21,8 @@ from . import data as D
 from . import diag as G
 from . import search as S
 from .arch import (ARCH_KEYS, format_int_list, format_kv_lines, param_count,
-                   parse_int_list, parse_kv_file, read_table, shape_check,
-                   spec_from_arch_dict)
+                   parse_int_list, parse_kv_file, parse_rate, read_table,
+                   shape_check, spec_from_arch_dict)
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
@@ -135,8 +135,9 @@ _HELP = {
 
 def _merge_config(args):
     """Fill unset options from the config file, then from defaults, and check
-    that the command's required options are set. A bad config key or value is
-    a usage error naming the file, line and key."""
+    that the command's required options are set and that an --out is not a
+    file, before any input is read. A bad config key or value is a usage
+    error naming the file, line and key."""
     table = _OPTS[args.command]
     file_values = {}
     if args.config:
@@ -152,6 +153,9 @@ def _merge_config(args):
         if not getattr(args, key):
             raise UsageError(f"{args.command} requires "
                              f"--{key.replace('_', '-')} (flag or config file)")
+    out = getattr(args, "out", "")  # eval has none
+    if out and Path(out).exists() and not Path(out).is_dir():
+        raise ValueError(f"--out {out}: exists and is not a directory")
 
 
 def _checked_spec(args, arch_d):
@@ -165,6 +169,13 @@ def _checked_spec(args, arch_d):
             raise
         raise ValueError(f"{args.arch}: {err}") from None
     return spec
+
+
+def _out_dir(args):
+    """Path(args.out), created just before its first file is written."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _sgd_config(args):
@@ -208,8 +219,7 @@ def cmd_train(args):
     cfg = _sgd_config(args)
     train_set, test_set = _load_split(args, spec.input_shape[1])
     net, curve = train(spec, train_set, test_set, cfg, args.seed, dtype=dtype)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     write_curve_csv(curve, out / "curve.csv", timing=args.timing)
     save_model(net, out / "model.bin")
     _write_train_report(out / "report.txt", net, curve, args)
@@ -254,17 +264,10 @@ def _replay_table(path):
         seen.add(key)
         return key
 
-    def error(text):
-        if not 0.0 <= float(text) <= 1.0:  # NaN and infinities fail too
-            raise ValueError(f"must be in [0, 1], got {text!r}")
-        return float(text)
-
-    return dict(read_table(path, ["depths", "error"], (depths, error)))
+    return dict(read_table(path, ["depths", "error"], (depths, parse_rate)))
 
 
 def cmd_search(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.replay:
         oracle = S.replay_oracle(_replay_table(args.replay))
     else:
@@ -280,14 +283,11 @@ def cmd_search(args):
         train_set, test_set = _load_split(args, spec.input_shape[1])
         oracle = S.train_eval_oracle(train_set, test_set, cfg, args.seed,
                                      spec.input_shape, spec.config, dtype=dtype)
-    try:
-        trace = S.greedy_pdcnn_search(args.candidates, oracle,
-                                      args.max_branches)
-    except S.SearchError as err:
-        S.write_trace_csv(err.trace, out / "search.csv")
-        print(f"search failed: {err}", file=sys.stderr)
+    trace = S.greedy_pdcnn_search(args.candidates, oracle, args.max_branches)
+    S.write_trace_csv(trace, _out_dir(args) / "search.csv")
+    if trace.failure:
+        print(f"search failed: {trace.failure}", file=sys.stderr)
         return 1
-    S.write_trace_csv(trace, out / "search.csv")
     for rnd in trace.rounds:
         if rnd.chosen:
             error = next(c.error for c in rnd.candidates
@@ -307,9 +307,6 @@ def cmd_diag(args):
         raise UsageError(f"--window must be >= 1, got {args.window}")
     if not args.tol >= 0:
         raise UsageError(f"--tol must be >= 0, got {args.tol}")
-    out = Path(args.out) if args.out else None
-    if out:
-        out.mkdir(parents=True, exist_ok=True)
     if args.time:
         try:
             t, n, e = args.time.split(",")
@@ -319,14 +316,15 @@ def cmd_diag(args):
                              f"got {args.time!r}") from None
         total = G.convergence_time(t, n, e)
         print(f"T={total}")
-        if out:
-            G.write_convergence_csv(t, n, e, total, out / "convergence.csv")
+        if args.out:
+            G.write_convergence_csv(t, n, e, total,
+                                    _out_dir(args) / "convergence.csv")
     if args.model:
         rows, mean = G.filter_variance(load_model(args.model))
         if mean is not None:
             print(f"mean_variance={mean:.6g}")
-        if out:
-            G.write_variance_csv(rows, mean, out / "variance.csv")
+        if args.out:
+            G.write_variance_csv(rows, mean, _out_dir(args) / "variance.csv")
     if args.curve:
         curve = read_curve_csv(args.curve)
         epoch = G.detect_convergence(curve, window=args.window, tol=args.tol)

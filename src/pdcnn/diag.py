@@ -9,20 +9,18 @@ filters, and the mean over branches compares architectures.
 
 import math
 
+import numpy as np
+
 from .arch import write_table
-from .tensor import tensor_variance
 
 
 def filter_variance(net):
     """(rows, mean): one (branch, layer, variance) row per branch, the
-    variance of its first conv layer's weights, and the rows' mean variance
-    (None when there are no rows)."""
-    rows = {}
-    for name, array in net.parameters():
-        branch, layer, kind = name.split("/")
-        if branch != "head" and kind == "weights" and branch not in rows:
-            rows[branch] = (branch, layer, tensor_variance(array))
-    rows = list(rows.values())
+    population variance of its first conv layer's weights, and the rows'
+    mean variance (None when there are no rows)."""
+    rows = [(f"branch{i + 1}", names[0], float(np.var(layers[0].weights)))
+            for i, (layers, names) in enumerate(zip(net.branches,
+                                                    net.branch_layer_names))]
     mean = sum(row[2] for row in rows) / len(rows) if rows else None
     return rows, mean
 

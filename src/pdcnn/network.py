@@ -93,22 +93,21 @@ def _branch_backward(layers, d):
         d = layer.backward(d)
 
 
-def _build_layer(layer_spec, in_channels, rng, dtype, sigma, first):
-    if layer_spec.kind == "conv":
-        w = T.gaussian_init(
-            (layer_spec.filters, in_channels, layer_spec.kernel, layer_spec.kernel),
-            sigma, rng, dtype=dtype)
-        b = np.zeros(layer_spec.filters, dtype=dtype)
-        return Conv2d(w, b, stride=layer_spec.stride, padding=layer_spec.padding,
+def _build_layer(ls, config, in_channels, rng, dtype, first):
+    if ls.kind == "conv":
+        w = rng.normal((ls.filters, in_channels, ls.kernel, ls.kernel),
+                       config.init_sigma, dtype=dtype)
+        b = np.zeros(ls.filters, dtype=dtype)
+        return Conv2d(w, b, stride=ls.stride, padding=ls.padding,
                       input_grad=not first)
-    if layer_spec.kind == "pool":
-        return MaxPool(layer_spec.window, layer_spec.stride)
-    if layer_spec.kind == "lrn":
-        return Lrn(layer_spec.radius, layer_spec.k, layer_spec.alpha,
-                   layer_spec.beta)
-    if layer_spec.kind == "relu":
+    if ls.kind == "pool":
+        return MaxPool(config.pool_window, config.pool_stride)
+    if ls.kind == "lrn":
+        return Lrn(config.lrn_radius, config.lrn_k, config.lrn_alpha,
+                   config.lrn_beta)
+    if ls.kind == "relu":
         return Relu()
-    raise ValueError(f"unexpected layer kind {layer_spec.kind!r}")
+    raise ValueError(f"unexpected layer kind {ls.kind!r}")
 
 
 class PdcnnNet:
@@ -128,8 +127,8 @@ class PdcnnNet:
             shape = spec.input_shape  # the next layer's input
             # layers first: zip stops without taking the next branch's row
             for ls, row in zip(arch.layers, branch_rows):
-                layers.append(_build_layer(ls, shape[0], rng, self.dtype,
-                                           spec.config.init_sigma, not layers))
+                layers.append(_build_layer(ls, spec.config, shape[0], rng,
+                                           self.dtype, not layers))
                 if ls.kind == "conv":
                     _, oh, ow = row.shape
                     cols.append(shape[0] * ls.kernel ** 2 * oh * ow)
@@ -139,8 +138,8 @@ class PdcnnNet:
             self._feat_shapes.append(shape)
         # float32 samples per inference chunk
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
-        hw = T.gaussian_init((NUM_CLASSES, rows[-2].shape[0]),
-                             spec.config.init_sigma, rng, dtype=self.dtype)
+        hw = rng.normal((NUM_CLASSES, rows[-2].shape[0]),
+                        spec.config.init_sigma, dtype=self.dtype)
         hb = np.zeros(NUM_CLASSES, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
         self.inference = False

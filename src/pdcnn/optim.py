@@ -13,6 +13,7 @@ choices, and initialization all derive from the seed, and gradients are
 accumulated batch-vectorized in a fixed order.
 """
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -20,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .arch import read_table, write_table
+from .arch import parse_rate, read_table, write_table
 from .data import Dataset, sample_patch
 from .layers import softmax_xent_batch
 from .network import PdcnnNet
@@ -92,7 +93,18 @@ def write_curve_csv(curve, path, timing: bool = True) -> None:
 
 
 def read_curve_csv(path) -> list:
-    rows = read_table(path, CURVE_HEADER, (int, float, float, float, float))
+    """EpochRecords from a curve CSV whose epochs run 1, 2, 3, ... and whose
+    error rates lie in [0, 1]; train_loss and seconds may be any float."""
+    epochs = itertools.count(1)
+
+    def epoch(text):
+        want = next(epochs)
+        if int(text) != want:
+            raise ValueError(f"expected epoch {want}, got {text!r}")
+        return want
+
+    rows = read_table(path, CURVE_HEADER,
+                      (epoch, float, parse_rate, parse_rate, float))
     return [EpochRecord(*row) for row in rows]
 
 
@@ -120,11 +132,6 @@ def sgd_step(state: TrainState, grads, cfg: SgdConfig) -> TrainState:
     return state
 
 
-def _batches(order, batch_size):
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
-
-
 def train_epoch(net: PdcnnNet, state: TrainState, train_set: Dataset,
                 cfg: SgdConfig):
     """One pass over train_set: shuffle, batch (final partial batch kept),
@@ -139,7 +146,8 @@ def train_epoch(net: PdcnnNet, state: TrainState, train_set: Dataset,
     crop = train_set.crop_size
     loss_sum = 0.0
     wrong = 0
-    for chunk in _batches(order, cfg.batch_size):
+    for start in range(0, n, cfg.batch_size):
+        chunk = order[start:start + cfg.batch_size]
         xb = np.stack([
             sample_patch(train_set.image(int(i)), crop,
                          T.Rng(T.mix_seed(seed, STREAM_PATCH, epoch, int(i))),

@@ -21,14 +21,6 @@ class OracleError(RuntimeError):
     """The evaluation oracle could not score a depth list."""
 
 
-class SearchError(RuntimeError):
-    """Search aborted; carries the trace of every evaluation completed."""
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
-
-
 @dataclass(frozen=True)
 class CandidateEval:
     depths: tuple
@@ -47,16 +39,16 @@ class SearchTrace:
     rounds: list = field(default_factory=list)
     winner: tuple = ()
     winner_error: float = float("nan")
+    failure: str = ""  # the oracle's message when it ended the search
 
 
-def replay_oracle(fixture: dict):
-    """Oracle backed by a {depth list: error rate} table; unknown lists fail."""
-    table = {tuple(int(d) for d in k): float(v) for k, v in fixture.items()}
+def replay_oracle(table: dict):
+    """Oracle over a {depth tuple: error rate} table; unknown lists fail."""
     if not table:
         raise ValueError("replay fixture is empty")
 
     def oracle(depths):
-        key = tuple(int(d) for d in depths)
+        key = tuple(depths)
         if key not in table:
             raise OracleError(f"no recorded error for depth list {list(key)}")
         return table[key]
@@ -92,8 +84,9 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
     """Run the greedy fix-and-extend search.
 
     Ties break toward the smaller depth, then the earlier candidate position.
-    Returns the SearchTrace, whose winner is the chosen depth list; an
-    oracle failure raises SearchError carrying the partial trace.
+    Returns the SearchTrace, whose winner is the chosen depth list. An oracle
+    failure ends the search: the trace then holds the partial round, the
+    incumbent as winner and the oracle's message as failure.
     """
     candidates = list(dict.fromkeys(int(d) for d in candidates))
     if not candidates:
@@ -105,27 +98,22 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
     trace = SearchTrace()
     incumbent = ()
     incumbent_error = float("inf")
-    round_no = 0
     while len(incumbent) < max_branches:
-        round_no += 1
+        round_no = len(trace.rounds) + 1
         evals = []
         try:
             for depth in candidates:
                 depths = incumbent + (depth,)
                 evals.append(CandidateEval(depths, float(oracle(depths))))
         except OracleError as err:
-            trace.rounds.append(SearchRound(round_no, tuple(evals), None))
-            trace.winner = incumbent
-            trace.winner_error = incumbent_error
-            raise SearchError(str(err), trace) from err
-        best = min(evals, key=lambda c: (c.error, c.depths[-1]))
-        if best.error < incumbent_error:
-            incumbent = best.depths
-            incumbent_error = best.error
-            trace.rounds.append(SearchRound(round_no, tuple(evals), incumbent))
-        else:
+            trace.failure = str(err)
+        best = min(evals, key=lambda c: (c.error, c.depths[-1]), default=None)
+        if trace.failure or not best.error < incumbent_error:
             trace.rounds.append(SearchRound(round_no, tuple(evals), None))
             break
+        incumbent = best.depths
+        incumbent_error = best.error
+        trace.rounds.append(SearchRound(round_no, tuple(evals), incumbent))
     trace.winner = incumbent
     trace.winner_error = incumbent_error
     return trace

@@ -50,6 +50,7 @@ class Rng:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def normal(self, shape, sigma: float, dtype=np.float64) -> np.ndarray:
+        """i.i.d. Normal(0, sigma^2); numpy rejects a negative sigma/extent."""
         out = self._gen.normal(0.0, sigma, size=shape)
         return np.asarray(out, dtype=dtype)
 
@@ -59,22 +60,6 @@ class Rng:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-
-def gaussian_init(shape, sigma: float, rng: Rng, dtype=np.float64) -> np.ndarray:
-    """Tensor with i.i.d. Normal(0, sigma^2) elements drawn from rng; numpy
-    raises ValueError on a negative extent or an oversized shape."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return rng.normal(shape, sigma, dtype=dtype)
-
-
-def tensor_variance(t: np.ndarray) -> float:
-    """Population variance: mean squared deviation from the mean (divide by N)."""
-    t = np.asarray(t)
-    if t.size == 0:
-        raise ValueError("variance of an empty tensor is undefined")
-    return float(np.var(t, ddof=0))
 
 
 def check_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:

@@ -507,6 +507,7 @@ def test_search_replay_max_branches_above_limit_exit_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: max_branches must be in [1, 4], got 5\n")
+    assert not (tmp_path / "s").exists()
 
 
 def test_search_replay_missing_row_exit_1(tmp_path, capsys):
@@ -516,7 +517,8 @@ def test_search_replay_missing_row_exit_1(tmp_path, capsys):
     out = tmp_path / "partial"
     code = main(["search", "--replay", str(fixture), "--out", str(out)])
     assert code == 1
-    assert (out / "search.csv").exists()
+    assert capsys.readouterr() == (
+        "", "search failed: no recorded error for depth list [4, 3]\n")
     trace = (out / "search.csv").read_text(encoding="utf-8")
     assert "1,4,0.08571,4" in trace
 
@@ -531,7 +533,7 @@ def test_search_replay_bad_value_names_file_and_line(tmp_path, capsys, row):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {fixture}:3: ")
     assert err.count("\n") == 1
-    assert not (tmp_path / "s" / "search.csv").exists()
+    assert not (tmp_path / "s").exists()
 
 
 def test_search_without_inputs_usage_error(tmp_path, capsys):
@@ -617,18 +619,50 @@ def test_diag_bad_time_format(capsys):
 
 
 @pytest.mark.parametrize("value", ["1.5,x,3", "x,2,3", "1.5,2,3.5"])
-def test_diag_bad_time_number_is_usage_error(capsys, value):
-    assert main(["diag", "--time", value]) == 2
+def test_diag_bad_time_number_is_usage_error(tmp_path, capsys, value):
+    assert main(["diag", "--time", value, "--out", str(tmp_path / "d")]) == 2
     assert value in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize("value", ["-1,3,967", "inf,3,967", "nan,3,967",
                                    "1e300,100000,100000"])
-def test_diag_time_out_of_range_is_one_error_line(capsys, value):
-    assert main(["diag", f"--time={value}"]) == 1
+def test_diag_time_out_of_range_is_one_error_line(tmp_path, capsys, value):
+    assert main(["diag", f"--time={value}", "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: convergence_time inputs must be >= 0 ")
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "d").exists()
+
+
+def test_diag_missing_model_is_one_error_line(tmp_path, capsys):
+    model = tmp_path / "missing.bin"
+    out = tmp_path / "d"
+    assert main(["diag", "--model", str(model), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model) in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--depths", "3", "--manifest", "missing.csv"],
+    ["search", "--manifest", "missing.csv"],
+    ["search", "--replay", "missing.csv"],
+    ["diag", "--model", "missing.bin"],
+    ["diag", "--time", "8.32633,3,967"],
+    ["gendata"],
+], ids=["train", "search", "search-replay", "diag-model", "diag-time",
+        "gendata"])
+def test_out_naming_a_file_fails_before_any_input(tmp_path, capsys, argv):
+    # the inputs do not exist: the --out check comes first, and no command
+    # runs to its end only to fail on the write
+    out = tmp_path / "out"
+    out.write_text("keep\n", encoding="utf-8")
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --out {out}: exists and is not a directory\n")
+    assert out.read_text(encoding="utf-8") == "keep\n"
 
 
 # --- config files ---
@@ -726,12 +760,25 @@ def _text_argv(kind, path, tmp):
      ":2: expected 5 columns, got 6"),
     ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,x,0\n", 1,
      ":2: test_error: could not convert string to float: 'x'"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,nan,0\n2,0.5,0.5,0.5,0\n",
+     1, ":2: test_error: must be in [0, 1], got 'nan'"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,-4,0\n2,0.5,0.5,0.5,0\n",
+     1, ":2: test_error: must be in [0, 1], got '-4'"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,1.5,0.5,0\n", 1,
+     ":2: train_error: must be in [0, 1], got '1.5'"),
+    ("curve", _CURVE_HEAD.encode() + b"1,0.5,0.5,0.5,0\n1,0.5,0.5,0.5,0\n",
+     1, ":3: epoch: expected epoch 2, got '1'"),
+    ("curve", _CURVE_HEAD.encode() + b"2,0.5,0.5,0.5,0\n", 1,
+     ":2: epoch: expected epoch 1, got '2'"),
     ("manifest", b"path,label,category\na.pdt,2,x\n", 1,
      ":2: label: must be 0 or 1, got '2'"),
     ("config", b"# preset\nrotate=1\n", 2, ":2: unknown key 'rotate'"),
 ], ids=["arch-utf8", "config-utf8", "manifest-utf8", "fixture-utf8",
         "curve-utf8", "curve-short-row", "curve-long-row",
-        "curve-bad-test-error", "manifest-label-2", "gendata-config-rotate"])
+        "curve-bad-test-error", "curve-nan-test-error",
+        "curve-negative-test-error", "curve-train-error-above-1",
+        "curve-repeated-epoch", "curve-first-epoch-2", "manifest-label-2",
+        "gendata-config-rotate"])
 def test_malformed_text_input_is_one_line_error(tmp_path, capsys, kind,
                                                 content, code, tail):
     path = tmp_path / f"{kind}.txt"

@@ -34,13 +34,15 @@ def test_filter_variance_constant_weights_zero():
     assert mean == 0.0
 
 
-def test_filter_variance_toy_values():
+@pytest.mark.parametrize("values,want", [([1.0, 2.0, 3.0, 4.0], 1.25),
+                                         ([-1.0, 1.0], 1.0)])
+def test_filter_variance_toy_values(values, want):
     net = _net([4])
     conv1 = net.branches[0][0]
-    conv1.weights = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2)
+    conv1.weights = np.array(values).reshape(1, 1, 1, -1)
     (_, _, variance), = filter_variance(net)[0]
-    assert variance == pytest.approx(1.25, abs=0)
-    assert variance == pytest.approx(variance_loop([1, 2, 3, 4]), abs=0)
+    assert variance == pytest.approx(want, abs=0)
+    assert variance == pytest.approx(variance_loop(values), abs=0)
 
 
 def test_filter_variance_three_branches():
@@ -61,7 +63,7 @@ def test_filter_variance_translation_invariant():
     assert abs(after[0][2] - before[0][2]) < 1e-12
 
 
-def test_filter_variance_gaussian_init_scale():
+def test_filter_variance_init_scale():
     # sigma 0.01 conv1 with >= 4096 weights: variance close to 1e-4
     spec = build_pdcnn([4], input_shape=(3, 224, 224))
     net = PdcnnNet(spec, T.Rng(8))

@@ -8,7 +8,7 @@ from pdcnn.data import Dataset, ManifestRecord, gen_synthetic, split_batches
 from pdcnn.network import PdcnnNet
 from pdcnn.optim import (EpochRecord, SgdConfig, TrainState,
                          evaluate, init_state, read_curve_csv, sgd_step,
-                         train, train_epoch, write_curve_csv, _batches)
+                         train, train_epoch, write_curve_csv)
 
 TINY = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
                   filter_scale=0.05, init_sigma=0.3)
@@ -83,11 +83,6 @@ def test_quadratic_loss_converges():
         w = state.parameters[0][1]
         sgd_step(state, [("w/weights", 2.0 * w)], cfg)
     assert abs(state.parameters[0][1][0]) < 1e-3
-
-
-def test_batch_partition_keeps_final_partial():
-    chunks = list(_batches(np.arange(100), 32))
-    assert [len(c) for c in chunks] == [32, 32, 32, 4]
 
 
 def test_train_epoch_steps_once_per_batch(tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig
 from pdcnn.data import gen_synthetic, split_batches
 from pdcnn.optim import SgdConfig, evaluate
-from pdcnn.search import (OracleError, SearchError, greedy_pdcnn_search,
-                          replay_oracle, train_eval_oracle)
+from pdcnn.search import (OracleError, greedy_pdcnn_search, replay_oracle,
+                          train_eval_oracle)
 
 # recorded error rates for every single branch and every greedy extension,
 # used as the replay fixture throughout
@@ -41,6 +41,7 @@ def test_greedy_full_replay():
                                 max_branches=4)
     assert trace.winner == (4, 3, 4)
     assert trace.winner_error == pytest.approx(0.079832, abs=0)
+    assert trace.failure == ""
     assert len(trace.rounds) == 4
 
     r1, r2, r3, r4 = trace.rounds
@@ -106,9 +107,9 @@ def test_greedy_requires_strict_improvement():
 
 
 def test_greedy_oracle_failure_carries_partial_trace():
-    with pytest.raises(SearchError) as exc_info:
-        greedy_pdcnn_search((3, 4, 5), replay_oracle(SINGLE), max_branches=3)
-    trace = exc_info.value.trace
+    trace = greedy_pdcnn_search((3, 4, 5), replay_oracle(SINGLE),
+                                max_branches=3)
+    assert trace.failure == "no recorded error for depth list [4, 3]"
     assert len(trace.rounds) == 2
     assert trace.rounds[0].chosen == (4,)
     assert trace.rounds[1].chosen is None
@@ -204,6 +205,7 @@ def test_train_eval_oracle_wraps_failures(tmp_path):
                                config=ArchConfig())
     with pytest.raises(OracleError, match=r"\[3\]"):
         oracle((3,))
-    with pytest.raises(SearchError) as exc_info:
-        greedy_pdcnn_search((3,), oracle, max_branches=1)
-    assert exc_info.value.trace.rounds[0].candidates == ()
+    trace = greedy_pdcnn_search((3,), oracle, max_branches=1)
+    assert trace.failure.startswith("candidate [3] failed: ")
+    assert trace.rounds[0].candidates == ()
+    assert trace.winner == ()
