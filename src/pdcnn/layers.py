@@ -23,13 +23,20 @@ forward computes the same output but keeps no backward cache.
 
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
-convolutional neural networks for document processing"). When backward will
-follow (the default), forward builds the matrix for the whole batch in one
-block and keeps it as the cache. In inference mode a float32 conv pads the
-input and builds the matrix one block of samples at a time, into reused
-buffers, each block's columns within COL_BUDGET bytes, and keeps none (cache
-blocking after Goto & van de Geijn 2008, "Anatomy of high-performance matrix
-multiplication"). The output bytes are the same either way.
+convolutional neural networks for document processing"). In inference mode a
+float32 conv pads the input and builds the matrix one block of samples at a
+time, into reused buffers, each block's columns within COL_BUDGET bytes, and
+keeps none (cache blocking after Goto & van de Geijn 2008, "Anatomy of
+high-performance matrix multiplication"). When backward will follow (the
+default), a float32 conv that computes its input gradient and has more than
+RECOMPUTE_COL_BYTES of columns runs the same blocks and caches only its
+input; backward rebuilds the columns one kernel row at a time (recompute for
+memory after Chen et al. 2016, arXiv:1604.06174). Every other training conv
+builds the matrix for the whole batch in one block and keeps it as the cache:
+a conv without an input gradient (each branch's conv1) and a small one would
+spend more time on the rebuild than its columns cost memory, and a float64
+conv's GEMM bits move when its columns are split. The output and gradient
+bytes are the same on every path.
 """
 
 import numpy as np
@@ -43,6 +50,13 @@ import numpy as np
 COL_BUDGET = 4 << 20
 
 
+# Column bytes above which a float32 training conv that computes its input
+# gradient caches only its input, and backward rebuilds the columns one kernel
+# row at a time. Below it, or for a conv without an input gradient, the
+# columns' rebuild costs more time than their cache costs memory.
+RECOMPUTE_COL_BYTES = 8 * COL_BUDGET
+
+
 class ShapeError(ValueError):
     """Layer input incompatible with layer parameters (channel or extent mismatch)."""
 
@@ -50,6 +64,18 @@ class ShapeError(ValueError):
 def conv_extent(size: int, kernel: int, stride: int, padding: int) -> int:
     """Output spatial extent: floor((size + 2*padding - kernel) / stride) + 1."""
     return (size + 2 * padding - kernel) // stride + 1
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, i0: int, i1: int,
+            out: np.ndarray) -> None:
+    """Write kernel rows i0:i1 of the channel-major columns of the padded
+    (N,C,Hp,Wp) input xp into the contiguous out, (C*(i1-i0)*kw, N*oh*ow)."""
+    n, c = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride, i0:i1]
+    oh, ow = win.shape[2:4]
+    np.copyto(out.reshape(c, i1 - i0, kw, n, oh, ow),
+              win.transpose(1, 4, 5, 0, 2, 3))
 
 
 class Layer:
@@ -80,16 +106,23 @@ class Conv2d(Layer):
     each block is zero-padded into one reused buffer, its columns are copied
     into a second and multiplied into a third, the bias is added there, and
     the result is copied transposed into the block's rows of the
-    (N,Co,oh*ow) output. Outside inference mode there is one block, the
-    whole batch, whose column matrix is the backward cache; backward frees
-    it right after the grad-weights GEMM, before it allocates the column
-    gradient. In inference mode a float32 conv runs in ceil(column bytes /
-    COL_BUDGET) blocks, at most one per sample, with edges at n*i//nblk, and
-    keeps no columns. The input gradient W.T @ dout leaves the GEMM
-    contiguous as (C,kh,kw,N,oh,ow); col2im adds each tap's (C,N,oh,ow)
-    block into a (C,N,Hp,Wp) buffer, transposed back once. With
-    input_grad=False, backward stops after the parameter gradients and
-    returns None.
+    (N,Co,oh*ow) output. A float32 conv runs in ceil(column bytes /
+    COL_BUDGET) blocks, at most one per sample, with edges at n*i//nblk, in
+    inference mode, and in training when it computes its input gradient and
+    its columns exceed RECOMPUTE_COL_BYTES; it then keeps no columns, and a
+    training forward caches its unpadded input. Any other training forward
+    is one block, the whole batch, whose column matrix is the backward cache.
+
+    Backward loops over groups of kernel rows: the cached columns are one
+    group of all kh rows; uncached ones are kh groups of one row, each
+    rebuilt from the padded input into one reused (C*kw, N*oh*ow) buffer.
+    For each group it writes dout @ rows.T into grad_weights[:, :, rows],
+    then the group's column gradient W[:, :, rows].T @ dout into the
+    columns' own buffer (a new one if dout has another dtype), so the two
+    are not alive side by side, and col2im adds each tap's (C,N,oh,ow)
+    block into a (C,N,Hp,Wp) buffer, kernel rows outermost, transposed back
+    once. With input_grad=False, backward stops after the parameter
+    gradients and returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -127,9 +160,13 @@ class Conv2d(Layer):
         k, m = c * kh * kw, oh * ow
         wmat = self.weights.reshape(co, k)
         gemm_dtype = np.result_type(wmat, x)
+        col_bytes = k * n * m * x.itemsize
+        recompute = (not self.inference and self.input_grad
+                     and gemm_dtype == np.float32
+                     and col_bytes > RECOMPUTE_COL_BYTES)
         nblk = 1
-        if self.inference and gemm_dtype == np.float32:
-            nblk = max(1, min(n, -(-k * n * m * x.itemsize // COL_BUDGET)))
+        if (self.inference or recompute) and gemm_dtype == np.float32:
+            nblk = max(1, min(n, -(-col_bytes // COL_BUDGET)))
         nb_max = -(-n // nblk)
         if p:  # only the interior is written, so the border stays zero
             pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -143,35 +180,52 @@ class Conv2d(Layer):
             if p:
                 xb = pad_buf[:nb]
                 xb[:, :, p:p + h, p:p + w] = x[n0:n1]
-            win = np.lib.stride_tricks.sliding_window_view(xb, (kh, kw), axis=(2, 3))
             cols_t = col_buf[:k * nb * m].reshape(k, nb * m)
-            np.copyto(cols_t.reshape(c, kh, kw, nb, oh, ow),
-                      win[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3))
+            _im2col(xb, kh, kw, s, 0, kh, cols_t)
             gemm = np.matmul(wmat, cols_t,
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
             out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
-        self._cache = None if self.inference else (cols_t, x.shape)
+        self._cache = (None if self.inference else (x.shape, None, x) if recompute
+                       else (x.shape, cols_t, None))
         return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
-        cols_t, x_shape = self._take_cache()
-        n, _, h, w = x_shape
+        (n, c, h, w), cols, x = self._take_cache()
         co, ci, kh, kw = self.weights.shape
         _, _, oh, ow = dout.shape
         s, p = self.stride, self.padding
         dmat_t = dout.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
-        self.grad_weights = (dmat_t @ cols_t.T).reshape(self.weights.shape)
-        del cols_t  # the columns' last use: never alive beside dcols_t
         self.grad_bias = dmat_t.sum(axis=1)
+        rebuild = cols is None
+        if rebuild:
+            if p:
+                xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+                xp[:, :, p:p + h, p:p + w] = x
+                x = xp
+            cols = np.empty((c * kw, n * oh * ow), dtype=x.dtype)
+        groups = [(i, i + 1) for i in range(kh)] if rebuild else [(0, kh)]
+        grad_weights = np.empty(self.weights.shape, np.result_type(dmat_t, cols))
+        if self.input_grad:
+            dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
+        for i0, i1 in groups:
+            if rebuild:
+                _im2col(x, kh, kw, s, i0, i1, cols)
+            grad_weights[:, :, i0:i1] = (dmat_t @ cols.T).reshape(
+                co, ci, i1 - i0, kw)
+            if not self.input_grad:
+                continue
+            wrows_t = self.weights[:, :, i0:i1].reshape(co, -1).T
+            dcols_t = np.matmul(wrows_t, dmat_t,
+                                out=cols if cols.dtype == dmat_t.dtype else None)
+            dcols_t = dcols_t.reshape(ci, i1 - i0, kw, n, oh, ow)
+            for i in range(i0, i1):
+                for j in range(kw):
+                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i - i0, j]
+        self.grad_weights = grad_weights
         if not self.input_grad:
             return None
-        dcols_t = (self.weights.reshape(co, -1).T @ dmat_t).reshape(
-            ci, kh, kw, n, oh, ow)
-        dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i, j]
+        del x, cols, dcols_t  # not alive beside dx
         dx = dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
         return np.ascontiguousarray(dx)
 

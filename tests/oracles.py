@@ -56,24 +56,54 @@ def conv_naive(x, w, b, stride, padding):
     return out
 
 
-def conv_whole_batch(x, w, b, stride, padding):
-    """Convolution of an (N,C,H,W) batch as one GEMM over the whole batch's
-    channel-major im2col matrix, then the bias, then the NCHW transpose: the
-    unblocked forward whose output bytes the blocked one must reproduce. The
-    column matrix is a contiguous copy: at a 1x1 output a plain reshape can
-    return a strided view, which numpy multiplies with a transposed GEMM that
+def _whole_batch_columns(x, kh, kw, stride, padding):
+    """The channel-major im2col matrix (C*kh*kw, N*oh*ow) of an (N,C,H,W)
+    batch, as a contiguous copy: at a 1x1 output a plain reshape can return
+    a strided view, which numpy multiplies with a transposed GEMM that
     rounds differently in float64."""
     n, c, _, _ = x.shape
-    co, _, kh, kw = w.shape
     p = padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (N,C,oh,ow,kh,kw)
     oh, ow = win.shape[2], win.shape[3]
-    cols_t = np.ascontiguousarray(
+    return np.ascontiguousarray(
         win.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * oh * ow))
+
+
+def conv_whole_batch(x, w, b, stride, padding):
+    """Convolution of an (N,C,H,W) batch as one GEMM over the whole batch's
+    channel-major im2col matrix, then the bias, then the NCHW transpose: the
+    unblocked forward whose output bytes the blocked one must reproduce."""
+    n, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    cols_t = _whole_batch_columns(x, kh, kw, stride, padding)
     out_t = w.reshape(co, -1) @ cols_t + b[:, None]
     return np.ascontiguousarray(out_t.reshape(co, n, oh, ow).transpose(1, 0, 2, 3))
+
+
+def conv_backward_whole_batch(x, w, dout, stride, padding):
+    """(grad_weights, grad_bias, dx) of conv_whole_batch for the upstream
+    gradient dout: the weight gradient is one GEMM of dout with the whole
+    batch's column matrix, the column gradient one GEMM of the transposed
+    weights with dout, added into the padded input gradient tap by tap, kernel
+    rows outermost. The unsplit backward whose bytes a split one must
+    reproduce."""
+    n, c, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    _, _, oh, ow = dout.shape
+    s, p = stride, padding
+    dmat_t = dout.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
+    grad_weights = (dmat_t @ _whole_batch_columns(x, kh, kw, s, p).T).reshape(w.shape)
+    dcols_t = (w.reshape(co, -1).T @ dmat_t).reshape(c, kh, kw, n, oh, ow)
+    dxp = np.zeros((c, n, h + 2 * p, wd + 2 * p), dtype=dout.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i, j]
+    dx = np.ascontiguousarray(dxp[:, :, p:p + h, p:p + wd].transpose(1, 0, 2, 3))
+    return grad_weights, dmat_t.sum(axis=1), dx
 
 
 def pool_naive(x, window, stride):

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, shape_check
-from pdcnn.layers import (COL_BUDGET, Conv2d, FullyConnected, Lrn, MaxPool,
-                          Relu, ShapeError, _channel_window_sum, conv_extent,
-                          softmax_xent_batch)
+from pdcnn.layers import (COL_BUDGET, RECOMPUTE_COL_BYTES, Conv2d,
+                          FullyConnected, Lrn, MaxPool, Relu, ShapeError,
+                          _channel_window_sum, conv_extent, softmax_xent_batch)
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet
-from oracles import (channel_window_sum_cumsum, conv_naive, conv_whole_batch,
-                     lrn_cumsum, lrn_naive, max_rel_err, pool_argmax,
-                     pool_naive, softmax_xent)
+from oracles import (channel_window_sum_cumsum, conv_backward_whole_batch,
+                     conv_naive, conv_whole_batch, lrn_cumsum, lrn_naive,
+                     max_rel_err, pool_argmax, pool_naive, softmax_xent)
 
 
 # --- conv2d ---
@@ -157,13 +157,18 @@ TINY = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
                   filter_scale=0.04, init_sigma=0.5)
 
 
+FULL = ArchConfig()
+
+
 def _conv_inputs(config, size, batch, dtype):
     """(conv layer, its input) for every conv of a 4,3,4 network on a random
-    image batch, each input the batch run through the layers before it."""
+    image batch, each input the batch run through the layers before it in
+    inference mode, which the layers are out of on return."""
     net = PdcnnNet(build_pdcnn([4, 3, 4], input_shape=(3, size, size),
                                config=config), T.Rng(9), dtype=dtype)
     images = np.random.default_rng(batch).random((batch, 3, size, size))
     x = ((images - INPUT_OFFSET) * INPUT_SCALE).astype(dtype)
+    net.inference = True
     pairs = []
     for layers in net.branches:
         h = x
@@ -171,7 +176,22 @@ def _conv_inputs(config, size, batch, dtype):
             if isinstance(layer, Conv2d):
                 pairs.append((layer, h))
             h = layer.forward(h)
+    net.inference = False
     return pairs
+
+
+def _full_conv2(batch, dtype):
+    """A full-scale canonical conv2 (96 5x5 filters over 64 channels of 27x27,
+    padding 2) and a random input batch for it."""
+    rng = np.random.default_rng(batch)
+    conv = Conv2d(rng.normal(0, 0.01, (96, 64, 5, 5)).astype(dtype),
+                  rng.normal(0, 1, 96).astype(dtype), stride=1, padding=2)
+    return conv, rng.standard_normal((batch, 64, 27, 27)).astype(dtype)
+
+
+def _holds_columns(conv):
+    """Whether conv's latest training forward cached its column matrix."""
+    return conv._cache[1] is not None
 
 
 def _col_bytes(conv, x):
@@ -205,6 +225,79 @@ def test_conv_blocked_inference_forward_is_bit_equal(config, size, batch, dtype)
                                 conv.padding)
         assert out.dtype == want.dtype and out.shape == want.shape
         assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("batch", [32, 16])
+def test_conv_recomputed_columns_backward_is_bit_equal(batch):
+    # every full-scale 4,3,4 conv whose training forward keeps no columns, at
+    # the training batch and the benchmark's final batch: the forward and all
+    # three gradients keep the bytes of the whole-batch GEMMs
+    rng = np.random.default_rng(batch)
+    recomputed = 0
+    for conv, x in _conv_inputs(FULL, 224, batch, np.float32):
+        if not conv.input_grad or _col_bytes(conv, x) <= RECOMPUTE_COL_BYTES:
+            continue
+        recomputed += 1
+        out = conv.forward(x)
+        assert not _holds_columns(conv)
+        dout = rng.standard_normal(out.shape, dtype=np.float32)
+        dx = conv.backward(dout)
+        got = [out, conv.grad_weights, conv.grad_bias, dx]
+        want = [conv_whole_batch(x, conv.weights, conv.bias, conv.stride,
+                                 conv.padding),
+                *conv_backward_whole_batch(x, conv.weights, dout, conv.stride,
+                                           conv.padding)]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+    # every branch's conv2 at 32; at 16, the 5x5 ones
+    assert recomputed == {32: 3, 16: 2}[batch]
+
+
+def test_conv_caches_columns_below_the_recompute_rule():
+    # only a float32 conv with an input gradient and over RECOMPUTE_COL_BYTES
+    # of columns rebuilds them in backward. Splitting a small GEMM by kernel
+    # row can change its float32 bits, so the rule guards bit-equality too.
+    for batch in (32, 64):
+        for conv, x in _conv_inputs(DESK, 56, batch, np.float32):
+            conv.forward(x)
+            assert _holds_columns(conv)
+    held = []
+    for conv, x in _conv_inputs(FULL, 224, 32, np.float32):
+        conv.forward(x)
+        held.append(_holds_columns(conv))
+    # branches of 4, 3 and 4 convs: all but each conv2 keep their columns
+    assert held == [True, False, True, True,
+                    True, False, True,
+                    True, False, True, True]
+    conv, x = _full_conv2(8, np.float64)
+    assert _col_bytes(conv, x) > RECOMPUTE_COL_BYTES
+    conv.forward(x)
+    assert _holds_columns(conv)
+
+
+def test_conv_recomputed_columns_hold_no_memory():
+    # a full-scale conv2 at batch 8, 37.3 MB of columns: the training forward
+    # keeps its output and a reference to its input, and backward's
+    # transient peak, kernel-row columns included, stays below half of them
+    conv, x = _full_conv2(8, np.float32)
+    dout = np.random.default_rng(2).standard_normal((8, 96, 27, 27),
+                                                    dtype=np.float32)
+    col_bytes = _col_bytes(conv, x)
+    assert col_bytes > RECOMPUTE_COL_BYTES
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = conv.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        conv.backward(dout)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert held < out.nbytes + (1 << 16), (held, out.nbytes)
+    assert peak < col_bytes / 2, (peak, col_bytes)
 
 
 def test_conv_shape_errors():
