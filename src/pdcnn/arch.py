@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 
 from .layers import ShapeError, conv_extent
 
+DEPTHS = (3, 4, 5)  # the conv depths a branch may have
 FILTERS = (64, 96, 96, 64, 64)  # a depth-d branch takes the first d
 KERNELS = (7, 5, 3, 3, 3)
 CONV_PADS = (2, 1, 1, 1)  # conv2 on; conv1's is ArchConfig.conv1_padding
@@ -97,8 +98,9 @@ def build_arch(depth: int, variant: int = 0,
     Variant 0 is canonical; higher variants cycle the conv1/conv2 kernel
     sizes so branches of equal depth stay structurally distinct.
     """
-    if depth not in (3, 4, 5):
-        raise ValueError(f"unsupported depth {depth}; expected one of 3, 4, 5")
+    if depth not in DEPTHS:
+        raise ValueError(f"unsupported depth {depth}; expected one of "
+                         f"{', '.join(map(str, DEPTHS))}")
     if variant < 0:
         raise ValueError(f"variant must be >= 0, got {variant}")
     kernels = list(KERNELS[:depth])

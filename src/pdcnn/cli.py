@@ -20,9 +20,9 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (ARCH_KEYS, format_int_list, format_kv_lines, param_count,
-                   parse_int_list, parse_kv_file, parse_rate, read_table,
-                   shape_check, spec_from_arch_dict)
+from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, format_int_list,
+                   format_kv_lines, param_count, parse_int_list, parse_kv_file,
+                   parse_rate, read_table, shape_check, spec_from_arch_dict)
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
@@ -94,7 +94,7 @@ _OPTS = {
         "out": (str, ""),
         "depths": (parse_int_list, ()),
         "arch": (str, ""),
-        "epochs": (int, 30),
+        "epochs": (int, SgdConfig.max_epochs),
         "timing": (_parse_bool, False),
     },
     "eval": {
@@ -107,8 +107,8 @@ _OPTS = {
         "out": (str, ""),
         "arch": (str, ""),
         "epochs": (int, 10),
-        "candidates": (parse_int_list, (3, 4, 5)),
-        "max_branches": (int, 4),
+        "candidates": (parse_int_list, DEPTHS),
+        "max_branches": (int, MAX_BRANCHES),
         "replay": (str, ""),
     },
     "diag": {
@@ -178,18 +178,12 @@ def _out_dir(args):
     return out
 
 
-def _sgd_config(args):
-    """The SgdConfig the training options give; a bad value is a usage error."""
+def _training_settings(args):
+    """The model dtype and the SgdConfig the training options give; a bad
+    value is a usage error."""
     try:
-        return SgdConfig(**{name: getattr(args, opt)
-                            for opt, name in _SGD_OPTS.items()})
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-
-
-def _np_dtype(name):
-    try:
-        return model_dtype(name)
+        return model_dtype(args.dtype), SgdConfig(
+            **{name: getattr(args, opt) for opt, name in _SGD_OPTS.items()})
     except ValueError as err:
         raise UsageError(str(err)) from None
 
@@ -215,8 +209,7 @@ def cmd_train(args):
     if not arch_d.get("depths"):
         raise UsageError("no architecture given: pass --depths or --arch FILE")
     spec = _checked_spec(args, arch_d)
-    dtype = _np_dtype(args.dtype)
-    cfg = _sgd_config(args)
+    dtype, cfg = _training_settings(args)
     train_set, test_set = _load_split(args, spec.input_shape[1])
     net, curve = train(spec, train_set, test_set, cfg, args.seed, dtype=dtype)
     out = _out_dir(args)
@@ -278,8 +271,7 @@ def cmd_search(args):
         for depth in args.candidates:
             spec = _checked_spec(args, {**arch_d, "depths": [depth],
                                         "variants": None})
-        dtype = _np_dtype(args.dtype)
-        cfg = _sgd_config(args)
+        dtype, cfg = _training_settings(args)
         train_set, test_set = _load_split(args, spec.input_shape[1])
         oracle = S.train_eval_oracle(train_set, test_set, cfg, args.seed,
                                      spec.input_shape, spec.config, dtype=dtype)
@@ -380,6 +372,8 @@ def main(argv=None) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as err:  # ShapeError included
+        if isinstance(err, MemoryError) and not str(err):
+            err = "out of memory"  # Python's own MemoryError has no text
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,11 @@
 """Executable parallel network: parameters, forward/backward over batches,
-the threaded training-mode branch runs, and PDM1 model files. The README's
-`pdcnn.network` and `pdcnn.layers` entries describe the design.
+the threaded training-mode branch runs, and what a PDM1 model file holds
+(`pdcnn.tensor` frames it). The README's `pdcnn.network` and `pdcnn.layers`
+entries describe the design.
 """
 
 import math
 import os
-import struct
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -30,9 +30,6 @@ INPUT_SCALE = 255.0
 # of 4 or 8 samples were not. float64 never chunks (dgemm bits move with a
 # column's position).
 CHUNK_COL_BYTES = 256 << 10
-
-PDM1_MAGIC = b"PDM1"
-PDM1_VERSION = 1
 
 
 def model_dtype(name: str) -> np.dtype:
@@ -234,21 +231,10 @@ class PdcnnNet:
 def save_model(net: PdcnnNet, path) -> None:
     """Write a PDM1 model file. Parameter payloads are PDT1 (32-bit floats);
     double-precision models round to single in the file."""
-    params = net.parameters()
     meta = format_kv_lines({**arch_dict_from_spec(net.spec),
                             "dtype": net.dtype.name}).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(PDM1_MAGIC)
-        f.write(struct.pack("<I", PDM1_VERSION))
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        f.write(struct.pack("<I", len(params)))
-        for name, _ in params:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-        for _, array in params:
-            T.write_pdt_stream(f, array)
+    T.write_pdm(path, meta, [(name.encode("utf-8"), array)
+                             for name, array in net.parameters()])
 
 
 def load_model(path) -> PdcnnNet:
@@ -258,19 +244,7 @@ def load_model(path) -> PdcnnNet:
     or float64 dtype, the index must name every parameter exactly once, and
     every tensor must be finite; a ValueError starting with the path reports
     any other file."""
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != PDM1_MAGIC:
-            raise ValueError(f"{path}: not a PDM1 model file")
-        version = T.read_u32(f, path)
-        if version != PDM1_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        meta = T.read_exact(f, T.read_u32(f, path), path)
-        count = T.read_u32(f, path)
-        names = [T.read_exact(f, T.read_u32(f, path), path)
-                 for _ in range(count)]
-        arrays = [T.read_pdt_stream(f, path) for _ in range(count)]
-        T.expect_end(f, path, "the last tensor")
+    meta, names, arrays = T.read_pdm(path)
     try:
         d = parse_kv_lines(meta.decode("utf-8").splitlines(), "meta",
                            _META_KEYS)

@@ -1,12 +1,17 @@
-"""Dense row-major arrays, seeded randomness, and the PDT1 tensor file format.
+"""Dense row-major arrays, seeded randomness, and the PDT1/PDM1 file formats.
 
 Tensors are plain numpy arrays in C (row-major) order. Double precision is
 used on every verification path; training may run in single precision, chosen
 once per model. Randomness is never ambient: every stochastic operation takes
 an explicit Rng, and independent streams are derived with mix_seed.
+
+Every binary read checks each declared length against the bytes the file has
+left before it reads or allocates; a file that is not a regular one is refused.
 """
 
 import math
+import os
+import stat
 import struct
 
 import numpy as np
@@ -15,6 +20,8 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 PDT1_MAGIC = b"PDT1"
+PDM1_MAGIC = b"PDM1"
+PDM1_VERSION = 1
 
 
 def _splitmix64(state: int) -> int:
@@ -68,75 +75,97 @@ def check_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:
     return t
 
 
-def write_pdt_stream(f, t: np.ndarray) -> None:
-    """Write one PDT1 record to an open binary file: magic, u32 LE rank,
-    u32 LE extents, f32 LE data.
+class _Reader:
+    """A regular file read front to back: each declared length is checked
+    against the bytes left (one fstat) before it is read or allocated."""
 
-    Data is row-major (last axis fastest). Writing is byte-deterministic for
-    equal inputs.
-    """
+    def __init__(self, f, path):
+        st = os.fstat(f.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            raise ValueError(f"{path}: not a regular file")
+        self.f, self.path, self.left = f, path, st.st_size
+
+    def _check(self, needed: int, got: int) -> None:
+        if got < needed:
+            raise ValueError(f"{self.path}: truncated file (needed {needed} "
+                             f"bytes, got {got})")
+
+    def take(self, n: int) -> bytes:
+        self._check(n, self.left)
+        data = self.f.read(n)
+        self._check(n, len(data))  # the file may have shrunk since the fstat
+        self.left -= n
+        return data
+
+    def u32s(self, n: int) -> tuple:
+        return struct.unpack(f"<{n}I", self.take(4 * n))
+
+    def pdt(self) -> np.ndarray:
+        """The next PDT1 record as a float32 array."""
+        magic = self.take(4)
+        if magic != PDT1_MAGIC:
+            raise ValueError(f"{self.path}: not a PDT1 record (magic {magic!r})")
+        (rank,) = self.u32s(1)
+        if 4 * rank > self.left:  # name the first extent the file cuts short
+            self._check(4, self.left % 4)
+        shape = self.u32s(rank)
+        n = 4 * math.prod(shape)
+        if n > self.left:
+            raise ValueError(f"{self.path}: truncated file (header declares "
+                             f"{n // 4} floats, {self.left} bytes left)")
+        data = np.empty(shape, dtype="<f4")
+        self._check(n, self.f.readinto(data))
+        self.left -= n
+        return data.astype(np.float32, copy=False)
+
+    def done(self, result, what: str):
+        """result, once the file is known to end with `what`."""
+        if self.left:
+            raise ValueError(f"{self.path}: {self.left} bytes after {what}")
+        return result
+
+
+def _write_pdt_record(f, t: np.ndarray) -> None:
     t = np.asarray(t)
-    f.write(PDT1_MAGIC)
-    f.write(struct.pack("<I", t.ndim))
-    for s in t.shape:
-        f.write(struct.pack("<I", s))
+    f.write(PDT1_MAGIC + struct.pack(f"<{t.ndim + 1}I", t.ndim, *t.shape))
     f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
 
 
-def read_exact(f, n: int, path) -> bytes:
-    """The next n bytes of f; ValueError naming path if the file ends first."""
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"{path}: truncated file (needed {n} bytes, got {len(data)})")
-    return data
-
-
-def read_u32(f, path) -> int:
-    """One little-endian u32 from f, checked like read_exact."""
-    return struct.unpack("<I", read_exact(f, 4, path))[0]
-
-
-def read_pdt_stream(f, path) -> np.ndarray:
-    """Read one PDT1 record from an open, seekable binary file as a float32
-    array; path names the file in errors. Extents whose data would run past
-    the end of the file are rejected before any data is read."""
-    magic = read_exact(f, 4, path)
-    if magic != PDT1_MAGIC:
-        raise ValueError(f"{path}: not a PDT1 record (magic {magic!r})")
-    rank = read_u32(f, path)
-    shape = tuple(read_u32(f, path) for _ in range(rank))
-    count = math.prod(shape)
-    here = f.tell()
-    left = f.seek(0, 2) - here
-    f.seek(here)
-    if 4 * count > left:
-        raise ValueError(f"{path}: truncated file (header declares {count} "
-                         f"floats, {left} bytes left)")
-    data = np.empty(shape, dtype="<f4")
-    got = f.readinto(data)
-    if got != 4 * count:
-        raise ValueError(f"{path}: truncated file (needed {4 * count} bytes, "
-                         f"got {got})")
-    return data.astype(np.float32, copy=False)
-
-
-def expect_end(f, path, what: str) -> None:
-    """ValueError naming path if the seekable f has bytes left after `what`."""
-    here = f.tell()
-    extra = f.seek(0, 2) - here
-    if extra:
-        raise ValueError(f"{path}: {extra} bytes after {what}")
-
-
 def write_pdt(path, t: np.ndarray) -> None:
-    """Write a tensor as a PDT1 file holding one record (see write_pdt_stream)."""
+    """Write a tensor as a PDT1 file: magic, u32 LE rank, u32 LE extents, then
+    row-major f32 LE data. Byte-deterministic for equal inputs."""
     with open(path, "wb") as f:
-        write_pdt_stream(f, t)
+        _write_pdt_record(f, t)
 
 
 def read_pdt(path) -> np.ndarray:
     """Read a one-record PDT1 file as a float32 array (cast it if needed)."""
     with open(path, "rb") as f:
-        t = read_pdt_stream(f, path)
-        expect_end(f, path, "the PDT1 record")
-    return t
+        r = _Reader(f, path)
+        return r.done(r.pdt(), "the PDT1 record")
+
+
+def write_pdm(path, meta: bytes, named) -> None:
+    """Write a PDM1 file: magic, u32 LE version, u32 LE-length-prefixed meta,
+    u32 LE count, that many length-prefixed names, then their PDT1 records."""
+    with open(path, "wb") as f:
+        f.write(PDM1_MAGIC + struct.pack("<II", PDM1_VERSION, len(meta)) + meta)
+        f.write(struct.pack("<I", len(named)) + b"".join(
+            struct.pack("<I", len(name)) + name for name, _ in named))
+        for _, array in named:
+            _write_pdt_record(f, array)
+
+
+def read_pdm(path):
+    """(meta bytes, name bytes list, float32 arrays) from a PDM1 file, read
+    as a frame only: the caller gives meta and names their meaning."""
+    with open(path, "rb") as f:
+        r = _Reader(f, path)
+        if r.take(min(4, r.left)) != PDM1_MAGIC:
+            raise ValueError(f"{path}: not a PDM1 model file")
+        (version,) = r.u32s(1)
+        if version != PDM1_VERSION:
+            raise ValueError(f"{path}: unsupported model version {version}")
+        meta = r.take(*r.u32s(1))
+        names = [r.take(*r.u32s(1)) for _ in range(*r.u32s(1))]
+        return r.done((meta, names, [r.pdt() for _ in names]), "the last tensor")

@@ -1,6 +1,8 @@
+import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -310,14 +312,18 @@ def test_bad_sgd_config_file_value_is_usage_error(tmp_path, capsys):
 
 
 def test_out_of_memory_is_one_line_error(tmp_path, capsys, monkeypatch):
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError("Unable to allocate 4.12 GiB for an array")
+    # numpy's MemoryError names the allocation; Python's own has no text
+    for error, line in [
+            (MemoryError("Unable to allocate 4.12 GiB for an array"),
+             "error: Unable to allocate 4.12 GiB for an array\n"),
+            (MemoryError(), "error: out of memory\n")]:
+        def out_of_memory(*args, **kwargs):
+            raise error
 
-    monkeypatch.setattr("pdcnn.cli.train", out_of_memory)
-    code, _ = _train(tmp_path)
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: Unable to allocate 4.12 GiB for an array\n")
+        monkeypatch.setattr("pdcnn.cli.train", out_of_memory)
+        code, _ = _train(tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == line
 
 
 # --- eval ---
@@ -415,6 +421,62 @@ def test_eval_image_extents_beyond_file_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {image}: ")
     assert err.count("\n") == 1
+
+
+_CAPPED_EVAL = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from pdcnn.cli import main
+sys.exit(main(["eval", "--model", sys.argv[1], "--manifest", sys.argv[2]]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space only on Linux")
+@pytest.mark.parametrize("raw,left", [
+    (b"PDM1" + struct.pack("<II", 1, 0xFFFFFFF0) + b"depths=4", 8),
+    (b"PDM1" + struct.pack("<IIII", 1, 0, 1, 0xFFFFFFF0) + b"branch", 6),
+], ids=["meta-length", "name-length"])
+def test_eval_model_declaring_4_gib_is_one_line_error(tmp_path, raw, left):
+    # under a 2 GiB address-space cap a length read before it is checked
+    # fails to allocate, which would print a bare "error: "
+    model = tmp_path / "bad.bin"
+    model.write_bytes(raw)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_EVAL, str(model),
+         str(tmp_path / "missing.csv")],
+        capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (f"error: {model}: truncated file "
+                           f"(needed 4294967280 bytes, got {left})\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+@pytest.mark.parametrize("role", ["model", "image"])
+def test_eval_fifo_input_is_one_line_error(tmp_path, capsys, role):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    model, manifest = fifo, tmp_path / "missing.csv"
+    if role == "image":
+        model, manifest = _tiny_model(tmp_path), tmp_path / "m.csv"
+        manifest.write_text(f"path,label,category\n{fifo},0,t\n",
+                            encoding="utf-8")
+
+    def writer():  # opening a FIFO blocks until its other end is opened
+        try:
+            with open(fifo, "wb") as f:
+                f.write(b"PDT1")
+        except BrokenPipeError:
+            pass
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    code = main(["eval", "--model", str(model), "--manifest", str(manifest)])
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
 
 
 def _tiny_model(tmp_path):

@@ -202,6 +202,7 @@ def _col_bytes(conv, x):
     return c * k * k * n * oh * ow * x.itemsize
 
 
+@pytest.mark.bit_equal
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("config,size,batch", [(DESK, 56, 32), (DESK, 56, 64),
                                                (TINY, 20, 7)],
@@ -227,6 +228,7 @@ def test_conv_blocked_inference_forward_is_bit_equal(config, size, batch, dtype)
         assert out.tobytes() == want.tobytes()
 
 
+@pytest.mark.bit_equal
 @pytest.mark.parametrize("batch", [32, 16])
 def test_conv_recomputed_columns_backward_is_bit_equal(batch):
     # every full-scale 4,3,4 conv whose training forward keeps no columns, at

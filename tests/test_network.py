@@ -88,6 +88,7 @@ def test_forward_leaves_input_batch_unchanged(monkeypatch, in_dtype, net_dtype,
     assert seen[0].tobytes() == normalized.tobytes()
 
 
+@pytest.mark.bit_equal
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_inference_logits_bit_equal_to_training_forward(dtype):
     # the desk 4,3,4 geometry at eval batch 64, where float32 inference runs
@@ -102,6 +103,7 @@ def test_inference_logits_bit_equal_to_training_forward(dtype):
     assert blocked.tobytes() == net.forward(x).tobytes()
 
 
+@pytest.mark.bit_equal
 @pytest.mark.parametrize("size,config,batch,dtype,sizes", [
     (56, DESK, 160, np.float32, [80, 80]),
     (224, ArchConfig(), 8, np.float32, [4, 4]),
@@ -157,6 +159,7 @@ def _desk_sgd_run(monkeypatch, tmp_path, cores, dtype):
             [g.tobytes() for _, g in net.gradients()], path.read_bytes())
 
 
+@pytest.mark.bit_equal
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_parallel_branches_train_bit_equal_to_sequential(monkeypatch, tmp_path,
                                                          dtype):
@@ -427,13 +430,7 @@ def test_load_rejects_non_finite_tensor_naming_it(tmp_path, bad):
 
 def _pdm1(path, meta, named):
     """Write a PDM1 file from meta text and (name, array) pairs, unchecked."""
-    with open(path, "wb") as f:
-        f.write(b"PDM1" + struct.pack("<II", 1, len(meta)) + meta.encode())
-        f.write(struct.pack("<I", len(named)))
-        for name, _ in named:
-            f.write(struct.pack("<I", len(name)) + name.encode())
-        for _, array in named:
-            T.write_pdt_stream(f, array)
+    T.write_pdm(path, meta.encode(), [(n.encode(), a) for n, a in named])
 
 
 @pytest.mark.parametrize("meta_edit,index_edit", [

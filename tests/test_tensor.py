@@ -134,6 +134,28 @@ def test_pdt_rejects_bytes_after_the_record(tmp_path):
     assert str(err.value) == f"{path}: 128 bytes after the PDT1 record"
 
 
+def test_pdt_rejects_rank_beyond_file(tmp_path):
+    # the extents a rank declares are checked against the bytes left, and
+    # the error names the first extent the file cuts short
+    path = tmp_path / "rank.pdt"
+    path.write_bytes(T.PDT1_MAGIC + struct.pack("<I", 2**32 - 1) + b"\0" * 6)
+    with pytest.raises(ValueError) as err:
+        T.read_pdt(path)
+    assert str(err.value) == f"{path}: truncated file (needed 4 bytes, got 2)"
+
+
+def test_pdm_round_trip(tmp_path):
+    path = tmp_path / "m.bin"
+    named = [(b"a", np.arange(6, dtype=np.float32).reshape(2, 3)),
+             (b"b/c", np.float32(1.5))]
+    T.write_pdm(path, b"depths=4\n", named)
+    meta, names, arrays = T.read_pdm(path)
+    assert (meta, names) == (b"depths=4\n", [b"a", b"b/c"])
+    for (_, want), got in zip(named, arrays):
+        assert (got.dtype, got.shape) == (np.float32, np.shape(want))
+        npt.assert_array_equal(got, want)
+
+
 def _pdt_reference(raw):
     """(shape, payload bytes) of the PDT1 record that raw holds, or None
     when raw holds no complete record or bytes follow it."""
