@@ -116,8 +116,8 @@ _OPTS = {
         "curve": (str, ""),
         "time": (str, ""),
         "out": (str, ""),
-        "window": (int, 10),
-        "tol": (float, 0.005),
+        "window": (int, G.CONVERGENCE_WINDOW),
+        "tol": (float, G.CONVERGENCE_TOL),
     },
 }
 

@@ -49,7 +49,13 @@ def write_convergence_csv(t, n, e, total, path) -> None:
     write_table(path, ["t", "n", "e", "T"], [[f"{t:.6g}", n, e, total]])
 
 
-def detect_convergence(curve, window: int = 10, tol: float = 0.005):
+# detect_convergence's defaults, which report.txt and `diag --curve` share
+CONVERGENCE_WINDOW = 10
+CONVERGENCE_TOL = 0.005
+
+
+def detect_convergence(curve, window: int = CONVERGENCE_WINDOW,
+                       tol: float = CONVERGENCE_TOL):
     """First epoch from which every length-`window` test-error range of the
     EpochRecord list curve stays strictly below tol; None if the curve never
     stabilizes (or is shorter than the window)."""

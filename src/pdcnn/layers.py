@@ -19,7 +19,9 @@ output. Analytic gradients are finite-difference verified in the test suite
 
 Every layer has an `inference` attribute, off by default; PdcnnNet sets it
 on all of its layers while the network is in inference mode. With it on,
-forward computes the same output but keeps no backward cache.
+forward computes the same output but keeps no backward cache. A layer's
+input, upstream gradient and parameters share one dtype, float32 or float64:
+PdcnnNet casts its input batch and its logit gradients to its own.
 
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
@@ -35,26 +37,22 @@ memory after Chen et al. 2016, arXiv:1604.06174). Every other training conv
 builds the matrix for the whole batch in one block and keeps it as the cache:
 a conv without an input gradient (each branch's conv1) and a small one would
 spend more time on the rebuild than its columns cost memory, and a float64
-conv's GEMM bits move when its columns are split. The output and gradient
-bytes are the same on every path.
+conv is never split (the comment above COL_BUDGET says why). The output and
+gradient bytes are the same on every path.
 """
 
 import numpy as np
 
-# Column bytes per block of an inference-mode conv. Not small: with OpenBLAS
-# a block's GEMM gives the whole-batch GEMM's bits only while it is large
-# enough to run the same kernels (1-4 MiB do at every shape tried; 1 KiB and
-# 64 KiB blocks change the last bits at small shapes). float64 convs stay one
-# block: OpenBLAS's dgemm rounds an output column differently depending on
-# where it falls in the GEMM's column range, so any block edge changes bits.
-COL_BUDGET = 4 << 20
-
-
-# Column bytes above which a float32 training conv that computes its input
-# gradient caches only its input, and backward rebuilds the columns one kernel
-# row at a time. Below it, or for a conv without an input gradient, the
-# columns' rebuild costs more time than their cache costs memory.
-RECOMPUTE_COL_BYTES = 8 * COL_BUDGET
+# The split sizes of a float32 conv's im2col GEMM, in column bytes. A split
+# GEMM keeps the whole one's bits only in float32, and only while each part is
+# large enough for OpenBLAS's sgemm to run the same kernels (4 MiB blocks at
+# every shape tried, kernel rows at the full-scale conv2 shapes, 256 KiB
+# chunks at desk batches 16-500 and full 5-64; not 1 or 64 KiB blocks, nor
+# desk chunks of 4 or 8 samples). dgemm rounds a column by where it falls, so
+# a float64 GEMM is never split.
+COL_BUDGET = 4 << 20  # per block of a blocked conv
+RECOMPUTE_COL_BYTES = 8 * COL_BUDGET  # above it, training recomputes columns
+CHUNK_COL_BYTES = 256 << 10  # fewest an inference chunk gives the smallest conv
 
 
 class ShapeError(ValueError):
@@ -110,19 +108,18 @@ class Conv2d(Layer):
     COL_BUDGET) blocks, at most one per sample, with edges at n*i//nblk, in
     inference mode, and in training when it computes its input gradient and
     its columns exceed RECOMPUTE_COL_BYTES; it then keeps no columns, and a
-    training forward caches its unpadded input. Any other training forward
-    is one block, the whole batch, whose column matrix is the backward cache.
+    training forward caches its unpadded input. Any other forward is one
+    block, the whole batch, whose column matrix training keeps as its cache.
 
     Backward loops over groups of kernel rows: the cached columns are one
     group of all kh rows; uncached ones are kh groups of one row, each
     rebuilt from the padded input into one reused (C*kw, N*oh*ow) buffer.
     For each group it writes dout @ rows.T into grad_weights[:, :, rows],
     then the group's column gradient W[:, :, rows].T @ dout into the
-    columns' own buffer (a new one if dout has another dtype), so the two
-    are not alive side by side, and col2im adds each tap's (C,N,oh,ow)
-    block into a (C,N,Hp,Wp) buffer, kernel rows outermost, transposed back
-    once. With input_grad=False, backward stops after the parameter
-    gradients and returns None.
+    columns' own buffer, so the two are not alive side by side, and col2im
+    adds each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, kernel rows
+    outermost, transposed back once. With input_grad=False, backward stops
+    after the parameter gradients and returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -159,20 +156,16 @@ class Conv2d(Layer):
         s, p = self.stride, self.padding
         k, m = c * kh * kw, oh * ow
         wmat = self.weights.reshape(co, k)
-        gemm_dtype = np.result_type(wmat, x)
         col_bytes = k * n * m * x.itemsize
-        recompute = (not self.inference and self.input_grad
-                     and gemm_dtype == np.float32
-                     and col_bytes > RECOMPUTE_COL_BYTES)
-        nblk = 1
-        if (self.inference or recompute) and gemm_dtype == np.float32:
-            nblk = max(1, min(n, -(-col_bytes // COL_BUDGET)))
+        blocked = x.dtype == np.float32 and (self.inference or (
+            self.input_grad and col_bytes > RECOMPUTE_COL_BYTES))
+        nblk = max(1, min(n, -(-col_bytes // COL_BUDGET))) if blocked else 1
         nb_max = -(-n // nblk)
         if p:  # only the interior is written, so the border stays zero
             pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
-        gemm_buf = np.empty(co * nb_max * m, dtype=gemm_dtype)
-        out = np.empty((n, co, m), dtype=gemm_dtype)
+        gemm_buf = np.empty(co * nb_max * m, dtype=x.dtype)
+        out = np.empty((n, co, m), dtype=x.dtype)
         for i in range(nblk):
             n0, n1 = n * i // nblk, n * (i + 1) // nblk
             nb = n1 - n0
@@ -186,7 +179,7 @@ class Conv2d(Layer):
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
             out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
-        self._cache = (None if self.inference else (x.shape, None, x) if recompute
+        self._cache = (None if self.inference else (x.shape, None, x) if blocked
                        else (x.shape, cols_t, None))
         return out.reshape(n, co, oh, ow)
 
@@ -205,7 +198,7 @@ class Conv2d(Layer):
                 x = xp
             cols = np.empty((c * kw, n * oh * ow), dtype=x.dtype)
         groups = [(i, i + 1) for i in range(kh)] if rebuild else [(0, kh)]
-        grad_weights = np.empty(self.weights.shape, np.result_type(dmat_t, cols))
+        grad_weights = np.empty_like(self.weights)
         if self.input_grad:
             dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         for i0, i1 in groups:
@@ -216,9 +209,8 @@ class Conv2d(Layer):
             if not self.input_grad:
                 continue
             wrows_t = self.weights[:, :, i0:i1].reshape(co, -1).T
-            dcols_t = np.matmul(wrows_t, dmat_t,
-                                out=cols if cols.dtype == dmat_t.dtype else None)
-            dcols_t = dcols_t.reshape(ci, i1 - i0, kw, n, oh, ow)
+            dcols_t = np.matmul(wrows_t, dmat_t, out=cols).reshape(
+                ci, i1 - i0, kw, n, oh, ow)
             for i in range(i0, i1):
                 for j in range(kw):
                     dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i - i0, j]

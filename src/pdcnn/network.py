@@ -15,21 +15,14 @@ from . import tensor as T
 from .arch import (ARCH_KEYS, NUM_CLASSES, PdcnnSpec, arch_dict_from_spec,
                    format_kv_lines, param_count, parse_kv_lines, shape_check,
                    spec_from_arch_dict)
-from .layers import Conv2d, FullyConnected, Lrn, MaxPool, Relu, ShapeError
+from .layers import (CHUNK_COL_BYTES, Conv2d, FullyConnected, Lrn, MaxPool,
+                     Relu, ShapeError)
 
 # Image files carry values in [0, 1]; the network sees them centered and in
 # raw-pixel scale, the convention the Gaussian(0, 0.01) initialization and
 # the LRN constants of this architecture family assume.
 INPUT_OFFSET = 0.5
 INPUT_SCALE = 255.0
-
-# Fewest im2col column bytes an inference chunk gives the network's smallest
-# conv. Like Conv2d's blocks, a float32 chunk keeps the whole batch's bits only
-# while its GEMMs stay large enough for OpenBLAS to run the same kernels: 256
-# KiB was bit-equal at every batch tried (desk 16-500, full 5-64), desk chunks
-# of 4 or 8 samples were not. float64 never chunks (dgemm bits move with a
-# column's position).
-CHUNK_COL_BYTES = 256 << 10
 
 
 def model_dtype(name: str) -> np.dtype:
@@ -108,7 +101,8 @@ def _build_layer(ls, config, in_channels, rng, dtype, first):
 
 
 class PdcnnNet:
-    """Runtime network for one PdcnnSpec, in a single uniform precision."""
+    """Runtime network for one PdcnnSpec, in a single uniform precision:
+    forward casts its input batch and backward its logit gradients to it."""
 
     def __init__(self, spec: PdcnnSpec, rng: T.Rng, dtype=np.float64):
         rows = shape_check(spec)  # fail early, naming the offending layer
@@ -133,7 +127,7 @@ class PdcnnNet:
             self.branches.append(layers)
             self.branch_layer_names.append([ls.name for ls in arch.layers])
             self._feat_shapes.append(shape)
-        # float32 samples per inference chunk
+        # float32 samples per inference chunk; float64 never chunks (layers.py)
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
         hw = rng.normal((NUM_CLASSES, rows[-2].shape[0]),
                         spec.config.init_sigma, dtype=self.dtype)
@@ -217,9 +211,10 @@ class PdcnnNet:
         return self.head.forward(np.block([flat[j::k] for j in range(k)]))
 
     def backward(self, dlogits: np.ndarray) -> None:
-        """Backpropagate (N,K) logit gradients; fills every grad_* attribute.
-        Consumes the latest forward's caches, each layer's freed as its
-        backward finishes with it."""
+        """Backpropagate (N,K) logit gradients, cast to the network's dtype;
+        fills every grad_* attribute. Consumes the latest forward's caches,
+        each layer's freed as its backward finishes with it."""
+        dlogits = np.asarray(dlogits, dtype=self.dtype)
         dfused = self.head.backward(dlogits)  # raises if there is no forward
         edges = np.cumsum([math.prod(s) for s in self._feat_shapes])[:-1]
         parts = np.split(dfused, edges, axis=1)

@@ -113,7 +113,11 @@ class _Reader:
         if n > self.left:
             raise ValueError(f"{self.path}: truncated file (header declares "
                              f"{n // 4} floats, {self.left} bytes left)")
-        data = np.empty(shape, dtype="<f4")
+        try:  # numpy refuses a rank above its limit (32 before numpy 2, then
+            # 64), or extents it cannot index, before it allocates
+            data = np.empty(shape, dtype="<f4")
+        except ValueError as err:
+            raise ValueError(f"{self.path}: {err}") from None
         self._check(n, self.f.readinto(data))
         self.left -= n
         return data.astype(np.float32, copy=False)

@@ -408,10 +408,18 @@ def test_eval_non_finite_model_tensor_exit_1(tmp_path, capsys):
         "elements\n")
 
 
-def test_eval_image_extents_beyond_file_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("record", [
+    struct.pack("<III", 2, 2**32 - 1, 2**32 - 1),
+    struct.pack("<66I", 65, *[1] * 65) + bytes(4),
+    struct.pack("<5I", 4, 0, *[2**32 - 1] * 3),
+], ids=["extents-beyond-file", "rank-65", "zero-extent-beside-huge-ones"])
+def test_eval_unreadable_image_header_exit_1(tmp_path, capsys, record):
+    # the last two fit the file but not numpy (rank 65 is above its limit in
+    # every version; a zero extent makes no payload beside extents it cannot
+    # index), which refuses them before allocating
     _, out = _train(tmp_path)
     image = tmp_path / "huge.pdt"
-    image.write_bytes(b"PDT1" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1))
+    image.write_bytes(b"PDT1" + record)
     manifest = tmp_path / "huge.csv"
     manifest.write_text(f"path,label,category\n{image},0,t\n", encoding="utf-8")
     capsys.readouterr()

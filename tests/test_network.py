@@ -237,6 +237,22 @@ def test_chunk_error_on_pool_thread_reaches_caller_unchanged(monkeypatch, tmp_pa
         assert g.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype,other", [(np.float32, np.float64),
+                                         (np.float64, np.float32)])
+def test_backward_casts_logit_gradients_to_the_network_dtype(dtype, other):
+    # every gradient takes the network's dtype and the bytes of a backward
+    # from logit gradients already cast to it, so every layer runs in one dtype
+    x = np.random.default_rng(2).random((3, 3, 20, 20))
+    dlogits = np.random.default_rng(3).standard_normal((3, 2)).astype(other)
+    got, want = tiny_net([4, 3], dtype=dtype), tiny_net([4, 3], dtype=dtype)
+    for net, d in ((got, dlogits), (want, dlogits.astype(dtype))):
+        net.forward(x)
+        net.backward(d)
+    for (name, g), (_, w) in zip(got.gradients(), want.gradients()):
+        assert g.dtype == dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
 @pytest.mark.parametrize("shape", [(2, 4, 20, 20), (2, 3, 20, 21), (3, 20, 20)],
                          ids=["channels", "extent", "single-sample"])
 def test_forward_rejects_input_of_another_shape(shape):
