@@ -39,17 +39,37 @@ a conv without an input gradient (each branch's conv1) and a small one would
 spend more time on the rebuild than its columns cost memory, and a float64
 conv is never split (the comment above COL_BUDGET says why). The output and
 gradient bytes are the same on every path.
+
+In training, the network may run one branch as sample slices on several
+threads (a Split of Parts). Within `with part:` each layer keeps its backward
+cache in the part, not in itself, and a conv writes its columns (or padded
+input) and, in backward, its upstream gradient into disjoint sample ranges of
+whole-batch arrays the split holds. Its backward computes only the slice's
+input gradient; Split.weight_grads then runs the whole-batch weight and bias
+gradient GEMMs, shared out over the threads, once every slice is done.
 """
+
+import threading
 
 import numpy as np
 
 # The split sizes of a float32 conv's im2col GEMM, in column bytes. A split
-# GEMM keeps the whole one's bits only in float32, and only while each part is
-# large enough for OpenBLAS's sgemm to run the same kernels (4 MiB blocks at
-# every shape tried, kernel rows at the full-scale conv2 shapes, 256 KiB
-# chunks at desk batches 16-500 and full 5-64; not 1 or 64 KiB blocks, nor
-# desk chunks of 4 or 8 samples). dgemm rounds a column by where it falls, so
-# a float64 GEMM is never split.
+# GEMM keeps the whole one's bits only in float32, only with one BLAS thread
+# (a threaded OpenBLAS splits a long reduction itself, by its thread count),
+# and only while each part is large enough for sgemm to run the same kernels
+# (4 MiB blocks at every shape tried, kernel rows at the full-scale conv2
+# shapes, 256 KiB chunks at desk batches 16-500 and full 5-64; not 1 or 64 KiB
+# blocks, nor desk chunks of 4 or 8 samples). dgemm rounds a column by where
+# it falls, so a float64 GEMM is never split. Measured with numpy 2.4.6 and
+# OpenBLAS 0.3.31 on one thread, for the split training branch:
+# - full scale, batches 32, 16, 8, 7 and 6, every 4,3,4 conv shape: the
+#   forward W @ cols and the input gradient W.T @ dmat keep the whole-batch
+#   bytes split into sample halves (as contiguous columns or as column ranges
+#   of the whole matrix), and so does dW = dmat @ cols.T split by output rows,
+#   by input channels or by kernel rows;
+# - desk scale: the forward split loses bytes below the chunk rule (b3 conv4
+#   at 8-sample slices, conv3 at 3), while W.T @ dmat keeps them everywhere,
+#   and so does dW by output rows at 76 samples and more.
 COL_BUDGET = 4 << 20  # per block of a blocked conv
 RECOMPUTE_COL_BYTES = 8 * COL_BUDGET  # above it, training recomputes columns
 CHUNK_COL_BYTES = 256 << 10  # fewest an inference chunk gives the smallest conv
@@ -76,6 +96,77 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, i0: int, i1: int,
               win.transpose(1, 4, 5, 0, 2, 3))
 
 
+_THREAD = threading.local()  # .part: the sample slice this thread runs
+
+
+def _part():
+    return getattr(_THREAD, "part", None)
+
+
+class Split:
+    """A training step of one n-sample branch run as sample slices (parts),
+    one per thread: what the slices share, each conv's whole-batch arrays,
+    filled by whichever slice's forward reaches the conv first."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.convs = {}  # Conv2d -> _Whole
+        self._lock = threading.Lock()
+
+    def parts(self, k: int):
+        """The batch cut into k slices, edges at n*i//k; only the parts
+        refer to the split, so it is freed with them, without the GC."""
+        return [Part(self, self.n * i // k, self.n * (i + 1) // k)
+                for i in range(k)]
+
+    def whole(self, conv, make):
+        """conv's whole-batch arrays, made by make() on first use."""
+        with self._lock:
+            if conv not in self.convs:
+                self.convs[conv] = make()
+            return self.convs[conv]
+
+    def weight_grads(self, t: int, k: int) -> None:
+        """Share t of k of every conv's weight and bias gradients; run once
+        every slice's backward is done, the k shares on k threads."""
+        for conv, whole in self.convs.items():
+            conv._weight_grads(whole, t, k)
+
+
+class Part:
+    """Samples n0:n1 of a Split's batch. Within `with part:` the layers this
+    thread runs keep their backward caches in the part."""
+
+    def __init__(self, split: Split, n0: int, n1: int):
+        self.split, self.n0, self.n1 = split, n0, n1
+        self.caches = {}
+
+    def __enter__(self):
+        _THREAD.part = self
+
+    def __exit__(self, *exc):
+        _THREAD.part = None
+
+
+class _Whole:
+    """A conv's whole-batch arrays for its weight and bias gradients: the
+    columns cols, or, when those are rebuilt (cols None), the padded input
+    xp, and from backward on the upstream gradient dmat (Co, N*oh*ow) and
+    the gradients. A split conv's slices fill disjoint sample ranges."""
+
+    def __init__(self, cols, xp):
+        self.cols, self.xp, self.dmat = cols, xp, None
+        self._lock = threading.Lock()
+
+    def start_backward(self, conv, make_dmat):
+        """Make dmat, by make_dmat(), and the gradient arrays, once."""
+        with self._lock:
+            if self.dmat is None:
+                self.dmat = make_dmat()
+                self.grad_weights = np.empty_like(conv.weights)
+                self.grad_bias = np.empty_like(conv.bias)
+
+
 class Layer:
     """What every layer shares: the backward cache of the latest forward,
     which backward consumes, and the `inference` switch under which forward
@@ -84,10 +175,23 @@ class Layer:
     inference = False
     _cache = None
 
+    def _keep(self, cache):
+        """Keep forward's backward cache: in the layer, or in the sample
+        slice the thread runs."""
+        part = _part()
+        if part is None:
+            self._cache = cache
+        else:
+            part.caches[self] = cache
+
     def _take_cache(self):
-        """The latest forward's cache, dropped from the layer so that
-        backward holds its only reference."""
-        cache, self._cache = self._cache, None
+        """The latest forward's cache, dropped from the layer (or slice) so
+        that backward holds its only reference."""
+        part = _part()
+        if part is None:
+            cache, self._cache = self._cache, None
+        else:
+            cache = part.caches.pop(self, None)
         if cache is None:
             raise ValueError("backward() needs a new forward() run outside "
                              "inference mode")
@@ -110,16 +214,21 @@ class Conv2d(Layer):
     its columns exceed RECOMPUTE_COL_BYTES; it then keeps no columns, and a
     training forward caches its unpadded input. Any other forward is one
     block, the whole batch, whose column matrix training keeps as its cache.
+    On a sample slice the choice is the whole batch's, and the slice writes
+    its columns, or its padded input when it runs in blocks, into the split's
+    whole-batch arrays.
 
-    Backward loops over groups of kernel rows: the cached columns are one
-    group of all kh rows; uncached ones are kh groups of one row, each
-    rebuilt from the padded input into one reused (C*kw, N*oh*ow) buffer.
-    For each group it writes dout @ rows.T into grad_weights[:, :, rows],
-    then the group's column gradient W[:, :, rows].T @ dout into the
-    columns' own buffer, so the two are not alive side by side, and col2im
-    adds each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, kernel rows
-    outermost, transposed back once. With input_grad=False, backward stops
-    after the parameter gradients and returns None.
+    Backward first writes the weight gradient dout @ cols_t.T: in one GEMM
+    from cached columns, else kernel row by kernel row, each row's columns
+    rebuilt from the padded input into one reused (C*kw, N*oh*ow) buffer (on
+    a slice, Split.weight_grads does this later). Then it loops over groups
+    of kernel rows, all kh for cached columns, one otherwise, and writes each
+    group's column gradient W[:, :, rows].T @ dout into the cached columns'
+    own buffer, so the two are not alive side by side, or into one of the
+    group's size; col2im adds each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp)
+    buffer, kernel rows outermost, transposed back once. With
+    input_grad=False, backward stops after the parameter gradients and
+    returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -156,14 +265,27 @@ class Conv2d(Layer):
         s, p = self.stride, self.padding
         k, m = c * kh * kw, oh * ow
         wmat = self.weights.reshape(co, k)
-        col_bytes = k * n * m * x.itemsize
+        part = _part()
+        # a sample slice decides as its whole batch does
+        batch = n if part is None else part.split.n
         blocked = x.dtype == np.float32 and (self.inference or (
-            self.input_grad and col_bytes > RECOMPUTE_COL_BYTES))
+            self.input_grad and k * batch * m * x.itemsize > RECOMPUTE_COL_BYTES))
+        col_bytes = k * n * m * x.itemsize
         nblk = max(1, min(n, -(-col_bytes // COL_BUDGET))) if blocked else 1
         nb_max = -(-n // nblk)
+        whole = None
+        if part is not None:
+            whole = part.split.whole(self, lambda: _Whole(
+                None if blocked else np.empty((k, batch * m), x.dtype),
+                np.zeros((batch, c, h + 2 * p, w + 2 * p), x.dtype)
+                if blocked else None))
+            if blocked:
+                whole.xp[part.n0:part.n1, :, p:p + h, p:p + w] = x
         if p:  # only the interior is written, so the border stays zero
             pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
+        shared = whole is not None and not blocked  # the whole batch's columns
+        if not shared:
+            col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
         gemm_buf = np.empty(co * nb_max * m, dtype=x.dtype)
         out = np.empty((n, co, m), dtype=x.dtype)
         for i in range(nblk):
@@ -173,53 +295,80 @@ class Conv2d(Layer):
             if p:
                 xb = pad_buf[:nb]
                 xb[:, :, p:p + h, p:p + w] = x[n0:n1]
-            cols_t = col_buf[:k * nb * m].reshape(k, nb * m)
+            cols_t = (whole.cols[:, part.n0 * m:part.n1 * m] if shared
+                      else col_buf[:k * nb * m].reshape(k, nb * m))
             _im2col(xb, kh, kw, s, 0, kh, cols_t)
             gemm = np.matmul(wmat, cols_t,
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
             out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
-        self._cache = (None if self.inference else (x.shape, None, x) if blocked
-                       else (x.shape, cols_t, None))
+        self._keep(None if self.inference else
+                   (x.shape, None, None, whole) if whole is not None else
+                   (x.shape, None, x, None) if blocked else
+                   (x.shape, cols_t, None, None))
         return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
-        (n, c, h, w), cols, x = self._take_cache()
+        (n, c, h, w), cols, x, whole = self._take_cache()
         co, ci, kh, kw = self.weights.shape
         _, _, oh, ow = dout.shape
-        s, p = self.stride, self.padding
-        dmat_t = dout.transpose(1, 0, 2, 3).reshape(co, n * oh * ow)
-        self.grad_bias = dmat_t.sum(axis=1)
-        rebuild = cols is None
-        if rebuild:
-            if p:
+        s, p, m = self.stride, self.padding, oh * ow
+        if whole is None:  # the whole batch: weight gradients first
+            if cols is None and p:
                 xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
                 xp[:, :, p:p + h, p:p + w] = x
                 x = xp
-            cols = np.empty((c * kw, n * oh * ow), dtype=x.dtype)
-        groups = [(i, i + 1) for i in range(kh)] if rebuild else [(0, kh)]
-        grad_weights = np.empty_like(self.weights)
-        if self.input_grad:
-            dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
-        for i0, i1 in groups:
-            if rebuild:
-                _im2col(x, kh, kw, s, i0, i1, cols)
-            grad_weights[:, :, i0:i1] = (dmat_t @ cols.T).reshape(
-                co, ci, i1 - i0, kw)
-            if not self.input_grad:
-                continue
-            wrows_t = self.weights[:, :, i0:i1].reshape(co, -1).T
-            dcols_t = np.matmul(wrows_t, dmat_t, out=cols).reshape(
-                ci, i1 - i0, kw, n, oh, ow)
-            for i in range(i0, i1):
-                for j in range(kw):
-                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i - i0, j]
-        self.grad_weights = grad_weights
+            whole = _Whole(cols, x)
+            whole.start_backward(self, lambda: dout.transpose(1, 0, 2, 3)
+                                 .reshape(co, n * m))
+            self._weight_grads(whole)
+            dmat = whole.dmat
+        else:  # a slice: Split.weight_grads computes them from every slice's
+            part = _part()
+            whole.start_backward(self, lambda: np.empty(
+                (co, part.split.n * m), dout.dtype))
+            n0 = part.n0
+            whole.dmat.reshape(co, -1, m)[:, n0:n0 + n] = (
+                dout.reshape(n, co, m).transpose(1, 0, 2))
+            dmat = whole.dmat[:, n0 * m:(n0 + n) * m]
         if not self.input_grad:
             return None
-        del x, cols, dcols_t  # not alive beside dx
+        # kernel rows per group: all of them with whole-batch columns, whose
+        # buffer then takes the column gradient, else one, in a buffer of
+        # its own
+        g = kh if whole.cols is not None else 1
+        if cols is None:
+            cols = np.empty((ci * g * kw, n * m), dtype=dout.dtype)
+        dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
+        for i0 in range(0, kh, g):
+            wrows_t = self.weights[:, :, i0:i0 + g].reshape(co, -1).T
+            dcols_t = np.matmul(wrows_t, dmat, out=cols).reshape(
+                ci, g, kw, n, oh, ow)
+            for i in range(i0, i0 + g):
+                for j in range(kw):
+                    dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i - i0, j]
+        del x, cols, whole, dmat, dcols_t  # not alive beside dx
         dx = dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
         return np.ascontiguousarray(dx)
+
+    def _weight_grads(self, whole: _Whole, t: int = 0, k: int = 1) -> None:
+        """Share t of k of the weight and bias gradients, from whole-batch
+        arrays: a range of output channels when the columns are kept, of
+        kernel rows, each rebuilt from the padded input, when they are not."""
+        co, ci, kh, kw = self.weights.shape
+        dmat, gw, gb = whole.dmat, whole.grad_weights, whole.grad_bias
+        if whole.cols is not None:
+            o0, o1 = co * t // k, co * (t + 1) // k
+            gw[o0:o1] = (dmat[o0:o1] @ whole.cols.T).reshape(o1 - o0, ci, kh, kw)
+            gb[o0:o1] = dmat[o0:o1].sum(axis=1)
+        else:
+            rows = np.empty((ci * kw, dmat.shape[1]), dtype=dmat.dtype)
+            for i in range(kh * t // k, kh * (t + 1) // k):
+                _im2col(whole.xp, kh, kw, self.stride, i, i + 1, rows)
+                gw[:, :, i] = (dmat @ rows.T).reshape(co, ci, kw)
+            if t == 0:
+                gb[...] = dmat.sum(axis=1)
+        self.grad_weights, self.grad_bias = gw, gb
 
 
 class MaxPool(Layer):
@@ -245,7 +394,7 @@ class MaxPool(Layer):
         out = cols[:, :, :s * oh:s].copy()
         for i in range(1, k):
             np.maximum(cols[:, :, i:i + s * oh:s], out, out=out)
-        self._cache = None if self.inference else (x, out)
+        self._keep(None if self.inference else (x, out))
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -315,7 +464,7 @@ class Lrn(Layer):
         base *= self.alpha
         base += self.k
         scale = base ** (-self.beta)
-        self._cache = None if self.inference else (x, base, scale)
+        self._keep(None if self.inference else (x, base, scale))
         return x * scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -333,7 +482,7 @@ class Relu(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.maximum(x, 0)
-        self._cache = None if self.inference else out
+        self._keep(None if self.inference else out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -358,7 +507,7 @@ class FullyConnected(Layer):
         if x.shape[1] != self.weights.shape[1]:
             raise ShapeError(
                 f"fc expects {self.weights.shape[1]} features, got {x.shape[1]}")
-        self._cache = None if self.inference else x
+        self._keep(None if self.inference else x)
         return x @ self.weights.T + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

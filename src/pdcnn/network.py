@@ -16,7 +16,7 @@ from .arch import (ARCH_KEYS, NUM_CLASSES, PdcnnSpec, arch_dict_from_spec,
                    format_kv_lines, param_count, parse_kv_lines, shape_check,
                    spec_from_arch_dict)
 from .layers import (CHUNK_COL_BYTES, Conv2d, FullyConnected, Lrn, MaxPool,
-                     Relu, ShapeError)
+                     Relu, ShapeError, Split)
 
 # Image files carry values in [0, 1]; the network sees them centered and in
 # raw-pixel scale, the convention the Gaussian(0, 0.01) initialization and
@@ -54,15 +54,17 @@ def _in_order(fn, items):
     return [fn(*item) for item in items]
 
 
-def _over_branches(fn, items):
-    """[fn(*item) for item in items], the items (branches, or in inference
-    (branch, sample chunk) pairs) split into contiguous runs over the usable
-    cores; the calling thread runs the first. Every run finishes before an
-    exception is raised: the first failing item's."""
-    k = min(usable_cores(), len(items))
-    runs = [items[len(items) * i // k:len(items) * (i + 1) // k]
+def _contiguous(items, k):
+    """items cut into k contiguous runs, the shorter ones first."""
+    return [items[len(items) * i // k:len(items) * (i + 1) // k]
             for i in range(k)]
-    futures = [_POOL.submit(_in_order, fn, run) for run in runs[1:]]
+
+
+def _on_threads(fn, runs):
+    """[fn(*item) for run in runs for item in run], the calling thread
+    running the first run and the pool the others. Every run finishes before
+    an exception is raised: the first failing item's, in run order."""
+    futures = [_POOL.submit(_in_order, fn, run) for run in runs[1:] if run]
     try:
         out = _in_order(fn, runs[0])
     finally:
@@ -81,6 +83,14 @@ def _branch_forward(layers, h):
 def _branch_backward(layers, d):
     for layer in reversed(layers):
         d = layer.backward(d)
+
+
+def _on_part(fn, layers, h, part):
+    """fn(layers, h), on the sample slice part (layers.Part) when given."""
+    if part is None:
+        return fn(layers, h)
+    with part:
+        return fn(layers, h)
 
 
 def _build_layer(ls, config, in_channels, rng, dtype, first):
@@ -127,13 +137,15 @@ class PdcnnNet:
             self.branches.append(layers)
             self.branch_layer_names.append([ls.name for ls in arch.layers])
             self._feat_shapes.append(shape)
-        # float32 samples per inference chunk; float64 never chunks (layers.py)
+        # float32 samples per inference chunk and fewest per training slice;
+        # float64 never splits a batch (layers.py)
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
         hw = rng.normal((NUM_CLASSES, rows[-2].shape[0]),
                         spec.config.init_sigma, dtype=self.dtype)
         hb = np.zeros(NUM_CLASSES, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
         self.inference = False
+        self._plan = None  # forward's training schedule, for backward
 
     @property
     def inference(self) -> bool:
@@ -189,6 +201,24 @@ class PdcnnNet:
         for name, value in named:
             current[name][...] = np.asarray(value, dtype=self.dtype)
 
+    def _schedule(self, n):
+        """Each thread's training items, (branch index, layers.Part or None
+        for the whole batch), the calling thread's first. Whole branches go
+        to the threads in order, q = branches // cores to each; each branch
+        left over runs as one sample slice per thread, a slice holding at
+        least a chunk's samples (see __init__). A float64 net, or a batch
+        too small for two slices, keeps whole branches in contiguous runs."""
+        branches, cores = len(self.branches), usable_cores()
+        q, left = divmod(branches, cores)
+        k = min(cores, n // self._chunk) if self.dtype == np.float32 else 1
+        if not left or k < 2:
+            return _contiguous([(b, None) for b in range(branches)],
+                               min(cores, branches))
+        parts = [Split(n).parts(k) for _ in range(left)]
+        return [[(b, None) for b in range(q * t, q * (t + 1))]
+                + [(q * cores + i, p[t]) for i, p in enumerate(parts) if t < k]
+                for t in range(cores if q else k)]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N,K) logits for an (N,C,H,W) batch of [0, 1] images whose
         (C,H,W) is spec.input_shape."""
@@ -199,28 +229,59 @@ class PdcnnNet:
         # a new array, so the in-place scale leaves the caller's batch alone
         x = np.subtract(x, INPUT_OFFSET, dtype=self.dtype)
         x *= INPUT_SCALE
-        # inference layers keep no state, so two threads may run one branch
-        n, k = len(x), 1
-        if self.inference and self.dtype == np.float32:
-            k = max(1, n // self._chunk)  # k chunks, none below the rule
-        edges = [n * i // k for i in range(k + 1)]
-        run = _in_order if self.inference and k == 1 else _over_branches
-        feats = run(_branch_forward, [(layers, x[a:b]) for layers in self.branches
-                                      for a, b in zip(edges, edges[1:])])
-        flat = [h.reshape(len(h), -1) for h in feats]  # branch-major
-        return self.head.forward(np.block([flat[j::k] for j in range(k)]))
+        n = len(x)
+        if self.inference:
+            # inference layers keep no state, so two threads may run one
+            # branch; k chunks, none below the rule
+            k = max(1, n // self._chunk) if self.dtype == np.float32 else 1
+            edges = [n * i // k for i in range(k + 1)]
+            items = [(b, x[a:e], None) for b in range(len(self.branches))
+                     for a, e in zip(edges, edges[1:])]
+            runs = _contiguous(items, min(usable_cores(), len(items))
+                               if k > 1 else 1)
+        else:
+            self._plan = self._schedule(n)
+            runs = [[(b, x if part is None else x[part.n0:part.n1], part)
+                     for b, part in run] for run in self._plan]
+        out = _on_threads(_on_part, [
+            [(_branch_forward, self.branches[b], h, part) for b, h, part in run]
+            for run in runs])
+        feats = [[] for _ in self.branches]  # each branch's, in sample order
+        for (b, _, _), h in zip(sum(runs, []), out):
+            feats[b].append(h.reshape(len(h), -1))
+        return self.head.forward(np.concatenate(
+            [np.concatenate(hs) for hs in feats], axis=1))
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate (N,K) logit gradients, cast to the network's dtype;
         fills every grad_* attribute. Consumes the latest forward's caches,
-        each layer's freed as its backward finishes with it."""
+        each layer's freed as its backward finishes with it; a branch run as
+        sample slices then computes its weight gradients from the whole
+        batch, shared out over the same threads."""
         dlogits = np.asarray(dlogits, dtype=self.dtype)
         dfused = self.head.backward(dlogits)  # raises if there is no forward
+        plan, self._plan = self._plan, None
         edges = np.cumsum([math.prod(s) for s in self._feat_shapes])[:-1]
-        parts = np.split(dfused, edges, axis=1)
-        _over_branches(_branch_backward, [
-            (layers, d.reshape(len(d), *shape))
-            for layers, d, shape in zip(self.branches, parts, self._feat_shapes)])
+        ds = [d.reshape(len(d), *shape) for d, shape in
+              zip(np.split(dfused, edges, axis=1), self._feat_shapes)]
+
+        def runs(sliced):  # the backward calls of whole branches or of slices
+            return [[(_branch_backward, self.branches[b],
+                      ds[b] if part is None else ds[b][part.n0:part.n1], part)
+                     for b, part in run if (part is not None) == sliced]
+                    for run in plan]
+
+        # split branches first, so that their whole-batch arrays are freed
+        # before the whole branches' backward allocates
+        splits = [part.split for _, part in plan[0] if part is not None]
+        if splits:
+            _on_threads(_on_part, runs(True))
+            _on_threads(Split.weight_grads, [[(split, t, len(plan))
+                                              for split in splits]
+                                             for t in range(len(plan))])
+            for split in splits:
+                split.convs.clear()
+        _on_threads(_on_part, runs(False))
 
 
 def save_model(net: PdcnnNet, path) -> None:

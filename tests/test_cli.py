@@ -153,6 +153,34 @@ def test_train_deterministic_artifacts(tmp_path):
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # pdcnn pins BLAS to one thread before numpy loads, so a desk 4,3,4 run
+    # that leaves the thread count to OpenBLAS (one per core) writes the
+    # bytes of a run with OPENBLAS_NUM_THREADS=1
+    data = tmp_path / "data"
+    assert main(["gendata", "--out", str(data), "--n-per-class", "40",
+                 "--size", "64", "--seed", "7"]) == 0
+    arch = tmp_path / "desk.arch"
+    arch.write_text("conv1_stride=2\nfilter_scale=0.25\ninit_sigma=0.06\n"
+                    "input_size=56\n", encoding="utf-8")
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    runs = []
+    for name, env in (("unset", unset),
+                      ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "pdcnn.cli", "train", "--manifest",
+             str(data / "manifest.csv"), "--arch", str(arch), "--depths",
+             "4,3,4", "--epochs", "2", "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs.append([(out / f).read_bytes() for f in ("model.bin", "curve.csv")])
+    assert runs[0] == runs[1]
+
+
 def test_train_shape_error_exit_1(tmp_path, capsys):
     data = _gendata(tmp_path)
     out = tmp_path / "bad"

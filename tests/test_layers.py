@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +11,8 @@ from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, shape_check
 from pdcnn.layers import (COL_BUDGET, RECOMPUTE_COL_BYTES, Conv2d,
                           FullyConnected, Lrn, MaxPool, Relu, ShapeError,
-                          _channel_window_sum, conv_extent, softmax_xent_batch)
+                          Split, _channel_window_sum, conv_extent,
+                          softmax_xent_batch)
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet
 from oracles import (channel_window_sum_cumsum, conv_backward_whole_batch,
                      conv_naive, conv_whole_batch, lrn_cumsum, lrn_naive,
@@ -300,6 +303,115 @@ def test_conv_recomputed_columns_hold_no_memory():
         tracemalloc.stop()
     assert held < out.nbytes + (1 << 16), (held, out.nbytes)
     assert peak < col_bytes / 2, (peak, col_bytes)
+
+
+@pytest.mark.bit_equal
+def test_conv_slices_over_the_recompute_rule_hold_no_columns():
+    # a full-scale conv2 at batch 8 has 37.3 MB of columns, over
+    # RECOMPUTE_COL_BYTES, and each 4-sample slice 18.7 MB, under it: the
+    # slices decide as their whole batch does, so their forwards keep only
+    # their outputs and the padded whole-batch input, and the gradients are
+    # the whole-batch GEMMs' bytes
+    conv, x = _full_conv2(8, np.float32)
+    col_bytes = _col_bytes(conv, x)
+    assert col_bytes / 2 < RECOMPUTE_COL_BYTES < col_bytes
+    parts = Split(8).parts(2)
+    outs = []
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for part in parts:
+            with part:
+                outs.append(conv.forward(x[part.n0:part.n1]))
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    padded = x.size // 27 ** 2 * 31 ** 2 * x.itemsize  # 27x27 padded by 2
+    assert held < sum(o.nbytes for o in outs) + padded + (1 << 16), held
+    dout = np.random.default_rng(2).standard_normal((8, 96, 27, 27),
+                                                    dtype=np.float32)
+    dx = []
+    for part in parts:
+        with part:
+            dx.append(conv.backward(dout[part.n0:part.n1]))
+    split = parts[0].split
+    for t in range(2):
+        split.weight_grads(t, 2)
+    got = [np.concatenate(outs), conv.grad_weights, conv.grad_bias,
+           np.concatenate(dx)]
+    want = [conv_whole_batch(x, conv.weights, conv.bias, 1, 2),
+            *conv_backward_whole_batch(x, conv.weights, dout, 1, 2)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+def _on_threads(fn, parts):
+    """fn(part) for each part, each on a thread of its own, all started at
+    once; fails unless every thread ends within a minute without error."""
+    errors = []
+
+    def run(part):
+        try:
+            fn(part)
+        except Exception as err:  # reported below, on the test's thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=run, args=(part,)) for part in parts]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+
+
+@pytest.mark.bit_equal
+@pytest.mark.parametrize("shape,kernel,pad,recompute", [
+    ((64, 27, 27), 5, 2, True), ((96, 13, 13), 3, 1, False)],
+    ids=["conv2", "conv3"])
+def test_conv_slices_on_concurrent_threads_fill_whole_batch_arrays(
+        shape, kernel, pad, recompute):
+    # a full-scale conv2 (columns rebuilt) and conv3 (columns kept) at batch
+    # 12, as 4 slices of 3 samples on 4 threads at once, switching threads
+    # often: every slice finds the one set of whole-batch arrays, so the
+    # outputs and gradients are the whole-batch GEMMs' bytes
+    rng = np.random.default_rng(7)
+    co = 96
+    conv = Conv2d(rng.normal(0, 0.01, (co, shape[0], kernel, kernel))
+                  .astype(np.float32), rng.normal(0, 1, co).astype(np.float32),
+                  stride=1, padding=pad)
+    x = rng.standard_normal((12, *shape), dtype=np.float32)
+    assert (_col_bytes(conv, x) > RECOMPUTE_COL_BYTES) == recompute
+    parts = Split(12).parts(4)
+    outs, dx = {}, {}
+    dout = rng.standard_normal((12, co, *shape[1:]), dtype=np.float32)
+
+    def forward(part):
+        with part:
+            outs[part.n0] = conv.forward(x[part.n0:part.n1])
+
+    def backward(part):
+        with part:
+            dx[part.n0] = conv.backward(dout[part.n0:part.n1])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _on_threads(forward, parts)
+        _on_threads(backward, parts)
+        _on_threads(lambda part: part.split.weight_grads(parts.index(part), 4),
+                    parts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(parts[0].split.convs) == 1
+    got = [np.concatenate([outs[n0] for n0 in sorted(outs)]), conv.grad_weights,
+           conv.grad_bias, np.concatenate([dx[n0] for n0 in sorted(dx)])]
+    want = [conv_whole_batch(x, conv.weights, conv.bias, 1, pad),
+            *conv_backward_whole_batch(x, conv.weights, dout, 1, pad)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def test_conv_shape_errors():

@@ -139,33 +139,61 @@ def test_chunked_inference_bit_equal_to_training_forward(monkeypatch, size, conf
     assert chunked == [whole] * 3
 
 
-def _desk_sgd_run(monkeypatch, tmp_path, cores, dtype):
+def _sgd_run(monkeypatch, tmp_path, cores, dtype, size, config, batch, steps):
     """Parameters, gradients and model-file bytes after a few SGD steps of a
-    desk 4,3,4 net, its branches spread over `cores` threads."""
+    4,3,4 net on `cores` threads, and the sorted batch sizes its branches ran
+    in the last step."""
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
-    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
+    seen = []
+    real = N._branch_forward
+
+    def branch_forward(layers, h):
+        seen.append(len(h))
+        return real(layers, h)
+
+    monkeypatch.setattr(N, "_branch_forward", branch_forward)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
     net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
     cfg = SgdConfig()
     state = init_state(net, 0, cfg)
     rng = np.random.default_rng(8)
-    for _ in range(3):
-        _, dlogits = softmax_xent_batch(net.forward(rng.random((16, 3, 56, 56))),
-                                        rng.integers(0, 2, 16))
-        net.backward(dlogits / 16)
+    for _ in range(steps):
+        seen.clear()
+        x = rng.random((batch, 3, size, size))
+        _, dlogits = softmax_xent_batch(net.forward(x), rng.integers(0, 2, batch))
+        net.backward(dlogits / batch)
         sgd_step(state, net.gradients(), cfg)
     path = tmp_path / f"cores{cores}.bin"
     save_model(net, path)
     return ([w.tobytes() for _, w in net.parameters()],
-            [g.tobytes() for _, g in net.gradients()], path.read_bytes())
+            [g.tobytes() for _, g in net.gradients()], path.read_bytes(),
+            sorted(seen))
 
 
 @pytest.mark.bit_equal
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_parallel_branches_train_bit_equal_to_sequential(monkeypatch, tmp_path,
-                                                         dtype):
-    sequential = _desk_sgd_run(monkeypatch, tmp_path, 1, dtype)
-    for cores in (2, 3):  # runs [b1] [b2 b3], and one branch per run
-        assert _desk_sgd_run(monkeypatch, tmp_path, cores, dtype) == sequential
+@pytest.mark.parametrize("size,config,batch,dtype,steps,runs", [
+    (56, DESK, 16, np.float32, 3, {2: [16] * 3, 3: [16] * 3}),
+    (56, DESK, 16, np.float64, 3, {2: [16] * 3, 3: [16] * 3}),
+    (224, ArchConfig(), 8, np.float32, 2,
+     {2: [4, 4, 8, 8], 3: [8] * 3, 4: [4] * 6}),
+    (224, ArchConfig(), 7, np.float32, 2,
+     {2: [3, 4, 7, 7], 3: [7] * 3, 4: [3, 4] * 3}),
+], ids=["float32", "float64", "full-8", "full-7"])
+def test_parallel_branches_train_bit_equal_to_sequential(
+        monkeypatch, tmp_path, size, config, batch, dtype, steps, runs):
+    # branches spread over 2, 3 or 4 threads give the bytes of one thread.
+    # At full scale in float32, 2 threads run b1 and b2 whole, then b3 as one
+    # slice of at least 3 samples per thread, and 4 threads every branch as
+    # 2 slices; a desk slice would need 76 samples, so desk and float64 runs
+    # keep whole branches in contiguous runs, [b1] | [b2 b3] on 2 threads
+    sequential = _sgd_run(monkeypatch, tmp_path, 1, dtype, size, config,
+                          batch, steps)
+    assert sequential[3] == [batch] * 3
+    for cores, sizes in runs.items():
+        got = _sgd_run(monkeypatch, tmp_path, cores, dtype, size, config,
+                       batch, steps)
+        assert got[:3] == sequential[:3]
+        assert got[3] == sorted(sizes)
 
 
 @pytest.mark.parametrize("method", ["forward", "backward"])
@@ -200,6 +228,49 @@ def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
     fresh = tiny_net([4, 3, 3], seed=5)
     fresh.forward(x)
     fresh.backward(dlogits)
+    for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
+        assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+@pytest.mark.parametrize("failing", [["pool"], ["caller", "pool"]],
+                         ids=["pool", "both"])
+def test_slice_error_reaches_caller_unchanged(monkeypatch, method, failing):
+    # full-scale 4,3,4 in float32 at batch 6 on two cores: the calling thread
+    # runs b1 and b3's first 3-sample slice, the pool b2 and b3's second. An
+    # error planted in b3's conv2 on a slice's thread ends the step once
+    # both threads are done, the calling thread's first; no thread is left
+    # waiting, and the next step's gradients are a fresh net's
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    x = np.random.default_rng(1).random((6, 3, 224, 224))
+    dlogits = np.ones((6, 2))
+    caller = threading.get_ident()
+    errors = {who: ShapeError(f"planted on the {who} thread") for who in failing}
+    conv2 = net.branches[2][4]
+    real = getattr(conv2, method)
+    raised = []
+
+    def planted(h):
+        who = "caller" if threading.get_ident() == caller else "pool"
+        if who in errors:
+            raised.append((who, len(h)))
+            raise errors[who]
+        return real(h)
+
+    setattr(conv2, method, planted)
+    with pytest.raises(ShapeError) as got:
+        net.forward(x)
+        net.backward(dlogits)
+    assert got.value is errors[failing[0]]
+    assert sorted(raised) == sorted((who, 3) for who in failing)
+    assert N._POOL.submit(threading.get_ident).result(timeout=60) != caller
+    delattr(conv2, method)
+    fresh = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    for model in (net, fresh):
+        model.forward(x)
+        model.backward(dlogits)
     for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
         assert g.tobytes() == want.tobytes()
 
