@@ -4,49 +4,50 @@ cross-entropy loss.
 
 Layers take batches only, as does the network's PdcnnNet.forward: Conv2d,
 MaxPool and Lrn take (N,C,H,W), the fully connected layer (N,D), and Relu
-any shape. backward() takes the upstream gradient for the most recent
-forward(), returns the input gradient, and leaves parameter gradients on
-grad_* attributes. It consumes that forward's cache: the layer drops its
-reference before computing, so each cached buffer is freed at its last use
-within backward, not when the next forward replaces it, and a second
-backward() raises ValueError. A Conv2d built with input_grad=False fills its
-grad_* attributes the same way but returns None: it skips the input-gradient
-GEMM and col2im, for a layer that reads the network input, whose gradient
-nothing consumes. Relu caches its output and MaxPool its input and output,
-and backward finds the routing from them, so forward computes only the
-output. Analytic gradients are finite-difference verified in the test suite
-(central differences, step 1e-3, double precision, relative error < 1e-4).
-
-Every layer has an `inference` attribute, off by default; PdcnnNet sets it
-on all of its layers while the network is in inference mode. With it on,
-forward computes the same output but keeps no backward cache. A layer's
-input, upstream gradient and parameters share one dtype, float32 or float64:
-PdcnnNet casts its input batch and its logit gradients to its own.
+any shape. A training forward runs within `with part:`, a Part of a Split:
+a sample range of one batch, all of it or a slice. The layer keeps its
+backward cache in the part, never in itself, and backward(), within the
+same part, takes the upstream gradient for that forward, returns the input
+gradient, and leaves parameter gradients on grad_* attributes. It consumes
+the cache: the part drops its reference before backward computes, so each
+cached buffer is freed at its last use within backward, and a second
+backward() raises ValueError. A forward outside any part is an inference
+forward: the same output, and no cache. A Conv2d built with input_grad=False
+fills its grad_* attributes the same way but returns None: it skips the
+input-gradient GEMM and col2im, for a layer that reads the network input,
+whose gradient nothing consumes. Relu caches its output and MaxPool its
+input and output, and backward finds the routing from them, so forward
+computes only the output. Analytic gradients are finite-difference verified
+in the test suite (central differences, step 1e-3, double precision,
+relative error < 1e-4). A layer's input, upstream gradient and parameters
+share one dtype, float32 or float64: PdcnnNet casts its input batch and its
+logit gradients to its own.
 
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
-convolutional neural networks for document processing"). In inference mode a
+convolutional neural networks for document processing"). In inference a
 float32 conv pads the input and builds the matrix one block of samples at a
 time, into reused buffers, each block's columns within COL_BUDGET bytes, and
 keeps none (cache blocking after Goto & van de Geijn 2008, "Anatomy of
-high-performance matrix multiplication"). When backward will follow (the
-default), a float32 conv that computes its input gradient and has more than
-RECOMPUTE_COL_BYTES of columns runs the same blocks and caches only its
-input; backward rebuilds the columns one kernel row at a time (recompute for
-memory after Chen et al. 2016, arXiv:1604.06174). Every other training conv
-builds the matrix for the whole batch in one block and keeps it as the cache:
-a conv without an input gradient (each branch's conv1) and a small one would
-spend more time on the rebuild than its columns cost memory, and a float64
-conv is never split (the comment above COL_BUDGET says why). The output and
-gradient bytes are the same on every path.
+high-performance matrix multiplication"). In training, a float32 conv that
+computes its input gradient and whose whole batch has more than
+RECOMPUTE_COL_BYTES of columns runs the same blocks and keeps only its
+input; backward pads the batch once and rebuilds the columns one kernel row
+at a time (recompute for memory after Chen et al. 2016, arXiv:1604.06174).
+Every other training conv builds its part's columns in one block and keeps
+them: a conv without an input gradient (each branch's conv1) and a small
+one would spend more time on the rebuild than its columns cost memory, and
+a float64 conv is never split (the comment above COL_BUDGET says why). The
+output and gradient bytes are the same on every path.
 
-In training, the network may run one branch as sample slices on several
-threads (a Split of Parts). Within `with part:` each layer keeps its backward
-cache in the part, not in itself, and a conv writes its columns (or padded
-input) and, in backward, its upstream gradient into disjoint sample ranges of
-whole-batch arrays the split holds. Its backward computes only the slice's
-input gradient; Split.weight_grads then runs the whole-batch weight and bias
-gradient GEMMs, shared out over the threads, once every slice is done.
+A conv's whole-batch arrays, its columns or inputs and from backward on its
+upstream gradient, live in the Split, each part filling its own sample
+range. A part that is the whole batch computes the weight and bias
+gradients in backward. The network may also run one branch as sample
+slices on several threads, one Part each; a slice's backward computes only
+its input gradient, and Split.weight_grads then runs the whole-batch weight
+and bias gradient GEMMs, shared out over the threads, once every slice is
+done.
 """
 
 import threading
@@ -96,7 +97,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, i0: int, i1: int,
               win.transpose(1, 4, 5, 0, 2, 3))
 
 
-_THREAD = threading.local()  # .part: the sample slice this thread runs
+_THREAD = threading.local()  # .part: the Part this thread runs
 
 
 def _part():
@@ -104,9 +105,9 @@ def _part():
 
 
 class Split:
-    """A training step of one n-sample branch run as sample slices (parts),
-    one per thread: what the slices share, each conv's whole-batch arrays,
-    filled by whichever slice's forward reaches the conv first."""
+    """A training step of one n-sample batch run as parts, one per thread:
+    what the parts share, each conv's whole-batch arrays, filled by
+    whichever part's forward reaches the conv first."""
 
     def __init__(self, n: int):
         self.n = n
@@ -114,7 +115,7 @@ class Split:
         self._lock = threading.Lock()
 
     def parts(self, k: int):
-        """The batch cut into k slices, edges at n*i//k; only the parts
+        """The batch cut into k parts, edges at n*i//k; only the parts
         refer to the split, so it is freed with them, without the GC."""
         return [Part(self, self.n * i // k, self.n * (i + 1) // k)
                 for i in range(k)]
@@ -127,8 +128,9 @@ class Split:
             return self.convs[conv]
 
     def weight_grads(self, t: int, k: int) -> None:
-        """Share t of k of every conv's weight and bias gradients; run once
-        every slice's backward is done, the k shares on k threads."""
+        """Share t of k of the weight and bias gradients of every conv that
+        ran as slices; run once every slice's backward is done, the k shares
+        on k threads. A one-part split's convs leave nothing here."""
         for conv, whole in self.convs.items():
             conv._weight_grads(whole, t, k)
 
@@ -141,6 +143,11 @@ class Part:
         self.split, self.n0, self.n1 = split, n0, n1
         self.caches = {}
 
+    @property
+    def sole(self) -> bool:
+        """Whether the part is its split's whole batch."""
+        return self.n1 - self.n0 == self.split.n
+
     def __enter__(self):
         _THREAD.part = self
 
@@ -148,53 +155,59 @@ class Part:
         _THREAD.part = None
 
 
+def batch_part(n: int) -> Part:
+    """A whole n-sample batch as the one part of its Split."""
+    return Split(n).parts(1)[0]
+
+
 class _Whole:
     """A conv's whole-batch arrays for its weight and bias gradients: the
-    columns cols, or, when those are rebuilt (cols None), the padded input
-    xp, and from backward on the upstream gradient dmat (Co, N*oh*ow) and
-    the gradients. A split conv's slices fill disjoint sample ranges."""
+    columns cols, or, when those are rebuilt (cols None), each part's
+    unpadded input by its first sample, which start_backward pads into xp;
+    from backward on, the upstream gradient dmat (Co, N*oh*ow) and the
+    gradients. The parts fill disjoint sample ranges."""
 
-    def __init__(self, cols, xp):
-        self.cols, self.xp, self.dmat = cols, xp, None
+    def __init__(self, cols):
+        self.cols, self.inputs, self.dmat = cols, {}, None
         self._lock = threading.Lock()
 
-    def start_backward(self, conv, make_dmat):
-        """Make dmat, by make_dmat(), and the gradient arrays, once."""
+    def start_backward(self, conv, n: int, dout: np.ndarray) -> None:
+        """Make xp, dmat for n samples of dout's extent and the gradient
+        arrays, once."""
         with self._lock:
-            if self.dmat is None:
-                self.dmat = make_dmat()
-                self.grad_weights = np.empty_like(conv.weights)
-                self.grad_bias = np.empty_like(conv.bias)
+            if self.dmat is not None:
+                return
+            if self.cols is None:
+                p = conv.padding
+                _, c, h, w = next(iter(self.inputs.values())).shape
+                self.xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dout.dtype)
+                for n0, x in self.inputs.items():
+                    self.xp[n0:n0 + len(x), :, p:p + h, p:p + w] = x
+                self.inputs = None
+            _, co, oh, ow = dout.shape
+            self.dmat = np.empty((co, n * oh * ow), dout.dtype)
+            self.grad_weights = np.empty_like(conv.weights)
+            self.grad_bias = np.empty_like(conv.bias)
 
 
 class Layer:
-    """What every layer shares: the backward cache of the latest forward,
-    which backward consumes, and the `inference` switch under which forward
-    keeps none."""
-
-    inference = False
-    _cache = None
+    """What every layer shares: a training forward keeps its backward cache
+    in the Part its thread runs, and backward takes it back; outside a part
+    forward keeps none."""
 
     def _keep(self, cache):
-        """Keep forward's backward cache: in the layer, or in the sample
-        slice the thread runs."""
         part = _part()
-        if part is None:
-            self._cache = cache
-        else:
+        if part is not None:
             part.caches[self] = cache
 
     def _take_cache(self):
-        """The latest forward's cache, dropped from the layer (or slice) so
-        that backward holds its only reference."""
+        """This part's latest forward cache, dropped from the part so that
+        backward holds its only reference."""
         part = _part()
-        if part is None:
-            cache, self._cache = self._cache, None
-        else:
-            cache = part.caches.pop(self, None)
+        cache = None if part is None else part.caches.pop(self, None)
         if cache is None:
-            raise ValueError("backward() needs a new forward() run outside "
-                             "inference mode")
+            raise ValueError("backward() needs a new forward() within the "
+                             "same Part since the last backward()")
         return cache
 
 
@@ -210,23 +223,23 @@ class Conv2d(Layer):
     the result is copied transposed into the block's rows of the
     (N,Co,oh*ow) output. A float32 conv runs in ceil(column bytes /
     COL_BUDGET) blocks, at most one per sample, with edges at n*i//nblk, in
-    inference mode, and in training when it computes its input gradient and
-    its columns exceed RECOMPUTE_COL_BYTES; it then keeps no columns, and a
-    training forward caches its unpadded input. Any other forward is one
-    block, the whole batch, whose column matrix training keeps as its cache.
-    On a sample slice the choice is the whole batch's, and the slice writes
-    its columns, or its padded input when it runs in blocks, into the split's
-    whole-batch arrays.
+    inference, and in training when it computes its input gradient and its
+    whole batch's columns exceed RECOMPUTE_COL_BYTES; it then keeps no
+    columns, and a training forward keeps its unpadded input. Any other
+    forward is one block, whose columns a training forward writes into its
+    part's sample range of the whole batch's column matrix.
 
-    Backward first writes the weight gradient dout @ cols_t.T: in one GEMM
-    from cached columns, else kernel row by kernel row, each row's columns
-    rebuilt from the padded input into one reused (C*kw, N*oh*ow) buffer (on
-    a slice, Split.weight_grads does this later). Then it loops over groups
-    of kernel rows, all kh for cached columns, one otherwise, and writes each
-    group's column gradient W[:, :, rows].T @ dout into the cached columns'
-    own buffer, so the two are not alive side by side, or into one of the
-    group's size; col2im adds each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp)
-    buffer, kernel rows outermost, transposed back once. With
+    Backward writes its part's upstream gradient into the whole batch's.
+    A part that is the whole batch then writes the weight gradient dout @
+    cols_t.T: in one GEMM from the kept columns, else kernel row by kernel
+    row, each row's columns rebuilt from the padded input into one reused
+    (C*kw, N*oh*ow) buffer (on a slice, Split.weight_grads does this later).
+    Then it loops over groups of kernel rows, all kh for kept columns, one
+    otherwise, and writes each group's column gradient W[:, :, rows].T @
+    dout into the whole batch's own column buffer, so the two are not alive
+    side by side, or, on a slice or without kept columns, into one of the
+    group's size; col2im adds each tap's (C,N,oh,ow) block into a
+    (C,N,Hp,Wp) buffer, kernel rows outermost, transposed back once. With
     input_grad=False, backward stops after the parameter gradients and
     returns None.
     """
@@ -265,26 +278,25 @@ class Conv2d(Layer):
         s, p = self.stride, self.padding
         k, m = c * kh * kw, oh * ow
         wmat = self.weights.reshape(co, k)
-        part = _part()
-        # a sample slice decides as its whole batch does
-        batch = n if part is None else part.split.n
-        blocked = x.dtype == np.float32 and (self.inference or (
-            self.input_grad and k * batch * m * x.itemsize > RECOMPUTE_COL_BYTES))
+        part = _part()  # None in inference
+        # a part decides as its whole batch does
+        blocked = x.dtype == np.float32 and (part is None or (
+            self.input_grad
+            and k * part.split.n * m * x.itemsize > RECOMPUTE_COL_BYTES))
         col_bytes = k * n * m * x.itemsize
         nblk = max(1, min(n, -(-col_bytes // COL_BUDGET))) if blocked else 1
         nb_max = -(-n // nblk)
-        whole = None
+        whole = cols = None  # cols: the part's range of the kept columns
         if part is not None:
             whole = part.split.whole(self, lambda: _Whole(
-                None if blocked else np.empty((k, batch * m), x.dtype),
-                np.zeros((batch, c, h + 2 * p, w + 2 * p), x.dtype)
-                if blocked else None))
+                None if blocked else np.empty((k, part.split.n * m), x.dtype)))
             if blocked:
-                whole.xp[part.n0:part.n1, :, p:p + h, p:p + w] = x
+                whole.inputs[part.n0] = x
+            else:
+                cols = whole.cols[:, part.n0 * m:part.n1 * m]
         if p:  # only the interior is written, so the border stays zero
             pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        shared = whole is not None and not blocked  # the whole batch's columns
-        if not shared:
+        if cols is None:
             col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
         gemm_buf = np.empty(co * nb_max * m, dtype=x.dtype)
         out = np.empty((n, co, m), dtype=x.dtype)
@@ -295,50 +307,41 @@ class Conv2d(Layer):
             if p:
                 xb = pad_buf[:nb]
                 xb[:, :, p:p + h, p:p + w] = x[n0:n1]
-            cols_t = (whole.cols[:, part.n0 * m:part.n1 * m] if shared
+            cols_t = (cols if cols is not None
                       else col_buf[:k * nb * m].reshape(k, nb * m))
             _im2col(xb, kh, kw, s, 0, kh, cols_t)
             gemm = np.matmul(wmat, cols_t,
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
             out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
-        self._keep(None if self.inference else
-                   (x.shape, None, None, whole) if whole is not None else
-                   (x.shape, None, x, None) if blocked else
-                   (x.shape, cols_t, None, None))
+        self._keep((x.shape, whole))
         return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
-        (n, c, h, w), cols, x, whole = self._take_cache()
+        (n, _, h, w), whole = self._take_cache()
+        part = _part()
         co, ci, kh, kw = self.weights.shape
         _, _, oh, ow = dout.shape
-        s, p, m = self.stride, self.padding, oh * ow
-        if whole is None:  # the whole batch: weight gradients first
-            if cols is None and p:
-                xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-                xp[:, :, p:p + h, p:p + w] = x
-                x = xp
-            whole = _Whole(cols, x)
-            whole.start_backward(self, lambda: dout.transpose(1, 0, 2, 3)
-                                 .reshape(co, n * m))
+        s, p, m, n0 = self.stride, self.padding, oh * ow, part.n0
+        whole.start_backward(self, part.split.n, dout)
+        whole.dmat.reshape(co, -1, m)[:, n0:n0 + n] = (
+            dout.reshape(n, co, m).transpose(1, 0, 2))
+        dmat = whole.dmat[:, n0 * m:(n0 + n) * m]
+        # the whole batch's weight gradients come first, while the columns'
+        # buffer is free; a slice's come from Split.weight_grads, once every
+        # slice has written its dmat
+        sole = part.sole
+        if sole:
+            del part.split.convs[self]
             self._weight_grads(whole)
-            dmat = whole.dmat
-        else:  # a slice: Split.weight_grads computes them from every slice's
-            part = _part()
-            whole.start_backward(self, lambda: np.empty(
-                (co, part.split.n * m), dout.dtype))
-            n0 = part.n0
-            whole.dmat.reshape(co, -1, m)[:, n0:n0 + n] = (
-                dout.reshape(n, co, m).transpose(1, 0, 2))
-            dmat = whole.dmat[:, n0 * m:(n0 + n) * m]
         if not self.input_grad:
             return None
-        # kernel rows per group: all of them with whole-batch columns, whose
-        # buffer then takes the column gradient, else one, in a buffer of
-        # its own
+        # kernel rows per group: all of them with kept columns, else one; the
+        # whole batch's kept columns take the column gradient, which
+        # otherwise gets a buffer of its own
         g = kh if whole.cols is not None else 1
-        if cols is None:
-            cols = np.empty((ci * g * kw, n * m), dtype=dout.dtype)
+        cols = (whole.cols if sole and whole.cols is not None else
+                np.empty((ci * g * kw, n * m), dtype=dout.dtype))
         dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         for i0 in range(0, kh, g):
             wrows_t = self.weights[:, :, i0:i0 + g].reshape(co, -1).T
@@ -347,7 +350,7 @@ class Conv2d(Layer):
             for i in range(i0, i0 + g):
                 for j in range(kw):
                     dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i - i0, j]
-        del x, cols, whole, dmat, dcols_t  # not alive beside dx
+        del cols, whole, dmat, dcols_t  # not alive beside dx
         dx = dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
         return np.ascontiguousarray(dx)
 
@@ -394,7 +397,7 @@ class MaxPool(Layer):
         out = cols[:, :, :s * oh:s].copy()
         for i in range(1, k):
             np.maximum(cols[:, :, i:i + s * oh:s], out, out=out)
-        self._keep(None if self.inference else (x, out))
+        self._keep((x, out))
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -464,7 +467,7 @@ class Lrn(Layer):
         base *= self.alpha
         base += self.k
         scale = base ** (-self.beta)
-        self._keep(None if self.inference else (x, base, scale))
+        self._keep((x, base, scale))
         return x * scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -482,7 +485,7 @@ class Relu(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.maximum(x, 0)
-        self._keep(None if self.inference else out)
+        self._keep(out)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -507,7 +510,7 @@ class FullyConnected(Layer):
         if x.shape[1] != self.weights.shape[1]:
             raise ShapeError(
                 f"fc expects {self.weights.shape[1]} features, got {x.shape[1]}")
-        self._keep(None if self.inference else x)
+        self._keep(x)
         return x @ self.weights.T + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .arch import (ARCH_KEYS, NUM_CLASSES, PdcnnSpec, arch_dict_from_spec,
                    format_kv_lines, param_count, parse_kv_lines, shape_check,
                    spec_from_arch_dict)
 from .layers import (CHUNK_COL_BYTES, Conv2d, FullyConnected, Lrn, MaxPool,
-                     Relu, ShapeError, Split)
+                     Relu, ShapeError, Split, batch_part)
 
 # Image files carry values in [0, 1]; the network sees them centered and in
 # raw-pixel scale, the convention the Gaussian(0, 0.01) initialization and
@@ -85,12 +86,10 @@ def _branch_backward(layers, d):
         d = layer.backward(d)
 
 
-def _on_part(fn, layers, h, part):
-    """fn(layers, h), on the sample slice part (layers.Part) when given."""
-    if part is None:
-        return fn(layers, h)
-    with part:
-        return fn(layers, h)
+def _on_part(part, fn, *args):
+    """fn(*args), within part (a layers.Part) when given: a training run."""
+    with part or nullcontext():
+        return fn(*args)
 
 
 def _build_layer(ls, config, in_channels, rng, dtype, first):
@@ -144,22 +143,11 @@ class PdcnnNet:
                         spec.config.init_sigma, dtype=self.dtype)
         hb = np.zeros(NUM_CLASSES, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
+        # forward-only mode: no backward caches, blocked convolutions, and a
+        # float32 forward runs the branches over sample chunks on threads
         self.inference = False
-        self._plan = None  # forward's training schedule, for backward
-
-    @property
-    def inference(self) -> bool:
-        """Forward-only mode: no backward caches, blocked convolutions, and
-        a float32 forward runs the branches over sample chunks on threads."""
-        return self._inference
-
-    @inference.setter
-    def inference(self, on: bool) -> None:
-        self._inference = on
-        for layers in self.branches:
-            for layer in layers:
-                layer.inference = on
-        self.head.inference = on
+        # forward's training items and the head's part, for backward
+        self._plan = None
 
     def _walk(self, attr_prefix):
         """(name, layer.<attr_prefix>weights / bias) for every parameterized
@@ -202,20 +190,20 @@ class PdcnnNet:
             current[name][...] = np.asarray(value, dtype=self.dtype)
 
     def _schedule(self, n):
-        """Each thread's training items, (branch index, layers.Part or None
-        for the whole batch), the calling thread's first. Whole branches go
-        to the threads in order, q = branches // cores to each; each branch
-        left over runs as one sample slice per thread, a slice holding at
-        least a chunk's samples (see __init__). A float64 net, or a batch
-        too small for two slices, keeps whole branches in contiguous runs."""
+        """Each thread's training items, (branch index, layers.Part), the
+        calling thread's first. Whole branches, each a one-part Split, go to
+        the threads in order, q = branches // cores to each; each branch left
+        over runs as one sample slice per thread, a slice holding at least a
+        chunk's samples (see __init__). A float64 net, or a batch too small
+        for two slices, keeps whole branches in contiguous runs."""
         branches, cores = len(self.branches), usable_cores()
         q, left = divmod(branches, cores)
         k = min(cores, n // self._chunk) if self.dtype == np.float32 else 1
         if not left or k < 2:
-            return _contiguous([(b, None) for b in range(branches)],
+            return _contiguous([(b, batch_part(n)) for b in range(branches)],
                                min(cores, branches))
         parts = [Split(n).parts(k) for _ in range(left)]
-        return [[(b, None) for b in range(q * t, q * (t + 1))]
+        return [[(b, batch_part(n)) for b in range(q * t, q * (t + 1))]
                 + [(q * cores + i, p[t]) for i, p in enumerate(parts) if t < k]
                 for t in range(cores if q else k)]
 
@@ -230,50 +218,56 @@ class PdcnnNet:
         x = np.subtract(x, INPUT_OFFSET, dtype=self.dtype)
         x *= INPUT_SCALE
         n = len(x)
+        self._plan = head = None
         if self.inference:
             # inference layers keep no state, so two threads may run one
             # branch; k chunks, none below the rule
             k = max(1, n // self._chunk) if self.dtype == np.float32 else 1
             edges = [n * i // k for i in range(k + 1)]
-            items = [(b, x[a:e], None) for b in range(len(self.branches))
+            items = [(b, None, x[a:e]) for b in range(len(self.branches))
                      for a, e in zip(edges, edges[1:])]
             runs = _contiguous(items, min(usable_cores(), len(items))
                                if k > 1 else 1)
         else:
-            self._plan = self._schedule(n)
-            runs = [[(b, x if part is None else x[part.n0:part.n1], part)
-                     for b, part in run] for run in self._plan]
+            plan = self._schedule(n)
+            head = batch_part(n)
+            runs = [[(b, part, x[part.n0:part.n1]) for b, part in run]
+                    for run in plan]
         out = _on_threads(_on_part, [
-            [(_branch_forward, self.branches[b], h, part) for b, h, part in run]
+            [(part, _branch_forward, self.branches[b], h) for b, part, h in run]
             for run in runs])
         feats = [[] for _ in self.branches]  # each branch's, in sample order
         for (b, _, _), h in zip(sum(runs, []), out):
             feats[b].append(h.reshape(len(h), -1))
-        return self.head.forward(np.concatenate(
+        logits = _on_part(head, self.head.forward, np.concatenate(
             [np.concatenate(hs) for hs in feats], axis=1))
+        if head is not None:
+            self._plan = plan, head
+        return logits
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate (N,K) logit gradients, cast to the network's dtype;
-        fills every grad_* attribute. Consumes the latest forward's caches,
-        each layer's freed as its backward finishes with it; a branch run as
-        sample slices then computes its weight gradients from the whole
-        batch, shared out over the same threads."""
+        fills every grad_* attribute. Consumes the latest training forward's
+        caches, each layer's freed as its backward finishes with it; a
+        branch run as sample slices then computes its weight gradients from
+        the whole batch, shared out over the same threads."""
         dlogits = np.asarray(dlogits, dtype=self.dtype)
-        dfused = self.head.backward(dlogits)  # raises if there is no forward
-        plan, self._plan = self._plan, None
+        plan, head = self._plan or ([], None)
+        self._plan = None
+        # raises, outside any part, if there is no training forward to undo
+        dfused = _on_part(head, self.head.backward, dlogits)
         edges = np.cumsum([math.prod(s) for s in self._feat_shapes])[:-1]
         ds = [d.reshape(len(d), *shape) for d, shape in
               zip(np.split(dfused, edges, axis=1), self._feat_shapes)]
 
         def runs(sliced):  # the backward calls of whole branches or of slices
-            return [[(_branch_backward, self.branches[b],
-                      ds[b] if part is None else ds[b][part.n0:part.n1], part)
-                     for b, part in run if (part is not None) == sliced]
-                    for run in plan]
+            return [[(part, _branch_backward, self.branches[b],
+                      ds[b][part.n0:part.n1])
+                     for b, part in run if part.sole != sliced] for run in plan]
 
-        # split branches first, so that their whole-batch arrays are freed
+        # sliced branches first, so that their whole-batch arrays are freed
         # before the whole branches' backward allocates
-        splits = [part.split for _, part in plan[0] if part is not None]
+        splits = [part.split for _, part in plan[0] if not part.sole]
         if splits:
             _on_threads(_on_part, runs(True))
             _on_threads(Split.weight_grads, [[(split, t, len(plan))

@@ -11,7 +11,7 @@ the step so the difference quotient stays valid.
 import numpy as np
 
 from pdcnn.layers import (Conv2d, FullyConnected, Lrn, MaxPool, Relu,
-                          conv_extent)
+                          batch_part, conv_extent)
 from oracles import fd_grad, max_rel_err, softmax_xent
 
 TOLERANCE = 1e-4
@@ -19,9 +19,19 @@ STEP = 1e-3
 
 
 def _upstream_loss(layer, x, rng):
+    """A random upstream gradient for layer at x, and the loss
+    sum(layer(x) * upstream), whose inference forwards keep no cache."""
     out = layer.forward(x)
     upstream = rng.normal(0, 1, out.shape)
     return upstream, (lambda: float(np.sum(layer.forward(x) * upstream)))
+
+
+def _train_step(layer, x, upstream):
+    """The input gradient of a training forward and backward at x, the
+    whole batch one part, as the network runs a whole branch."""
+    with batch_part(len(x)):
+        layer.forward(x)
+        return layer.backward(upstream)
 
 
 def check_conv(rng):
@@ -39,8 +49,7 @@ def check_conv(rng):
     layer = Conv2d(rng.normal(0, 1, (co, ci, k, k)), rng.normal(0, 1, co),
                    stride=stride, padding=pad)
     upstream, loss = _upstream_loss(layer, x, rng)
-    layer.forward(x)
-    dx = layer.backward(upstream)
+    dx = _train_step(layer, x, upstream)
     return max(max_rel_err(dx, fd_grad(loss, x, STEP)),
                max_rel_err(layer.grad_weights, fd_grad(loss, layer.weights, STEP)),
                max_rel_err(layer.grad_bias, fd_grad(loss, layer.bias, STEP)))
@@ -57,8 +66,7 @@ def check_pool(rng):
     x -= x.mean()
     layer = MaxPool(window, stride)
     upstream, loss = _upstream_loss(layer, x, rng)
-    layer.forward(x)
-    dx = layer.backward(upstream)
+    dx = _train_step(layer, x, upstream)
     return max_rel_err(dx, fd_grad(loss, x, STEP))
 
 
@@ -72,8 +80,7 @@ def check_lrn(rng):
                 beta=float(rng.uniform(0.4, 1.5)))
     x = rng.normal(0, 1, (c, h, w))[None]
     upstream, loss = _upstream_loss(layer, x, rng)
-    layer.forward(x)
-    dx = layer.backward(upstream)
+    dx = _train_step(layer, x, upstream)
     return max_rel_err(dx, fd_grad(loss, x, STEP))
 
 
@@ -84,8 +91,7 @@ def check_relu(rng):
     x += np.where(x >= 0, 0.05, -0.05)  # keep clear of the kink at 0
     layer = Relu()
     upstream, loss = _upstream_loss(layer, x, rng)
-    layer.forward(x)
-    dx = layer.backward(upstream)
+    dx = _train_step(layer, x, upstream)
     return max_rel_err(dx, fd_grad(loss, x, STEP))
 
 
@@ -95,8 +101,7 @@ def check_fc(rng):
     x = rng.normal(0, 1, d)[None]
     layer = FullyConnected(rng.normal(0, 1, (k, d)), rng.normal(0, 1, k))
     upstream, loss = _upstream_loss(layer, x, rng)
-    layer.forward(x)
-    dx = layer.backward(upstream)
+    dx = _train_step(layer, x, upstream)
     return max(max_rel_err(dx, fd_grad(loss, x, STEP)),
                max_rel_err(layer.grad_weights, fd_grad(loss, layer.weights, STEP)),
                max_rel_err(layer.grad_bias, fd_grad(loss, layer.bias, STEP)))

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import os
 import struct
 import subprocess
@@ -179,6 +181,21 @@ def test_train_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
         assert proc.returncode == 0, proc.stderr
         runs.append([(out / f).read_bytes() for f in ("model.bin", "curve.csv")])
     assert runs[0] == runs[1]
+
+
+def test_tests_run_on_one_blas_thread():
+    # tests/conftest.py imports pdcnn before any test module loads numpy, so
+    # the pin holds here too, read back from the OpenBLAS numpy bundles
+    if os.environ["OPENBLAS_NUM_THREADS"] != "1":
+        pytest.skip("the test run set its own BLAS thread count")
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    getters = [getattr(ctypes.CDLL(lib), "scipy_openblas_get_num_threads64_",
+                       None) for lib in libs]
+    getters = [get for get in getters if get is not None]
+    if not getters:
+        pytest.skip("numpy's build exports no scipy_openblas_get_num_threads64_")
+    assert [get() for get in getters] == [1]
 
 
 def test_train_shape_error_exit_1(tmp_path, capsys):

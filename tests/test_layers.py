@@ -11,8 +11,8 @@ from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, shape_check
 from pdcnn.layers import (COL_BUDGET, RECOMPUTE_COL_BYTES, Conv2d,
                           FullyConnected, Lrn, MaxPool, Relu, ShapeError,
-                          Split, _channel_window_sum, conv_extent,
-                          softmax_xent_batch)
+                          Split, _channel_window_sum, batch_part,
+                          conv_extent, softmax_xent_batch)
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet
 from oracles import (channel_window_sum_cumsum, conv_backward_whole_batch,
                      conv_naive, conv_whole_batch, lrn_cumsum, lrn_naive,
@@ -96,22 +96,26 @@ def test_conv_batched_backward_matches_per_sample(stride, pad):
     weights = rng.normal(0, 1, (co, ci, k, k))
     bias = rng.normal(0, 1, co)
     conv = Conv2d(weights, bias, stride=stride, padding=pad)
-    out = conv.forward(xs)
-    dout = rng.normal(0, 1, out.shape)
-    dx = conv.backward(dout)
+    with batch_part(n):
+        out = conv.forward(xs)
+        dout = rng.normal(0, 1, out.shape)
+        dx = conv.backward(dout)
     grad_weights, grad_bias = conv.grad_weights, conv.grad_bias
     # without the input gradient, the parameter gradients are the same bits
     no_dx = Conv2d(weights, bias, stride=stride, padding=pad, input_grad=False)
-    no_dx.forward(xs)
-    assert no_dx.backward(dout) is None
+    with batch_part(n):
+        no_dx.forward(xs)
+        assert no_dx.backward(dout) is None
     npt.assert_array_equal(no_dx.grad_weights, grad_weights)
     npt.assert_array_equal(no_dx.grad_bias, grad_bias)
     sum_gw, sum_gb = np.zeros_like(weights), np.zeros_like(bias)
     for i in range(n):
         npt.assert_allclose(out[i], conv_naive(xs[i], weights, bias, stride, pad),
                             atol=1e-12)
-        conv.forward(xs[i:i + 1])
-        npt.assert_allclose(dx[i], conv.backward(dout[i:i + 1])[0], atol=1e-12)
+        with batch_part(1):
+            conv.forward(xs[i:i + 1])
+            npt.assert_allclose(dx[i], conv.backward(dout[i:i + 1])[0],
+                                atol=1e-12)
         sum_gw += conv.grad_weights
         sum_gb += conv.grad_bias
     npt.assert_allclose(grad_weights, sum_gw, atol=1e-12)
@@ -127,17 +131,20 @@ def test_conv_backward_frees_columns_before_column_gradient():
                   np.zeros(8, dtype=np.float32), stride=1, padding=2)
     dout = rng.standard_normal((8, 8, 27, 27), dtype=np.float32)
     col_bytes = _col_bytes(conv, x)
+    part = batch_part(8)
     tracemalloc.start()
     try:
-        conv.forward(x)
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        conv.backward(dout)
+        with part:
+            conv.forward(x)
+            assert _holds_columns(part, conv)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            conv.backward(dout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak - before < col_bytes / 2, (peak - before, col_bytes)
-    assert conv._cache is None
+    assert not part.caches and not part.split.convs
 
 
 @pytest.mark.parametrize("layer,x", [
@@ -148,11 +155,20 @@ def test_conv_backward_frees_columns_before_column_gradient():
     (FullyConnected(np.ones((2, 3)), np.zeros(2)), np.ones((1, 3))),
 ], ids=["conv", "pool", "lrn", "relu", "fc"])
 def test_backward_consumes_the_forward_cache(layer, x):
+    # the part holds the cache until backward, which takes it; a backward
+    # without a training forward in its part raises, also after an
+    # inference forward
     out = layer.forward(x)
-    layer.backward(np.ones_like(out))
-    assert layer._cache is None
     with pytest.raises(ValueError, match="needs a new forward"):
         layer.backward(np.ones_like(out))
+    part = batch_part(len(x))
+    with part:
+        layer.forward(x)
+        assert list(part.caches) == [layer]
+        layer.backward(np.ones_like(out))
+        assert not part.caches and not part.split.convs
+        with pytest.raises(ValueError, match="needs a new forward"):
+            layer.backward(np.ones_like(out))
 
 
 DESK = ArchConfig(conv1_stride=2, filter_scale=0.25, init_sigma=0.06)
@@ -165,13 +181,12 @@ FULL = ArchConfig()
 
 def _conv_inputs(config, size, batch, dtype):
     """(conv layer, its input) for every conv of a 4,3,4 network on a random
-    image batch, each input the batch run through the layers before it in
-    inference mode, which the layers are out of on return."""
+    image batch, each input the batch run through the layers before it by
+    inference forwards, outside any part."""
     net = PdcnnNet(build_pdcnn([4, 3, 4], input_shape=(3, size, size),
                                config=config), T.Rng(9), dtype=dtype)
     images = np.random.default_rng(batch).random((batch, 3, size, size))
     x = ((images - INPUT_OFFSET) * INPUT_SCALE).astype(dtype)
-    net.inference = True
     pairs = []
     for layers in net.branches:
         h = x
@@ -179,7 +194,6 @@ def _conv_inputs(config, size, batch, dtype):
             if isinstance(layer, Conv2d):
                 pairs.append((layer, h))
             h = layer.forward(h)
-    net.inference = False
     return pairs
 
 
@@ -192,9 +206,24 @@ def _full_conv2(batch, dtype):
     return conv, rng.standard_normal((batch, 64, 27, 27)).astype(dtype)
 
 
-def _holds_columns(conv):
-    """Whether conv's latest training forward cached its column matrix."""
-    return conv._cache[1] is not None
+def _holds_columns(part, conv):
+    """Whether conv's training forward in part kept its column matrix."""
+    return part.caches[conv][1].cols is not None
+
+
+def _trained_part(conv, x):
+    """The part of a training forward of conv at x, the whole batch."""
+    part = batch_part(len(x))
+    with part:
+        conv.forward(x)
+    return part
+
+
+def _held_arrays(layer):
+    """The names of the arrays layer holds besides its parameters."""
+    return {name for name, value in vars(layer).items()
+            if isinstance(value, np.ndarray)} - {
+                "weights", "bias", "grad_weights", "grad_bias"}
 
 
 def _col_bytes(conv, x):
@@ -222,9 +251,8 @@ def test_conv_blocked_inference_forward_is_bit_equal(config, size, batch, dtype)
     x1 = ((full.random((3, 3, 224, 224)) - INPUT_OFFSET) * INPUT_SCALE).astype(dtype)
     assert _col_bytes(conv1, x1) > COL_BUDGET
     for conv, x in pairs + [(conv1, x1)]:
-        conv.inference = True
-        out = conv.forward(x)
-        assert conv._cache is None
+        out = conv.forward(x)  # outside any part: an inference forward
+        assert not _held_arrays(conv)
         want = conv_whole_batch(x, conv.weights, conv.bias, conv.stride,
                                 conv.padding)
         assert out.dtype == want.dtype and out.shape == want.shape
@@ -243,10 +271,12 @@ def test_conv_recomputed_columns_backward_is_bit_equal(batch):
         if not conv.input_grad or _col_bytes(conv, x) <= RECOMPUTE_COL_BYTES:
             continue
         recomputed += 1
-        out = conv.forward(x)
-        assert not _holds_columns(conv)
-        dout = rng.standard_normal(out.shape, dtype=np.float32)
-        dx = conv.backward(dout)
+        part = batch_part(batch)
+        with part:
+            out = conv.forward(x)
+            assert not _holds_columns(part, conv)
+            dout = rng.standard_normal(out.shape, dtype=np.float32)
+            dx = conv.backward(dout)
         got = [out, conv.grad_weights, conv.grad_bias, dx]
         want = [conv_whole_batch(x, conv.weights, conv.bias, conv.stride,
                                  conv.padding),
@@ -265,20 +295,16 @@ def test_conv_caches_columns_below_the_recompute_rule():
     # row can change its float32 bits, so the rule guards bit-equality too.
     for batch in (32, 64):
         for conv, x in _conv_inputs(DESK, 56, batch, np.float32):
-            conv.forward(x)
-            assert _holds_columns(conv)
-    held = []
-    for conv, x in _conv_inputs(FULL, 224, 32, np.float32):
-        conv.forward(x)
-        held.append(_holds_columns(conv))
+            assert _holds_columns(_trained_part(conv, x), conv)
+    held = [_holds_columns(_trained_part(conv, x), conv)
+            for conv, x in _conv_inputs(FULL, 224, 32, np.float32)]
     # branches of 4, 3 and 4 convs: all but each conv2 keep their columns
     assert held == [True, False, True, True,
                     True, False, True,
                     True, False, True, True]
     conv, x = _full_conv2(8, np.float64)
     assert _col_bytes(conv, x) > RECOMPUTE_COL_BYTES
-    conv.forward(x)
-    assert _holds_columns(conv)
+    assert _holds_columns(_trained_part(conv, x), conv)
 
 
 def test_conv_recomputed_columns_hold_no_memory():
@@ -290,15 +316,17 @@ def test_conv_recomputed_columns_hold_no_memory():
                                                     dtype=np.float32)
     col_bytes = _col_bytes(conv, x)
     assert col_bytes > RECOMPUTE_COL_BYTES
+    part = batch_part(8)
     tracemalloc.start()
     try:
-        start = tracemalloc.get_traced_memory()[0]
-        out = conv.forward(x)
-        held = tracemalloc.get_traced_memory()[0] - start
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        conv.backward(dout)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        with part:
+            start = tracemalloc.get_traced_memory()[0]
+            out = conv.forward(x)
+            held = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            conv.backward(dout)
+            peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert held < out.nbytes + (1 << 16), (held, out.nbytes)
@@ -434,9 +462,10 @@ def test_pool_constant_field():
 def test_pool_hand_example_and_routing():
     x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
     pool = MaxPool(2, 2)
-    out = pool.forward(x[None])[0]
+    with batch_part(1):
+        out = pool.forward(x[None])[0]
+        dx = pool.backward(np.array([[[5.0]]])[None])[0]
     npt.assert_array_equal(out, np.array([[[4.0]]]))
-    dx = pool.backward(np.array([[[5.0]]])[None])[0]
     npt.assert_array_equal(dx, np.array([[[0.0, 0.0], [0.0, 5.0]]]))
 
 
@@ -459,17 +488,19 @@ def test_pool_matches_window_maxima():
 def test_pool_tie_routes_to_first_in_scan_order():
     x = np.array([[[7.0, 7.0], [7.0, 7.0]]])
     pool = MaxPool(2, 2)
-    pool.forward(x[None])
-    dx = pool.backward(np.array([[[1.0]]])[None])[0]
+    with batch_part(1):
+        pool.forward(x[None])
+        dx = pool.backward(np.array([[[1.0]]])[None])[0]
     npt.assert_array_equal(dx, np.array([[[1.0, 0.0], [0.0, 0.0]]]))
 
 
 def test_pool_nan_window_outputs_nan_and_routes_to_first_nan():
     x = np.array([[[1.0, np.nan, 2.0], [np.nan, 5.0, 0.0]]])
     pool = MaxPool(2, 1)
-    out = pool.forward(x[None])[0]
+    with batch_part(1):
+        out = pool.forward(x[None])[0]
+        dx = pool.backward(np.array([[[3.0, 4.0]]])[None])[0]
     npt.assert_array_equal(out, np.array([[[np.nan, np.nan]]]))
-    dx = pool.backward(np.array([[[3.0, 4.0]]])[None])[0]
     npt.assert_array_equal(dx, np.array([[[0.0, 7.0, 0.0], [0.0, 0.0, 0.0]]]))
 
 
@@ -498,7 +529,9 @@ def _tied_batch(draw):
 def test_pool_matches_argmax_reference_bit_for_bit(data):
     x, window, stride, rng = _tied_batch(data.draw)
     pool = MaxPool(window, stride)
-    out = pool.forward(x)
+    part = batch_part(len(x))
+    with part:
+        out = pool.forward(x)
     dout = rng.normal(0, 1, out.shape).astype(x.dtype)
     ref_out, ref_dx = pool_argmax(x, window, stride, dout)
     assert out.dtype == x.dtype and out.shape == ref_out.shape
@@ -506,7 +539,8 @@ def test_pool_matches_argmax_reference_bit_for_bit(data):
     nan = np.isnan(ref_out)
     npt.assert_array_equal(np.isnan(out), nan)
     assert out[~nan].tobytes() == ref_out[~nan].tobytes()
-    dx = pool.backward(dout)
+    with part:
+        dx = pool.backward(dout)
     assert dx.dtype == dout.dtype
     assert dx.tobytes() == ref_dx.tobytes()
 
@@ -516,9 +550,10 @@ def test_pool_matches_argmax_reference_bit_for_bit(data):
 def test_relu_gradient_is_dout_where_input_positive(data):
     x, _, _, rng = _tied_batch(data.draw)
     relu = Relu()
-    relu.forward(x)
     dout = rng.normal(0, 1, x.shape).astype(x.dtype)
-    assert relu.backward(dout).tobytes() == (dout * (x > 0)).tobytes()
+    with batch_part(len(x)):
+        relu.forward(x)
+        assert relu.backward(dout).tobytes() == (dout * (x > 0)).tobytes()
 
 
 def test_pool_window_too_large():
@@ -586,9 +621,10 @@ def test_lrn_bytes_equal_cumsum_reference(dtype):
         layer = Lrn(radius)
         want_out, want_dx = lrn_cumsum(x, dout, radius, layer.k, layer.alpha,
                                        layer.beta)
-        out = layer.forward(x)
+        with batch_part(len(x)):
+            out = layer.forward(x)
+            dx = layer.backward(dout)
         assert out.dtype == dtype and out.tobytes() == want_out.tobytes()
-        dx = layer.backward(dout)
         assert dx.dtype == dtype and dx.tobytes() == want_dx.tobytes()
 
 
@@ -612,15 +648,17 @@ def test_relu_sign_cases():
 
 def test_relu_gate_gradient():
     relu = Relu()
-    relu.forward(np.array([-1.0, 2.0]))
-    npt.assert_array_equal(relu.backward(np.array([5.0, 5.0])),
-                           np.array([0.0, 5.0]))
+    with batch_part(2):
+        relu.forward(np.array([-1.0, 2.0]))
+        npt.assert_array_equal(relu.backward(np.array([5.0, 5.0])),
+                               np.array([0.0, 5.0]))
 
 
 def test_relu_zero_subgradient_is_zero():
     relu = Relu()
-    relu.forward(np.array([0.0]))
-    npt.assert_array_equal(relu.backward(np.array([3.0])), np.array([0.0]))
+    with batch_part(1):
+        relu.forward(np.array([0.0]))
+        npt.assert_array_equal(relu.backward(np.array([3.0])), np.array([0.0]))
 
 
 # --- fully connected ---

@@ -98,7 +98,7 @@ def test_inference_logits_bit_equal_to_training_forward(dtype):
     x = np.random.default_rng(6).random((64, 3, 56, 56))
     net.inference = True
     blocked = net.forward(x)
-    assert all(layer._cache is None for layers in net.branches for layer in layers)
+    assert net._plan is None
     net.inference = False
     assert blocked.tobytes() == net.forward(x).tobytes()
 
@@ -132,7 +132,7 @@ def test_chunked_inference_bit_equal_to_training_forward(monkeypatch, size, conf
         seen.clear()
         chunked.append(net.forward(x).tobytes())
         assert sorted(seen) == sorted(sizes * 3)
-    assert all(layer._cache is None for layers in net.branches for layer in layers)
+    assert net._plan is None
     net.inference = False
     whole = net.forward(x).tobytes()
     assert seen[-3:] == [batch] * 3
@@ -368,17 +368,56 @@ def test_shape_rows_count_the_network_parameters(size, config, depths):
 
 
 def test_backward_consumes_every_layer_cache():
+    # backward raises one error before any forward, a second time, and
+    # after an inference forward
     net = tiny_net([4, 3])
     x = np.random.default_rng(1).random((2, 3, 20, 20))
     dlogits = np.ones((2, 2))
+    with pytest.raises(ValueError, match="needs a new forward"):
+        net.backward(dlogits)
     net.forward(x)
+    plan, head = net._plan
     net.backward(dlogits)
-    assert all(layer._cache is None
-               for layer in sum(net.branches, [net.head]))
+    parts = [part for run in plan for _, part in run] + [head]
+    assert not any(part.caches or part.split.convs for part in parts)
+    assert net._plan is None
     with pytest.raises(ValueError, match="needs a new forward"):
         net.backward(dlogits)
     net.forward(x)  # a new forward makes backward valid again
     net.backward(dlogits)
+    net.forward(x)
+    net.inference = True
+    net.forward(x)
+    with pytest.raises(ValueError, match="needs a new forward") as err:
+        net.backward(dlogits)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("size,config,batch,cores", [
+    (56, DESK, 16, 1), (224, ArchConfig(), 8, 2)], ids=["desk", "full-split"])
+def test_no_layer_holds_per_step_state(monkeypatch, size, config, batch, cores):
+    # a training forward keeps every backward cache in the parts of the
+    # network's plan, never in a layer: at desk scale every branch runs
+    # whole, at full scale on 2 cores b3 runs as two slices; backward then
+    # empties every part and every split
+    monkeypatch.setattr(N, "usable_cores", lambda: cores)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    params = {"weights", "bias", "grad_weights", "grad_bias"}
+    x = np.random.default_rng(2).random((batch, 3, size, size))
+    for _ in range(2):
+        logits = net.forward(x)
+        for layer in sum(net.branches, [net.head]):
+            state = vars(layer)
+            assert "_cache" not in state and "inference" not in state
+            assert {name for name, value in state.items()
+                    if isinstance(value, np.ndarray)} <= params
+        plan, head = net._plan
+        parts = [part for run in plan for _, part in run] + [head]
+        assert any(part.caches for part in parts)
+        assert sum(not part.sole for part in parts) == (2 if cores > 1 else 0)
+        net.backward(np.ones_like(logits))
+        assert not any(part.caches or part.split.convs for part in parts)
 
 
 def test_whole_network_gradients_match_finite_differences():
