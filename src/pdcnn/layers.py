@@ -34,11 +34,16 @@ computes its input gradient and whose whole batch has more than
 RECOMPUTE_COL_BYTES of columns runs the same blocks and keeps only its
 input; backward pads the batch once and rebuilds the columns one kernel row
 at a time (recompute for memory after Chen et al. 2016, arXiv:1604.06174).
-Every other training conv builds its part's columns in one block and keeps
-them: a conv without an input gradient (each branch's conv1) and a small
-one would spend more time on the rebuild than its columns cost memory, and
-a float64 conv is never split (the comment above COL_BUDGET says why). The
-output and gradient bytes are the same on every path.
+Every other training conv keeps its whole batch's columns: a conv without
+an input gradient (each branch's conv1) and a small one would spend more
+time on the rebuild than they cost, and a float64 conv is never split (the
+comment above COL_BUDGET says why). The conv1s of equal stride, padding and
+output extent read one stem, the batch's columns at their widest kernel,
+which the network builds once per training step, read-only; a conv of
+kernel k copies the stem's rows (c, i<k, j<k) only for its forward and its
+weight-gradient GEMM. A conv1 alone in its group, and every inference
+forward, builds its own columns. The output and gradient bytes are the same
+on every path.
 
 A conv's whole-batch arrays, its columns or inputs and from backward on its
 upstream gradient, live in the Split, each part filling its own sample
@@ -127,6 +132,10 @@ class Split:
                 self.convs[conv] = make()
             return self.convs[conv]
 
+    def share(self, conv, stem: np.ndarray, kernel: int) -> None:
+        """Give conv a stem of kernel `kernel` as its columns (_Whole)."""
+        self.convs[conv] = _Whole(stem, kernel)
+
     def weight_grads(self, t: int, k: int) -> None:
         """Share t of k of the weight and bias gradients of every conv that
         ran as slices; run once every slice's backward is done, the k shares
@@ -165,11 +174,22 @@ class _Whole:
     columns cols, or, when those are rebuilt (cols None), each part's
     unpadded input by its first sample, which start_backward pads into xp;
     from backward on, the upstream gradient dmat (Co, N*oh*ow) and the
-    gradients. The parts fill disjoint sample ranges."""
+    gradients. The parts fill disjoint sample ranges. cols may instead be a
+    read-only stem, the columns at kernel `kernel` (else 0) >= the conv's k,
+    whose rows (c, i<k, j<k) are the conv's columns."""
 
-    def __init__(self, cols):
-        self.cols, self.inputs, self.dmat = cols, {}, None
+    def __init__(self, cols, kernel: int = 0):
+        self.cols, self.kernel, self.inputs, self.dmat = cols, kernel, {}, None
         self._lock = threading.Lock()
+
+    def columns(self, conv, a: int = 0, b: int | None = None) -> np.ndarray:
+        """conv's columns a:b: a view of cols, or a copy from a wider stem."""
+        ci, k = conv.weights.shape[1:3]
+        cols = self.cols[:, a:b]
+        if self.kernel > k:
+            w = self.kernel
+            cols = cols.reshape(ci, w, w, -1)[:, :k, :k].reshape(ci * k * k, -1)
+        return cols
 
     def start_backward(self, conv, n: int, dout: np.ndarray) -> None:
         """Make xp, dmat for n samples of dout's extent and the gradient
@@ -226,8 +246,9 @@ class Conv2d(Layer):
     inference, and in training when it computes its input gradient and its
     whole batch's columns exceed RECOMPUTE_COL_BYTES; it then keeps no
     columns, and a training forward keeps its unpadded input. Any other
-    forward is one block, whose columns a training forward writes into its
-    part's sample range of the whole batch's column matrix.
+    forward is one block, whose columns in training are its part's sample
+    range of the whole batch's column matrix: written there, or read from a
+    stem its Split holds (see the module docstring).
 
     Backward writes its part's upstream gradient into the whole batch's.
     A part that is the whole batch then writes the weight gradient dout @
@@ -293,8 +314,9 @@ class Conv2d(Layer):
             if blocked:
                 whole.inputs[part.n0] = x
             else:
-                cols = whole.cols[:, part.n0 * m:part.n1 * m]
-        if p:  # only the interior is written, so the border stays zero
+                cols = whole.columns(self, part.n0 * m, part.n1 * m)
+        stem = whole is not None and whole.kernel  # columns built already
+        if p and not stem:  # only the interior is written, so the border stays zero
             pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
         if cols is None:
             col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
@@ -303,13 +325,14 @@ class Conv2d(Layer):
         for i in range(nblk):
             n0, n1 = n * i // nblk, n * (i + 1) // nblk
             nb = n1 - n0
-            xb = x[n0:n1]
-            if p:
-                xb = pad_buf[:nb]
-                xb[:, :, p:p + h, p:p + w] = x[n0:n1]
             cols_t = (cols if cols is not None
                       else col_buf[:k * nb * m].reshape(k, nb * m))
-            _im2col(xb, kh, kw, s, 0, kh, cols_t)
+            if not stem:
+                xb = x[n0:n1]
+                if p:
+                    xb = pad_buf[:nb]
+                    xb[:, :, p:p + h, p:p + w] = x[n0:n1]
+                _im2col(xb, kh, kw, s, 0, kh, cols_t)
             gemm = np.matmul(wmat, cols_t,
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
@@ -354,6 +377,12 @@ class Conv2d(Layer):
         dx = dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
         return np.ascontiguousarray(dx)
 
+    def im2col(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write batch x's columns into out, (C*kh*kw, N*oh*ow) or a range."""
+        p, kh = self.padding, self.weights.shape[2]
+        _im2col(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), kh, kh,
+                self.stride, 0, kh, out)
+
     def _weight_grads(self, whole: _Whole, t: int = 0, k: int = 1) -> None:
         """Share t of k of the weight and bias gradients, from whole-batch
         arrays: a range of output channels when the columns are kept, of
@@ -361,6 +390,9 @@ class Conv2d(Layer):
         co, ci, kh, kw = self.weights.shape
         dmat, gw, gb = whole.dmat, whole.grad_weights, whole.grad_bias
         if whole.cols is not None:
+            with whole._lock:  # a wider stem's rows, copied once for all k
+                if whole.kernel > kh:
+                    whole.cols, whole.kernel = whole.columns(self), 0
             o0, o1 = co * t // k, co * (t + 1) // k
             gw[o0:o1] = (dmat[o0:o1] @ whole.cols.T).reshape(o1 - o0, ci, kh, kw)
             gb[o0:o1] = dmat[o0:o1].sum(axis=1)

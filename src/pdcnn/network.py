@@ -111,7 +111,8 @@ def _build_layer(ls, config, in_channels, rng, dtype, first):
 
 class PdcnnNet:
     """Runtime network for one PdcnnSpec, in a single uniform precision:
-    forward casts its input batch and backward its logit gradients to it."""
+    forward casts its input batch and backward its logit gradients to it. A
+    training forward first builds the conv1 stems its branches share."""
 
     def __init__(self, spec: PdcnnSpec, rng: T.Rng, dtype=np.float64):
         rows = shape_check(spec)  # fail early, naming the offending layer
@@ -121,8 +122,9 @@ class PdcnnNet:
         self.branch_layer_names = []
         self._feat_shapes = []  # each branch's (C,H,W) output
         cols = []  # each conv's per-sample im2col columns, C*k*k*oh*ow
+        groups = {}  # {branch: conv1} by stride, padding and output extent
         branch_rows = iter(rows)  # the rows of every branch layer, in order
-        for arch in spec.branches:
+        for b, arch in enumerate(spec.branches):
             layers = []
             shape = spec.input_shape  # the next layer's input
             # layers first: zip stops without taking the next branch's row
@@ -132,6 +134,9 @@ class PdcnnNet:
                 if ls.kind == "conv":
                     _, oh, ow = row.shape
                     cols.append(shape[0] * ls.kernel ** 2 * oh * ow)
+                    if len(layers) == 1:
+                        groups.setdefault((ls.stride, ls.padding, oh, ow),
+                                          {})[b] = layers[0]
                 shape = row.shape
             self.branches.append(layers)
             self.branch_layer_names.append([ls.name for ls in arch.layers])
@@ -139,12 +144,14 @@ class PdcnnNet:
         # float32 samples per inference chunk and fewest per training slice;
         # float64 never splits a batch (layers.py)
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
+        self._stems = [(oh * ow, convs) for (_, _, oh, ow), convs
+                       in groups.items() if len(convs) > 1]
         hw = rng.normal((NUM_CLASSES, rows[-2].shape[0]),
                         spec.config.init_sigma, dtype=self.dtype)
         hb = np.zeros(NUM_CLASSES, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
-        # forward-only mode: no backward caches, blocked convolutions, and a
-        # float32 forward runs the branches over sample chunks on threads
+        # forward-only mode: no backward caches or stems, blocked convolutions,
+        # and a float32 forward runs the branches over sample chunks on threads
         self.inference = False
         # forward's training items and the head's part, for backward
         self._plan = None
@@ -207,6 +214,21 @@ class PdcnnNet:
                 + [(q * cores + i, p[t]) for i, p in enumerate(parts) if t < k]
                 for t in range(cores if q else k)]
 
+    def _share_stems(self, x, plan):
+        """Build each group of conv1s (__init__) its stem, the batch's columns
+        at the group's widest kernel, a sample range on each thread of the
+        plan, and hand it, read-only, to the members' Splits."""
+        splits = {b: part.split for run in plan for b, part in run}
+        n, t = len(x), min(len(plan), len(x))
+        for m, convs in self._stems:
+            widest = max(convs.values(), key=lambda conv: conv.weights.shape[2])
+            stem = np.empty((widest.weights[0].size, n * m), self.dtype)
+            _on_threads(lambda a, e: widest.im2col(x[a:e], stem[:, a * m:e * m]),
+                        [[(n * i // t, n * (i + 1) // t)] for i in range(t)])
+            stem.flags.writeable = False
+            for b, conv in convs.items():
+                splits[b].share(conv, stem, widest.weights.shape[2])
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N,K) logits for an (N,C,H,W) batch of [0, 1] images whose
         (C,H,W) is spec.input_shape."""
@@ -231,6 +253,7 @@ class PdcnnNet:
         else:
             plan = self._schedule(n)
             head = batch_part(n)
+            self._share_stems(x, plan)
             runs = [[(b, part, x[part.n0:part.n1]) for b, part in run]
                     for run in plan]
         out = _on_threads(_on_part, [

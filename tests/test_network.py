@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdcnn import layers as L
 from pdcnn import network as N
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, param_count, shape_check
@@ -15,7 +17,8 @@ from pdcnn.data import gen_synthetic
 from pdcnn.layers import ShapeError, softmax_xent_batch
 from pdcnn.network import INPUT_OFFSET, INPUT_SCALE, PdcnnNet, load_model, save_model
 from pdcnn.optim import SgdConfig, evaluate, init_state, sgd_step
-from oracles import fd_grad, max_rel_err
+from oracles import (conv_backward_whole_batch, conv_whole_batch, fd_grad,
+                     max_rel_err)
 
 # tiny geometry that every depth survives: 20x20 input, pool window 2
 TINY = ArchConfig(conv1_stride=2, pool_window=2, pool_stride=2,
@@ -418,6 +421,107 @@ def test_no_layer_holds_per_step_state(monkeypatch, size, config, batch, cores):
         assert sum(not part.sole for part in parts) == (2 if cores > 1 else 0)
         net.backward(np.ones_like(logits))
         assert not any(part.caches or part.split.convs for part in parts)
+
+
+@pytest.mark.bit_equal
+@pytest.mark.parametrize("size,config,batch,dtype,cores", [
+    (224, ArchConfig(), 32, np.float32, 2),
+    (224, ArchConfig(), 32, np.float32, 1),
+    (224, ArchConfig(), 16, np.float32, 2),
+    (224, ArchConfig(), 16, np.float32, 1),
+    (56, DESK, 16, np.float64, 2),
+], ids=["full-32-split", "full-32", "full-16-split", "full-16", "desk-float64"])
+def test_conv1_reading_the_stem_bit_equal_to_whole_batch_conv(
+        monkeypatch, size, config, batch, dtype, cores):
+    # every branch's conv1 gives the output and gradient bytes of one
+    # whole-batch GEMM over its own columns: at full scale b1 and b2 (7x7)
+    # read the stem as it is and b3 (5x5) a gather of its rows, and on 2
+    # cores b3 runs as 2 slices; at desk scale b1 and b2 share and b3 builds
+    # its own
+    monkeypatch.setattr(N, "usable_cores", lambda: cores)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
+    seen = {}  # conv1 -> {first sample: (input, output, upstream gradient)}
+
+    def hook(conv):
+        forward, backward = conv.forward, conv.backward
+
+        def fwd(h):
+            out = forward(h)
+            seen.setdefault(conv, {})[L._part().n0] = [h, out]
+            return out
+
+        def bwd(d):
+            seen[conv][L._part().n0].append(d)
+            return backward(d)
+
+        monkeypatch.setattr(conv, "forward", fwd)
+        monkeypatch.setattr(conv, "backward", bwd)
+
+    convs = [layers[0] for layers in net.branches]
+    for conv in convs:
+        hook(conv)
+    rng = np.random.default_rng(9)
+    x = rng.random((batch, 3, size, size))
+    _, dlogits = softmax_xent_batch(net.forward(x), rng.integers(0, 2, batch))
+    net.backward(dlogits / batch)
+    for conv in convs:
+        h, out, dout = (np.concatenate(a) for a in
+                        zip(*(seen[conv][n0] for n0 in sorted(seen[conv]))))
+        assert len(seen[conv]) == (2 if cores > 1 and conv is convs[2]
+                                   and size == 224 else 1)
+        want = conv_whole_batch(h, conv.weights, conv.bias, conv.stride,
+                                conv.padding)
+        assert out.tobytes() == want.tobytes()
+        gw, gb, _ = conv_backward_whole_batch(h, conv.weights, dout,
+                                              conv.stride, conv.padding)
+        assert conv.grad_weights.tobytes() == gw.tobytes()
+        assert conv.grad_bias.tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("size,config,depths,shared,own", [
+    (224, ArchConfig(), [4, 3, 4], [0, 1, 2], []),
+    (56, DESK, [4, 3, 4], [0, 1], [2]),
+    (224, ArchConfig(), [4, 4, 4], [0, 1], [2]),
+    (224, ArchConfig(), [4], [], [0]),
+], ids=["full", "desk", "full-9x9", "one-branch"])
+def test_conv1_groups_share_one_read_only_stem_per_step(
+        monkeypatch, size, config, depths, shared, own):
+    # conv1s of equal stride, padding and output extent share one stem, at
+    # the group's widest kernel: at full scale 7x7 b1, b2 and 5x5 b3 (56x56
+    # outputs); not the desk 5x5 (28x28 against 27x27), a variant-2 9x9
+    # (55x55) or a group of one. On 2 cores full-scale b3 runs as 2 slices of
+    # one split. No stem survives backward.
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    x = np.random.default_rng(2).random((8, 3, size, size))
+    logits = net.forward(x)
+    plan, head = net._plan
+    splits = {b: part.split for run in plan for b, part in run}
+    wholes = [splits[b].convs[layers[0]] for b, layers in enumerate(net.branches)]
+    for b in shared:
+        assert wholes[b].cols is wholes[shared[0]].cols
+        assert wholes[b].kernel == max(net.branches[a][0].weights.shape[2]
+                                       for a in shared)
+    for b in own:
+        assert wholes[b].kernel == 0 and wholes[b].cols.flags.writeable
+        assert not any(np.shares_memory(wholes[b].cols, wholes[a].cols)
+                       for a in range(len(depths)) if a != b)
+    assert all(not conv.input_grad for split in splits.values()
+               for conv, whole in split.convs.items() if whole.kernel)
+    refs = []
+    if shared:
+        stem = wholes[shared[0]].cols
+        assert not stem.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stem[0, 0] = 0
+        refs.append(weakref.ref(stem))
+        del stem
+    del wholes
+    net.backward(np.ones_like(logits))
+    assert not any(split.convs for split in splits.values())
+    assert all(ref() is None for ref in refs)
 
 
 def test_whole_network_gradients_match_finite_differences():
