@@ -15,14 +15,16 @@ own included, is one "usage error: ..." line on stderr.
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, format_int_list,
-                   format_kv_lines, param_count, parse_int_list, parse_kv_file,
-                   parse_rate, read_table, shape_check, spec_from_arch_dict)
+from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, build_pdcnn,
+                   format_int_list, format_kv_lines, param_count,
+                   parse_int_list, parse_kv_file, parse_rate, read_table,
+                   shape_check, spec_from_arch_dict)
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
@@ -47,11 +49,19 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _int_list_flag(text):
-    """parse_int_list for argparse, which would otherwise report any error as
-    "invalid parse_int_list value" in place of the parser's own message."""
+def _depth_list(text):
+    """A train depth list, checked as build_pdcnn checks it; empty is unset."""
+    depths = parse_int_list(text)
+    if depths:
+        build_pdcnn(depths)
+    return depths
+
+
+def _int_list_flag(parse, text):
+    """parse (an int-list parser) for argparse, which would otherwise report
+    any error as "invalid <parse> value" in place of the parser's message."""
     try:
-        return parse_int_list(text)
+        return parse(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
@@ -92,7 +102,7 @@ _OPTS = {
         **_COMMON_TRAIN_OPTS,
         "manifest": (str, ""),
         "out": (str, ""),
-        "depths": (parse_int_list, ()),
+        "depths": (_depth_list, ()),
         "arch": (str, ""),
         "epochs": (int, SgdConfig.max_epochs),
         "timing": (_parse_bool, False),
@@ -353,9 +363,9 @@ def build_parser():
                 p.add_argument(flag, action="store_true", default=None,
                                help=extra)
             else:
-                if typ is parse_int_list:
+                if typ in (parse_int_list, _depth_list):
                     default = format_int_list(default)
-                    typ = _int_list_flag
+                    typ = partial(_int_list_flag, typ)
                 p.add_argument(flag, type=typ, default=None,
                                help=f"{extra} (default {default!r})".strip())
         p.add_argument("--config", default=None,

@@ -15,13 +15,13 @@ backward() raises ValueError. A forward outside any part is an inference
 forward: the same output, and no cache. A Conv2d built with input_grad=False
 fills its grad_* attributes the same way but returns None: it skips the
 input-gradient GEMM and col2im, for a layer that reads the network input,
-whose gradient nothing consumes. Relu caches its output and MaxPool its
-input and output, and backward finds the routing from them, so forward
-computes only the output. Analytic gradients are finite-difference verified
-in the test suite (central differences, step 1e-3, double precision,
-relative error < 1e-4). A layer's input, upstream gradient and parameters
-share one dtype, float32 or float64: PdcnnNet casts its input batch and its
-logit gradients to its own.
+whose gradient nothing consumes. A training Relu keeps only its bool mask
+and MaxPool only its input shape and each window's winning tap, found in
+forward, so a ReLU output is freed once the pool has read it; an inference
+forward finds neither. Analytic gradients are checked against finite
+differences (central, step 1e-3, double precision, relative error < 1e-4).
+A layer's input, upstream gradient and parameters share one dtype, float32
+or float64: PdcnnNet casts its input batch and its logit gradients to its own.
 
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
@@ -408,7 +408,8 @@ class Conv2d(Layer):
 
 class MaxPool(Layer):
     """Max pooling; backward routes each upstream value to the window's first
-    maximum (first NaN, if any) in row-major scan order, zero elsewhere."""
+    maximum (first NaN, if any) in row-major scan order, zero elsewhere: a
+    tap a training forward finds and keeps, as a rank (uint8 up to 16x16)."""
 
     def __init__(self, window: int, stride: int):
         if window < 1 or stride < 1:
@@ -429,14 +430,8 @@ class MaxPool(Layer):
         out = cols[:, :, :s * oh:s].copy()
         for i in range(1, k):
             np.maximum(cols[:, :, i:i + s * oh:s], out, out=out)
-        self._keep((x, out))
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, out = self._take_cache()
-        n, c, h, w = x.shape
-        k, s = self.window, self.stride
-        oh, ow = out.shape[2], out.shape[3]
+        if _part() is None:  # inference: no winners to find
+            return out
         # a hit: x_tap == out, or a NaN tap where out is NaN; rank = last - the
         # first tap hit, a running max of hit * (last - t), 0 needing no pass
         last = k * k - 1
@@ -450,6 +445,13 @@ class MaxPool(Layer):
             if any_nan:
                 hit |= nan & np.isnan(tap)
             np.maximum(rank, np.multiply(hit, last - t, dtype=rank.dtype), out=rank)
+        self._keep((x.shape, rank))
+        return out
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        (n, c, h, w), rank = self._take_cache()
+        k, s = self.window, self.stride
+        oh, ow = rank.shape[2:]
         # flat input index: plane offset + window corner + tap offset i*w + j
         tap_offset = (np.arange(k)[:, None] * w + np.arange(k)).ravel()[::-1]
         flat = tap_offset.take(rank)
@@ -457,8 +459,8 @@ class MaxPool(Layer):
         flat += (np.arange(oh) * (s * w))[:, None] + np.arange(ow) * s
         # bincount casts its weights to float64 itself, so overlapping-window
         # contributions accumulate in double precision whatever dout's dtype
-        acc = np.bincount(flat.ravel(), weights=dout.ravel(), minlength=x.size)
-        return acc.reshape(x.shape).astype(dout.dtype)
+        acc = np.bincount(flat.ravel(), weights=dout.ravel(), minlength=n * c * h * w)
+        return acc.reshape(n, c, h, w).astype(dout.dtype)
 
 
 def _channel_window_sum(v: np.ndarray, radius: int) -> np.ndarray:
@@ -513,15 +515,16 @@ class Lrn(Layer):
 
 
 class Relu(Layer):
-    """max(0, x); gradient passes where out > 0 (where x > 0), zero elsewhere."""
+    """max(0, x); gradient passes where out > 0, a mask training keeps."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.maximum(x, 0)
-        self._keep(out)
+        if _part() is not None:
+            self._keep(out > 0)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * (self._take_cache() > 0)
+        return dout * self._take_cache()
 
 
 class FullyConnected(Layer):

@@ -96,8 +96,7 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
                          f"got {max_branches}")
 
     trace = SearchTrace()
-    incumbent = ()
-    incumbent_error = float("inf")
+    incumbent, incumbent_error = (), float("inf")
     while len(incumbent) < max_branches:
         round_no = len(trace.rounds) + 1
         evals = []
@@ -111,11 +110,9 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
         if trace.failure or not best.error < incumbent_error:
             trace.rounds.append(SearchRound(round_no, tuple(evals), None))
             break
-        incumbent = best.depths
-        incumbent_error = best.error
+        incumbent, incumbent_error = best.depths, best.error
         trace.rounds.append(SearchRound(round_no, tuple(evals), incumbent))
-    trace.winner = incumbent
-    trace.winner_error = incumbent_error
+    trace.winner, trace.winner_error = incumbent, incumbent_error
     return trace
 
 

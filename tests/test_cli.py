@@ -250,6 +250,25 @@ def test_train_missing_depths_usage_error(tmp_path, capsys):
     assert "depths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depths,message", [
+    ("6", "unsupported depth 6; expected one of 3, 4, 5"),
+    ("4,3,4,3,4", "branch count must be in [1, 4], got 5"),
+], ids=["depth", "count"])
+@pytest.mark.parametrize("with_arch", [False, True], ids=["flag", "arch"])
+def test_bad_depths_flag_is_usage_error_not_blamed_on_arch(tmp_path, capsys,
+                                                           depths, message,
+                                                           with_arch):
+    # checked when parsed, before the --arch file or the manifest is read
+    arch = tmp_path / "tiny.arch"
+    arch.write_text(DESK_ARCH, encoding="utf-8")
+    extra = ["--arch", str(arch)] if with_arch else []
+    code = main(["train", "--depths", depths, *extra, "--manifest",
+                 str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: argument --depths: {message}\n")
+
+
 def test_train_arch_bad_value_names_file_line_and_key(tmp_path, capsys):
     data = _gendata(tmp_path)
     arch = tmp_path / "arch.txt"

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import numpy.testing as npt
@@ -554,6 +555,44 @@ def test_relu_gradient_is_dout_where_input_positive(data):
     with batch_part(len(x)):
         relu.forward(x)
         assert relu.backward(dout).tobytes() == (dout * (x > 0)).tobytes()
+
+
+def _traced_forward(layer, x, part):
+    """layer.forward(x) within part (None: inference), and its tracemalloc
+    peak above the memory traced at the call."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with part or nullcontext():
+            out = layer.forward(x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["pool", "relu"])
+def test_inference_forward_finds_no_winners_or_mask(kind, dtype):
+    # outside any part a forward allocates its output and, for the pool, its
+    # column pass (N,C,H,ow), nothing more: a training forward also finds
+    # the pool's winners or the ReLU's mask, which the bound leaves no room
+    # for. The output bytes are the training forward's, ties and NaNs too.
+    rng = np.random.default_rng(3)
+    x = np.maximum(rng.integers(-2, 3, (8, 16, 55, 55)) * 0.5, -0.0)
+    x[rng.random(x.shape) < 0.01] = np.nan
+    x = x.astype(dtype)
+    layer = MaxPool(3, 2) if kind == "pool" else Relu()
+    out, peak = _traced_forward(layer, x, None)
+    work = out.nbytes + (x[..., :2 * out.shape[3]:2].nbytes if kind == "pool"
+                         else 0)
+    slack = 1 << 17  # numpy's ufunc buffers for strided operands
+    assert peak <= work + slack, (peak, work)
+    part = batch_part(len(x))
+    train_out, train_peak = _traced_forward(layer, x, part)
+    assert train_peak > work + slack, (train_peak, work)
+    assert list(part.caches) == [layer]
+    assert out.tobytes() == train_out.tobytes()
 
 
 def test_pool_window_too_large():

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -421,6 +422,61 @@ def test_no_layer_holds_per_step_state(monkeypatch, size, config, batch, cores):
         assert sum(not part.sole for part in parts) == (2 if cores > 1 else 0)
         net.backward(np.ones_like(logits))
         assert not any(part.caches or part.split.convs for part in parts)
+
+
+def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
+    # a full-scale 4,3,4 float32 training forward at batch 8 on 2 cores (b3
+    # as two slices): a MaxPool part cache is (input shape, integer rank
+    # shaped like the output), a Relu's a bool mask, and every ReLU output
+    # is freed by the end of the forward, so what the forward leaves
+    # allocated stays below 84 MiB (about 75 MiB; 93 MiB when the ReLU kept
+    # its output and the pool its input and output)
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224),
+                       config=ArchConfig())
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    outputs = []  # a weak reference to every ReLU output
+
+    def hook(relu):
+        forward = relu.forward
+
+        def fwd(h):
+            out = forward(h)
+            outputs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(relu, "forward", fwd)
+
+    for layer in sum(net.branches, []):
+        if isinstance(layer, L.Relu):
+            hook(layer)
+    x = np.random.default_rng(2).random((8, 3, 224, 224))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        logits = net.forward(x)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 84 << 20, held / 2**20
+    assert len(outputs) == 4 + 3 + 2 * 4  # b3 runs as 2 slices
+    assert all(ref() is None for ref in outputs)
+    plan, head = net._plan
+    pools = relus = 0
+    for part in [part for run in plan for _, part in run] + [head]:
+        for layer, cache in part.caches.items():
+            if isinstance(layer, L.MaxPool):
+                shape, rank = cache
+                k, s = layer.window, layer.stride
+                assert rank.dtype == np.uint8  # a 3x3 window's 9 taps
+                assert rank.shape == (*shape[:2], *(L.conv_extent(e, k, s, 0)
+                                                    for e in shape[2:]))
+                pools += 1
+            elif isinstance(layer, L.Relu):
+                assert cache.dtype == bool
+                relus += 1
+    assert (pools, relus) == (3 + 3 + 2 * 3, len(outputs))
+    net.backward(np.ones_like(logits))
 
 
 @pytest.mark.bit_equal
