@@ -21,7 +21,7 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, build_pdcnn,
+from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, build_arch, build_pdcnn,
                    format_int_list, format_kv_lines, param_count,
                    parse_int_list, parse_kv_file, parse_rate, read_table,
                    shape_check, spec_from_arch_dict)
@@ -54,6 +54,14 @@ def _depth_list(text):
     depths = parse_int_list(text)
     if depths:
         build_pdcnn(depths)
+    return depths
+
+
+def _candidate_list(text):
+    """A search candidate set, each depth checked alone by build_arch."""
+    depths = parse_int_list(text)
+    for depth in depths:
+        build_arch(depth)
     return depths
 
 
@@ -117,7 +125,7 @@ _OPTS = {
         "out": (str, ""),
         "arch": (str, ""),
         "epochs": (int, 10),
-        "candidates": (parse_int_list, DEPTHS),
+        "candidates": (_candidate_list, DEPTHS),
         "max_branches": (int, MAX_BRANCHES),
         "replay": (str, ""),
     },
@@ -363,7 +371,7 @@ def build_parser():
                 p.add_argument(flag, action="store_true", default=None,
                                help=extra)
             else:
-                if typ in (parse_int_list, _depth_list):
+                if typ in (_candidate_list, _depth_list):
                     default = format_int_list(default)
                     typ = partial(_int_list_flag, typ)
                 p.add_argument(flag, type=typ, default=None,

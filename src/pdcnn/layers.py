@@ -31,22 +31,23 @@ time, into reused buffers, each block's columns within COL_BUDGET bytes, and
 keeps none (cache blocking after Goto & van de Geijn 2008, "Anatomy of
 high-performance matrix multiplication"). In training, a float32 conv that
 computes its input gradient and whose whole batch has more than
-RECOMPUTE_COL_BYTES of columns runs the same blocks and keeps only its
-input; backward pads the batch once and rebuilds the columns one kernel row
-at a time (recompute for memory after Chen et al. 2016, arXiv:1604.06174).
-Every other training conv keeps its whole batch's columns: a conv without
-an input gradient (each branch's conv1) and a small one would spend more
-time on the rebuild than they cost, and a float64 conv is never split (the
-comment above COL_BUDGET says why). The conv1s of equal stride, padding and
-output extent read one stem, the batch's columns at their widest kernel,
-which the network builds once per training step, read-only; a conv of
-kernel k copies the stem's rows (c, i<k, j<k) only for its forward and its
-weight-gradient GEMM. A conv1 alone in its group, and every inference
-forward, builds its own columns. The output and gradient bytes are the same
-on every path.
+RECOMPUTE_COL_BYTES of columns pads its input once, into the whole batch's
+zero-padded input, runs the same blocks over its rows and keeps only it;
+backward rebuilds the columns one kernel row at a time (recompute for
+memory after Chen et al. 2016, arXiv:1604.06174). Every other training conv
+keeps its whole batch's columns: a conv without an input gradient (each
+branch's conv1) and a small one would spend more time on the rebuild than
+they cost, and a float64 conv is never split (the comment above COL_BUDGET
+says why). The conv1s of equal stride, padding and output extent read one
+stem, the batch's columns at their widest kernel, which the network builds
+once per training step, read-only; a conv of kernel k copies the stem's
+rows (c, i<k, j<k) for its forward, and for its weight gradient one kernel
+row at a time, in the loop that rebuilds a recomputed conv's rows. A conv1
+alone in its group, and every inference forward, builds its own columns.
+The output and gradient bytes are the same on every path.
 
-A conv's whole-batch arrays, its columns or inputs and from backward on its
-upstream gradient, live in the Split, each part filling its own sample
+A conv's whole-batch arrays, its columns or padded input and from backward
+on its upstream gradient, live in the Split, each part filling its own sample
 range. A part that is the whole batch computes the weight and bias
 gradients in backward. The network may also run one branch as sample
 slices on several threads, one Part each; a slice's backward computes only
@@ -171,43 +172,24 @@ def batch_part(n: int) -> Part:
 
 class _Whole:
     """A conv's whole-batch arrays for its weight and bias gradients: the
-    columns cols, or, when those are rebuilt (cols None), each part's
-    unpadded input by its first sample, which start_backward pads into xp;
-    from backward on, the upstream gradient dmat (Co, N*oh*ow) and the
-    gradients. The parts fill disjoint sample ranges. cols may instead be a
-    read-only stem, the columns at kernel `kernel` (else 0) >= the conv's k,
-    whose rows (c, i<k, j<k) are the conv's columns."""
+    columns cols, or, when those are rebuilt (cols None), the zero-padded
+    input xp; from backward on, the upstream gradient dmat (Co, N*oh*ow) and
+    the gradients. The parts fill disjoint sample ranges. cols may instead
+    be a read-only stem, the columns at kernel `kernel` (else 0) >= the
+    conv's k, whose rows (c, i<k, j<k) are the conv's columns."""
 
-    def __init__(self, cols, kernel: int = 0):
-        self.cols, self.kernel, self.inputs, self.dmat = cols, kernel, {}, None
+    def __init__(self, cols, kernel: int = 0, xp=None):
+        self.cols, self.kernel, self.xp, self.dmat = cols, kernel, xp, None
         self._lock = threading.Lock()
 
-    def columns(self, conv, a: int = 0, b: int | None = None) -> np.ndarray:
-        """conv's columns a:b: a view of cols, or a copy from a wider stem."""
-        ci, k = conv.weights.shape[1:3]
-        cols = self.cols[:, a:b]
-        if self.kernel > k:
-            w = self.kernel
-            cols = cols.reshape(ci, w, w, -1)[:, :k, :k].reshape(ci * k * k, -1)
-        return cols
-
     def start_backward(self, conv, n: int, dout: np.ndarray) -> None:
-        """Make xp, dmat for n samples of dout's extent and the gradient
-        arrays, once."""
+        """Make dmat for n samples of dout's extent and the gradients, once."""
         with self._lock:
-            if self.dmat is not None:
-                return
-            if self.cols is None:
-                p = conv.padding
-                _, c, h, w = next(iter(self.inputs.values())).shape
-                self.xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dout.dtype)
-                for n0, x in self.inputs.items():
-                    self.xp[n0:n0 + len(x), :, p:p + h, p:p + w] = x
-                self.inputs = None
-            _, co, oh, ow = dout.shape
-            self.dmat = np.empty((co, n * oh * ow), dout.dtype)
-            self.grad_weights = np.empty_like(conv.weights)
-            self.grad_bias = np.empty_like(conv.bias)
+            if self.dmat is None:
+                _, co, oh, ow = dout.shape
+                self.dmat = np.empty((co, n * oh * ow), dout.dtype)
+                self.grad_weights = np.empty_like(conv.weights)
+                self.grad_bias = np.empty_like(conv.bias)
 
 
 class Layer:
@@ -240,29 +222,29 @@ class Conv2d(Layer):
     and grad_weights = dout @ cols_t.T. Forward loops over blocks of samples:
     each block is zero-padded into one reused buffer, its columns are copied
     into a second and multiplied into a third, the bias is added there, and
-    the result is copied transposed into the block's rows of the
-    (N,Co,oh*ow) output. A float32 conv runs in ceil(column bytes /
-    COL_BUDGET) blocks, at most one per sample, with edges at n*i//nblk, in
-    inference, and in training when it computes its input gradient and its
-    whole batch's columns exceed RECOMPUTE_COL_BYTES; it then keeps no
-    columns, and a training forward keeps its unpadded input. Any other
-    forward is one block, whose columns in training are its part's sample
-    range of the whole batch's column matrix: written there, or read from a
-    stem its Split holds (see the module docstring).
+    the result is copied transposed into the block's rows of the (N,Co,oh*ow)
+    output. A float32 conv runs in ceil(column bytes / COL_BUDGET) blocks, at
+    most one per sample, with edges at n*i//nblk, in inference, and in
+    training when it computes its input gradient and its whole batch's
+    columns exceed RECOMPUTE_COL_BYTES; it then keeps no columns, but its
+    part's input, padded once into the whole batch's, whose rows the blocks
+    read. Any other forward is one block, whose columns in training are its
+    part's sample range of the whole batch's column matrix: written there, or
+    read from a stem its Split holds (see the module docstring).
 
-    Backward writes its part's upstream gradient into the whole batch's.
-    A part that is the whole batch then writes the weight gradient dout @
-    cols_t.T: in one GEMM from the kept columns, else kernel row by kernel
-    row, each row's columns rebuilt from the padded input into one reused
-    (C*kw, N*oh*ow) buffer (on a slice, Split.weight_grads does this later).
-    Then it loops over groups of kernel rows, all kh for kept columns, one
-    otherwise, and writes each group's column gradient W[:, :, rows].T @
-    dout into the whole batch's own column buffer, so the two are not alive
-    side by side, or, on a slice or without kept columns, into one of the
-    group's size; col2im adds each tap's (C,N,oh,ow) block into a
-    (C,N,Hp,Wp) buffer, kernel rows outermost, transposed back once. With
-    input_grad=False, backward stops after the parameter gradients and
-    returns None.
+    Backward writes its part's upstream gradient into the whole batch's. A
+    part that is the whole batch then writes the weight gradient dout @
+    cols_t.T: in one GEMM from columns at its own kernel, else kernel row by
+    kernel row, each row's columns rebuilt from the padded input or copied
+    from a wider stem into one reused (C*kw, N*oh*ow) buffer (on a slice,
+    Split.weight_grads does this later). Then it loops over groups of kernel
+    rows, all kh for kept columns, one otherwise, and writes each group's
+    column gradient W[:, :, rows].T @ dout into the whole batch's own column
+    buffer, so the two are not alive side by side, or, on a slice or without
+    kept columns, into one of the group's size; col2im adds each tap's
+    (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, kernel rows outermost,
+    transposed back once. With input_grad=False, backward stops after the
+    parameter gradients and returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -309,12 +291,19 @@ class Conv2d(Layer):
         nb_max = -(-n // nblk)
         whole = cols = None  # cols: the part's range of the kept columns
         if part is not None:
-            whole = part.split.whole(self, lambda: _Whole(
-                None if blocked else np.empty((k, part.split.n * m), x.dtype)))
-            if blocked:
-                whole.inputs[part.n0] = x
-            else:
-                cols = whole.columns(self, part.n0 * m, part.n1 * m)
+            nw = part.split.n
+            whole = part.split.whole(self, lambda: _Whole(None, xp=np.zeros(
+                (nw, c, h + 2 * p, w + 2 * p), x.dtype)) if blocked
+                else _Whole(np.empty((k, nw * m), x.dtype)))
+            if blocked:  # padded once, so the blocks read rows of xp
+                xp = whole.xp[part.n0:part.n1]
+                xp[:, :, p:p + h, p:p + w] = x
+                x, p = xp, 0
+            else:  # a view of the kept columns, or a wider stem's rows copied
+                cols = whole.cols[:, part.n0 * m:part.n1 * m]
+                if whole.kernel > kh:
+                    wk = whole.kernel
+                    cols = cols.reshape(c, wk, wk, -1)[:, :kh, :kw].reshape(k, -1)
         stem = whole is not None and whole.kernel  # columns built already
         if p and not stem:  # only the interior is written, so the border stays zero
             pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -337,7 +326,7 @@ class Conv2d(Layer):
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
             out[n0:n1] = gemm.reshape(co, nb, m).transpose(1, 0, 2)
-        self._keep((x.shape, whole))
+        self._keep(((n, c, h, w), whole))
         return out.reshape(n, co, oh, ow)
 
     def backward(self, dout: np.ndarray) -> np.ndarray | None:
@@ -385,21 +374,23 @@ class Conv2d(Layer):
 
     def _weight_grads(self, whole: _Whole, t: int = 0, k: int = 1) -> None:
         """Share t of k of the weight and bias gradients, from whole-batch
-        arrays: a range of output channels when the columns are kept, of
-        kernel rows, each rebuilt from the padded input, when they are not."""
+        arrays: a range of output channels when the conv has columns at its
+        own kernel, else of kernel rows, each copied from a wider stem or
+        rebuilt from the padded input."""
         co, ci, kh, kw = self.weights.shape
         dmat, gw, gb = whole.dmat, whole.grad_weights, whole.grad_bias
-        if whole.cols is not None:
-            with whole._lock:  # a wider stem's rows, copied once for all k
-                if whole.kernel > kh:
-                    whole.cols, whole.kernel = whole.columns(self), 0
+        if whole.cols is not None and whole.kernel <= kh:
             o0, o1 = co * t // k, co * (t + 1) // k
             gw[o0:o1] = (dmat[o0:o1] @ whole.cols.T).reshape(o1 - o0, ci, kh, kw)
             gb[o0:o1] = dmat[o0:o1].sum(axis=1)
         else:
             rows = np.empty((ci * kw, dmat.shape[1]), dtype=dmat.dtype)
             for i in range(kh * t // k, kh * (t + 1) // k):
-                _im2col(whole.xp, kh, kw, self.stride, i, i + 1, rows)
+                if whole.cols is None:
+                    _im2col(whole.xp, kh, kw, self.stride, i, i + 1, rows)
+                else:
+                    stem = whole.cols.reshape(ci, whole.kernel, whole.kernel, -1)
+                    np.copyto(rows.reshape(ci, kw, -1), stem[:, i, :kw])
                 gw[:, :, i] = (dmat @ rows.T).reshape(co, ci, kw)
             if t == 0:
                 gb[...] = dmat.sum(axis=1)

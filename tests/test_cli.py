@@ -269,6 +269,34 @@ def test_bad_depths_flag_is_usage_error_not_blamed_on_arch(tmp_path, capsys,
         f"usage error: argument --depths: {message}\n")
 
 
+@pytest.mark.parametrize("source", ["arch", "flag", "replay", "config"])
+def test_bad_candidates_is_usage_error_not_blamed_on_arch(tmp_path, capsys,
+                                                          source):
+    # each candidate depth is checked alone when parsed, before the --arch
+    # file, the replay fixture or the manifest is read
+    arch = tmp_path / "desk.arch"
+    arch.write_text(DESK_ARCH, encoding="utf-8")
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(FIXTURE_CSV, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\ncandidates=3,6\n", encoding="utf-8")
+    manifest = ["--manifest", str(tmp_path / "missing.csv")]
+    argv, where = {
+        "arch": (["--candidates", "3,6", "--arch", str(arch), *manifest],
+                 "argument --candidates"),
+        "flag": (["--candidates", "3,6", *manifest], "argument --candidates"),
+        "replay": (["--candidates", "3,6", "--replay", str(fixture)],
+                   "argument --candidates"),
+        "config": (["--config", str(cfg), *manifest], f"{cfg}:2: candidates"),
+    }[source]
+    out = tmp_path / "s"
+    code = main(["search", *argv, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {where}: unsupported depth 6; expected one of 3, 4, 5\n")
+    assert not out.exists()
+
+
 def test_train_arch_bad_value_names_file_line_and_key(tmp_path, capsys):
     data = _gendata(tmp_path)
     arch = tmp_path / "arch.txt"

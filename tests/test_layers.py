@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
@@ -310,28 +311,71 @@ def test_conv_caches_columns_below_the_recompute_rule():
 
 def test_conv_recomputed_columns_hold_no_memory():
     # a full-scale conv2 at batch 8, 37.3 MB of columns: the training forward
-    # keeps its output and a reference to its input, and backward's
-    # transient peak, kernel-row columns included, stays below half of them
+    # keeps its output and the zero-padded input, and frees the caller's
+    # input; backward's transient peak, kernel-row columns included, stays
+    # below 9/25 of the columns
     conv, x = _full_conv2(8, np.float32)
     dout = np.random.default_rng(2).standard_normal((8, 96, 27, 27),
                                                     dtype=np.float32)
     col_bytes = _col_bytes(conv, x)
     assert col_bytes > RECOMPUTE_COL_BYTES
+    padded = x.size // 27 ** 2 * 31 ** 2 * x.itemsize  # 27x27 padded by 2
     part = batch_part(8)
     tracemalloc.start()
     try:
         with part:
             start = tracemalloc.get_traced_memory()[0]
-            out = conv.forward(x)
+            fresh = x.copy()  # traced, and freed unless the layer keeps it
+            ref = weakref.ref(fresh)
+            out = conv.forward(fresh)
+            del fresh
             held = tracemalloc.get_traced_memory()[0] - start
+            assert ref() is None
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             conv.backward(dout)
             peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert held < out.nbytes + (1 << 16), (held, out.nbytes)
-    assert peak < col_bytes / 2, (peak, col_bytes)
+    assert held < out.nbytes + padded + (1 << 16), (held, out.nbytes)
+    assert peak < col_bytes * 9 // 25, (peak, col_bytes)
+
+
+@pytest.mark.bit_equal
+def test_narrower_conv1_weight_gradient_copies_no_stem_rows():
+    # a full-scale 5x5 conv1 reads the 7x7 stem of its group (b3 beside b1
+    # of 4,3,4, both 56x56) as the one part of its split: its weight
+    # gradient takes the stem's rows one kernel row at a time, so backward's
+    # peak stays below dmat plus half of the 7.2 MB of rows a copy would
+    # take, and the gradients keep the whole-batch GEMMs' bytes
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((8, 3, 224, 224), dtype=np.float32)
+    wide = Conv2d(np.zeros((64, 3, 7, 7), np.float32),
+                  np.zeros(64, np.float32), stride=4, padding=2)
+    conv = Conv2d(rng.normal(0, 0.01, (64, 3, 5, 5)).astype(np.float32),
+                  rng.normal(0, 1, 64).astype(np.float32), stride=4,
+                  padding=2, input_grad=False)
+    stem = np.empty((3 * 7 * 7, 8 * 56 * 56), np.float32)
+    wide.im2col(x, stem)
+    stem.flags.writeable = False
+    part = batch_part(8)
+    part.split.share(conv, stem, 7)
+    with part:
+        out = conv.forward(x)
+    assert out.tobytes() == conv_whole_batch(x, conv.weights, conv.bias, 4,
+                                             2).tobytes()
+    dout = rng.standard_normal(out.shape, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with part:
+            assert conv.backward(dout) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dout.nbytes + _col_bytes(conv, x) // 2, peak
+    gw, gb, _ = conv_backward_whole_batch(x, conv.weights, dout, 4, 2)
+    assert conv.grad_weights.tobytes() == gw.tobytes()
+    assert conv.grad_bias.tobytes() == gb.tobytes()
 
 
 @pytest.mark.bit_equal

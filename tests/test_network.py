@@ -480,22 +480,26 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
 
 
 @pytest.mark.bit_equal
-@pytest.mark.parametrize("size,config,batch,dtype,cores", [
-    (224, ArchConfig(), 32, np.float32, 2),
-    (224, ArchConfig(), 32, np.float32, 1),
-    (224, ArchConfig(), 16, np.float32, 2),
-    (224, ArchConfig(), 16, np.float32, 1),
-    (56, DESK, 16, np.float64, 2),
-], ids=["full-32-split", "full-32", "full-16-split", "full-16", "desk-float64"])
+@pytest.mark.parametrize("size,config,depths,batch,dtype,cores", [
+    (224, ArchConfig(), [4, 3, 4], 32, np.float32, 2),
+    (224, ArchConfig(), [4, 3, 4], 32, np.float32, 1),
+    (224, ArchConfig(), [4, 3, 4], 16, np.float32, 2),
+    (224, ArchConfig(), [4, 3, 4], 16, np.float32, 1),
+    (56, DESK, [4, 3, 4], 16, np.float64, 2),
+    (224, ArchConfig(), [4, 4], 5, np.float32, 1),
+    (224, ArchConfig(), [4, 4], 8, np.float32, 1),
+], ids=["full-32-split", "full-32", "full-16-split", "full-16", "desk-float64",
+        "full-4,4-5", "full-4,4-8"])
 def test_conv1_reading_the_stem_bit_equal_to_whole_batch_conv(
-        monkeypatch, size, config, batch, dtype, cores):
+        monkeypatch, size, config, depths, batch, dtype, cores):
     # every branch's conv1 gives the output and gradient bytes of one
-    # whole-batch GEMM over its own columns: at full scale b1 and b2 (7x7)
-    # read the stem as it is and b3 (5x5) a gather of its rows, and on 2
+    # whole-batch GEMM over its own columns: at full scale the 7x7s read the
+    # stem as it is and a 5x5 (b3 of 4,3,4, b2 of 4,4) its rows, for its
+    # forward and, one kernel row at a time, for its weight gradient; on 2
     # cores b3 runs as 2 slices; at desk scale b1 and b2 share and b3 builds
     # its own
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
-    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
     net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
     seen = {}  # conv1 -> {first sample: (input, output, upstream gradient)}
 
