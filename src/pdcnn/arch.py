@@ -8,12 +8,11 @@ connected head. Branches sharing a depth get distinct conv1/conv2 kernel
 sizes via a deterministic variant rule.
 """
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, fields
 
 from .layers import ShapeError, conv_extent
+from .tensor import parse_int_list
 
 DEPTHS = (3, 4, 5)  # the conv depths a branch may have
 FILTERS = (64, 96, 96, 64, 64)  # a depth-d branch takes the first d
@@ -123,14 +122,19 @@ def build_arch(depth: int, variant: int = 0,
     return ArchitectureSpec(depth=depth, variant=variant, layers=tuple(layers))
 
 
+def branch_count(n: int, name: str = "branch count") -> int:
+    """n if a network may have n branches, else a ValueError naming `name`."""
+    if not 1 <= n <= MAX_BRANCHES:
+        raise ValueError(f"{name} must be in [1, {MAX_BRANCHES}], got {n}".lstrip())
+    return n
+
+
 def build_pdcnn(depths, variants=None, input_shape=(3, 224, 224),
                 config: ArchConfig = DEFAULT_CONFIG) -> PdcnnSpec:
     """Parallel composition: branch i gets variant = count of earlier branches
     with the same depth, so duplicate depths differ in kernel size."""
     depths = list(depths)
-    if not 1 <= len(depths) <= MAX_BRANCHES:
-        raise ValueError(
-            f"branch count must be in [1, {MAX_BRANCHES}], got {len(depths)}")
+    branch_count(len(depths))
     if variants is None:
         variants = [depths[:i].count(d) for i, d in enumerate(depths)]
     elif len(variants) != len(depths):
@@ -195,34 +199,6 @@ def param_count(spec: PdcnnSpec) -> int:
     return sum(row.params for row in shape_check(spec))
 
 
-# --- text formats: UTF-8 files, comma lists, key=value lines, CSV tables ---
-
-def read_text(path) -> str:
-    """A UTF-8 file's text; ValueError naming the file on a bad byte."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        raise ValueError(f"{path}: not UTF-8 text (byte {err.start})") from None
-
-
-def parse_int_list(text: str) -> list:
-    """'4,3,4' -> [4, 3, 4]; empty items are skipped."""
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def parse_rate(text: str) -> float:
-    """A float in [0, 1], such as an error rate; NaN and infinities fail."""
-    if not 0.0 <= float(text) <= 1.0:
-        raise ValueError(f"must be in [0, 1], got {text!r}")
-    return float(text)
-
-
-def format_int_list(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
 # Every architecture-description key and its parser: the four spec keys, then
 # the ArchConfig fields in declaration order (the order model files use).
 ARCH_KEYS = {"depths": parse_int_list, "variants": parse_int_list,
@@ -230,80 +206,10 @@ ARCH_KEYS = {"depths": parse_int_list, "variants": parse_int_list,
              **{f.name: f.type for f in fields(ArchConfig)}}
 
 
-def _parsed(parse, text, where, name):
-    """parse(text); a ValueError from it is re-raised naming where and name."""
-    try:
-        return parse(text)
-    except ValueError as err:
-        raise ValueError(f"{where}: {name}: {err}") from None
-
-
-def parse_kv_lines(lines, where, parsers) -> dict:
-    """Flat key=value text: one pair per line, '#' comments, blank lines ignored.
-
-    Keys not in parsers (key -> callable) are errors and each value goes
-    through its key's parser. Errors name `where`, the line and the key."""
-    out = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{where}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in parsers:
-            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
-        out[key] = _parsed(parsers[key], value, f"{where}:{lineno}", key)
-    return out
-
-
-def format_kv_lines(d: dict) -> str:
-    """Inverse of parse_kv_lines; lists are written as comma lists."""
-    return "".join(f"{k}={format_int_list(v) if isinstance(v, list) else v}\n"
-                   for k, v in d.items())
-
-
-def parse_kv_file(path, parsers) -> dict:
-    """parse_kv_lines over a UTF-8 text file."""
-    return parse_kv_lines(read_text(path).splitlines(), path, parsers)
-
-
-def read_table(path, header, parsers) -> list:
-    """The rows of a UTF-8 CSV file whose first row is the list `header`,
-    blank rows skipped; each value goes through its column's parser. Errors
-    read '{path}:{line}: ...' and name the column of a bad value."""
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    rows = []
-    try:
-        got = next(reader, None)
-        if got != header:
-            raise ValueError(f"{path}:1: expected header {header}, got {got}")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise ValueError(f"{where}: expected {len(header)} columns, "
-                                 f"got {len(row)}")
-            rows.append([_parsed(parse, text, where, name)
-                         for name, parse, text in zip(header, parsers, row)])
-    except csv.Error as err:
-        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
-    return rows
-
-
-def write_table(path, header, rows) -> None:
-    """Write a CSV file, UTF-8 with LF line endings: the header, then rows."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def spec_from_arch_dict(d: dict) -> PdcnnSpec:
     """Build a PdcnnSpec from an architecture description, as
-    parse_kv_file(path, ARCH_KEYS) reads one; the ArchConfig fields d omits
-    keep their defaults."""
+    tensor.parse_kv_file(path, ARCH_KEYS) reads one; the ArchConfig fields d
+    omits keep their defaults."""
     if "depths" not in d:
         raise ValueError("architecture description must name a depths list")
     size = d.get("input_size", 224)

@@ -21,14 +21,13 @@ from pathlib import Path
 from . import data as D
 from . import diag as G
 from . import search as S
-from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, build_arch, build_pdcnn,
-                   format_int_list, format_kv_lines, param_count,
-                   parse_int_list, parse_kv_file, parse_rate, read_table,
-                   shape_check, spec_from_arch_dict)
+from .arch import (ARCH_KEYS, DEPTHS, MAX_BRANCHES, branch_count, build_arch,
+                   build_pdcnn, param_count, shape_check, spec_from_arch_dict)
 from .network import load_model, model_dtype, save_model
 from .optim import (SgdConfig, evaluate, read_curve_csv, train,
                     write_curve_csv)
-from .tensor import Rng, mix_seed
+from .tensor import (Rng, format_int_list, format_kv_lines, mix_seed,
+                     parse_int_list, parse_kv_file, parse_rate, read_table)
 
 STREAM_SPLIT = 5
 
@@ -65,8 +64,8 @@ def _candidate_list(text):
     return depths
 
 
-def _int_list_flag(parse, text):
-    """parse (an int-list parser) for argparse, which would otherwise report
+def _checked_flag(parse, text):
+    """parse (a checking parser) for argparse, which would otherwise report
     any error as "invalid <parse> value" in place of the parser's message."""
     try:
         return parse(text)
@@ -126,7 +125,8 @@ _OPTS = {
         "arch": (str, ""),
         "epochs": (int, 10),
         "candidates": (_candidate_list, DEPTHS),
-        "max_branches": (int, MAX_BRANCHES),
+        "max_branches": (lambda text: branch_count(int(text), name=""),
+                         MAX_BRANCHES),
         "replay": (str, ""),
     },
     "diag": {
@@ -371,9 +371,10 @@ def build_parser():
                 p.add_argument(flag, action="store_true", default=None,
                                help=extra)
             else:
-                if typ in (_candidate_list, _depth_list):
+                if isinstance(default, tuple):
                     default = format_int_list(default)
-                    typ = partial(_int_list_flag, typ)
+                if typ not in (int, float, str):
+                    typ = partial(_checked_flag, typ)
                 p.add_argument(flag, type=typ, default=None,
                                help=f"{extra} (default {default!r})".strip())
         p.add_argument("--config", default=None,

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .arch import read_table, write_table
 
 STREAM_SYNTH = 7  # seed-mixing tag for the synthetic generator
 
@@ -95,14 +94,14 @@ def load_manifest(path, crop_size: int = 224) -> Dataset:
     absolute path stays as it is). Labels must be 0 or 1; image tensors are
     read and validated on each access."""
     path = Path(path)
-    rows = read_table(path, MANIFEST_HEADER, (str, _label, str))
+    rows = T.read_table(path, MANIFEST_HEADER, (str, _label, str))
     return Dataset([ManifestRecord(str(path.parent / image), label, category)
                     for image, label, category in rows], crop_size=crop_size)
 
 
 def write_manifest(path, records) -> None:
-    write_table(path, MANIFEST_HEADER,
-                ([r.path, r.label, r.category] for r in records))
+    T.write_table(path, MANIFEST_HEADER,
+                  ([r.path, r.label, r.category] for r in records))
 
 
 def rotate_augment(d: Dataset) -> Dataset:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .arch import write_table
+from .tensor import write_table
 
 
 def filter_variance(net):

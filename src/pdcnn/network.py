@@ -14,8 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .arch import (ARCH_KEYS, NUM_CLASSES, PdcnnSpec, arch_dict_from_spec,
-                   format_kv_lines, param_count, parse_kv_lines, shape_check,
-                   spec_from_arch_dict)
+                   param_count, shape_check, spec_from_arch_dict)
 from .layers import (CHUNK_COL_BYTES, Conv2d, FullyConnected, Lrn, MaxPool,
                      Relu, ShapeError, Split, batch_part)
 
@@ -304,8 +303,8 @@ class PdcnnNet:
 def save_model(net: PdcnnNet, path) -> None:
     """Write a PDM1 model file. Parameter payloads are PDT1 (32-bit floats);
     double-precision models round to single in the file."""
-    meta = format_kv_lines({**arch_dict_from_spec(net.spec),
-                            "dtype": net.dtype.name}).encode("utf-8")
+    meta = T.format_kv_lines({**arch_dict_from_spec(net.spec),
+                              "dtype": net.dtype.name}).encode("utf-8")
     T.write_pdm(path, meta, [(name.encode("utf-8"), array)
                              for name, array in net.parameters()])
 
@@ -319,8 +318,8 @@ def load_model(path) -> PdcnnNet:
     any other file."""
     meta, names, arrays = T.read_pdm(path)
     try:
-        d = parse_kv_lines(meta.decode("utf-8").splitlines(), "meta",
-                           _META_KEYS)
+        d = T.parse_kv_lines(meta.decode("utf-8").splitlines(), "meta",
+                             _META_KEYS)
         dtype = d.pop("dtype", np.dtype(np.float64))
         spec = spec_from_arch_dict(d)
         # checked before the network is built, so a corrupt meta text cannot

@@ -21,7 +21,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .arch import parse_rate, read_table, write_table
 from .data import Dataset, sample_patch
 from .layers import softmax_xent_batch
 from .network import PdcnnNet
@@ -86,10 +85,10 @@ CURVE_HEADER = ["epoch", "train_loss", "train_error", "test_error", "seconds"]
 def write_curve_csv(curve, path, timing: bool = True) -> None:
     """One row per EpochRecord of curve; pass timing=False to zero the
     seconds column so the file is byte-reproducible across runs."""
-    write_table(path, CURVE_HEADER,
-                ([r.epoch, f"{r.train_loss:.6f}", f"{r.train_error:.6f}",
-                  f"{r.test_error:.6f}", f"{r.seconds if timing else 0.0:.3f}"]
-                 for r in curve))
+    T.write_table(path, CURVE_HEADER,
+                  ([r.epoch, f"{r.train_loss:.6f}", f"{r.train_error:.6f}",
+                    f"{r.test_error:.6f}",
+                    f"{r.seconds if timing else 0.0:.3f}"] for r in curve))
 
 
 def read_curve_csv(path) -> list:
@@ -103,8 +102,8 @@ def read_curve_csv(path) -> list:
             raise ValueError(f"expected epoch {want}, got {text!r}")
         return want
 
-    rows = read_table(path, CURVE_HEADER,
-                      (epoch, float, parse_rate, parse_rate, float))
+    rows = T.read_table(path, CURVE_HEADER,
+                        (epoch, float, T.parse_rate, T.parse_rate, float))
     return [EpochRecord(*row) for row in rows]
 
 

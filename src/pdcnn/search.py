@@ -11,7 +11,7 @@ either by a full train-and-evaluate run or by a recorded replay table.
 from dataclasses import dataclass, field
 
 from . import tensor as T
-from .arch import MAX_BRANCHES, build_pdcnn, format_int_list, write_table
+from .arch import branch_count, build_pdcnn
 from .optim import evaluate, train
 
 STREAM_SEARCH = 11
@@ -91,9 +91,7 @@ def greedy_pdcnn_search(candidates, oracle, max_branches: int):
     candidates = list(dict.fromkeys(int(d) for d in candidates))
     if not candidates:
         raise ValueError("candidate depth set is empty")
-    if not 1 <= max_branches <= MAX_BRANCHES:
-        raise ValueError(f"max_branches must be in [1, {MAX_BRANCHES}], "
-                         f"got {max_branches}")
+    branch_count(max_branches, "max_branches")
 
     trace = SearchTrace()
     incumbent, incumbent_error = (), float("inf")
@@ -120,9 +118,9 @@ def write_trace_csv(trace, path) -> None:
     """search.csv: one row per candidate evaluation (round, depth list,
     error, the round's chosen list or "stop"), then the winner row; errors
     to 6 significant digits, LF endings."""
-    rows = [[rnd.number, format_int_list(cand.depths), f"{cand.error:.6g}",
-             format_int_list(rnd.chosen) if rnd.chosen else "stop"]
+    rows = [[rnd.number, T.format_int_list(cand.depths), f"{cand.error:.6g}",
+             T.format_int_list(rnd.chosen) if rnd.chosen else "stop"]
             for rnd in trace.rounds for cand in rnd.candidates]
-    rows.append(["winner", format_int_list(trace.winner),
+    rows.append(["winner", T.format_int_list(trace.winner),
                  f"{trace.winner_error:.6g}", ""])
-    write_table(path, ["round", "candidate_depths", "error", "chosen"], rows)
+    T.write_table(path, ["round", "candidate_depths", "error", "chosen"], rows)

@@ -1,14 +1,17 @@
-"""Dense row-major arrays, seeded randomness, and the PDT1/PDM1 file formats.
+"""Dense row-major arrays, seeded randomness, and every file format: binary
+PDT1/PDM1 and UTF-8 text (comma lists, key=value lines, CSV tables).
 
 Tensors are plain numpy arrays in C (row-major) order. Double precision is
 used on every verification path; training may run in single precision, chosen
 once per model. Randomness is never ambient: every stochastic operation takes
 an explicit Rng, and independent streams are derived with mix_seed.
 
-Every binary read checks each declared length against the bytes the file has
-left before it reads or allocates; a file that is not a regular one is refused.
+Every input file is read through _Reader: it refuses all but a regular file (a
+FIFO at once) and checks each declared length before it reads or allocates.
 """
 
+import csv
+import io
 import math
 import os
 import stat
@@ -75,15 +78,18 @@ def check_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:
     return t
 
 
-class _Reader:
-    """A regular file read front to back: each declared length is checked
-    against the bytes left (one fstat) before it is read or allocated."""
+class _Reader(io.BufferedReader):
+    """A regular file read front to back, as a context manager: each declared
+    length is checked against the bytes left before it is read or allocated."""
 
-    def __init__(self, f, path):
-        st = os.fstat(f.fileno())
+    def __init__(self, path):
+        super().__init__(io.FileIO(path, "rb", opener=lambda p, flags: os.open(
+            p, flags | getattr(os, "O_NONBLOCK", 0))))  # a FIFO opens at once
+        st = os.fstat(self.fileno())
         if not stat.S_ISREG(st.st_mode):
-            raise ValueError(f"{path}: not a regular file")
-        self.f, self.path, self.left = f, path, st.st_size
+            self.close()
+            raise OSError(f"{path}: not a regular file")
+        self.path, self.left = path, st.st_size
 
     def _check(self, needed: int, got: int) -> None:
         if got < needed:
@@ -92,7 +98,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         self._check(n, self.left)
-        data = self.f.read(n)
+        data = self.read(n)
         self._check(n, len(data))  # the file may have shrunk since the fstat
         self.left -= n
         return data
@@ -118,7 +124,7 @@ class _Reader:
             data = np.empty(shape, dtype="<f4")
         except ValueError as err:
             raise ValueError(f"{self.path}: {err}") from None
-        self._check(n, self.f.readinto(data))
+        self._check(n, self.readinto(data))
         self.left -= n
         return data.astype(np.float32, copy=False)
 
@@ -144,8 +150,7 @@ def write_pdt(path, t: np.ndarray) -> None:
 
 def read_pdt(path) -> np.ndarray:
     """Read a one-record PDT1 file as a float32 array (cast it if needed)."""
-    with open(path, "rb") as f:
-        r = _Reader(f, path)
+    with _Reader(path) as r:
         return r.done(r.pdt(), "the PDT1 record")
 
 
@@ -163,8 +168,7 @@ def write_pdm(path, meta: bytes, named) -> None:
 def read_pdm(path):
     """(meta bytes, name bytes list, float32 arrays) from a PDM1 file, read
     as a frame only: the caller gives meta and names their meaning."""
-    with open(path, "rb") as f:
-        r = _Reader(f, path)
+    with _Reader(path) as r:
         if r.take(min(4, r.left)) != PDM1_MAGIC:
             raise ValueError(f"{path}: not a PDM1 model file")
         (version,) = r.u32s(1)
@@ -173,3 +177,101 @@ def read_pdm(path):
         meta = r.take(*r.u32s(1))
         names = [r.take(*r.u32s(1)) for _ in range(*r.u32s(1))]
         return r.done((meta, names, [r.pdt() for _ in names]), "the last tensor")
+
+
+# --- text formats: UTF-8 files, comma lists, key=value lines, CSV tables ---
+
+def read_text(path) -> str:
+    """A UTF-8 regular file's text; ValueError naming the file on a bad byte."""
+    with _Reader(path) as r:
+        raw = r.take(r.left)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
+def parse_int_list(text: str) -> list:
+    """'4,3,4' -> [4, 3, 4]; empty items are skipped."""
+    return [int(v) for v in text.split(",") if v.strip()]
+
+
+def parse_rate(text: str) -> float:
+    """A float in [0, 1], such as an error rate; NaN and infinities fail."""
+    if not 0.0 <= float(text) <= 1.0:
+        raise ValueError(f"must be in [0, 1], got {text!r}")
+    return float(text)
+
+
+def format_int_list(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _parsed(parse, text, where, name):
+    """parse(text); a ValueError from it is re-raised naming where and name."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        raise ValueError(f"{where}: {name}: {err}") from None
+
+
+def parse_kv_lines(lines, where, parsers) -> dict:
+    """Flat key=value text: one pair per line, '#' comments, blank lines ignored.
+
+    Keys not in parsers (key -> callable) are errors and each value goes
+    through its key's parser. Errors name `where`, the line and the key."""
+    out = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{where}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in parsers:
+            raise ValueError(f"{where}:{lineno}: unknown key {key!r}")
+        out[key] = _parsed(parsers[key], value, f"{where}:{lineno}", key)
+    return out
+
+
+def format_kv_lines(d: dict) -> str:
+    """Inverse of parse_kv_lines; lists are written as comma lists."""
+    return "".join(f"{k}={format_int_list(v) if isinstance(v, list) else v}\n"
+                   for k, v in d.items())
+
+
+def parse_kv_file(path, parsers) -> dict:
+    """parse_kv_lines over a UTF-8 text file."""
+    return parse_kv_lines(read_text(path).splitlines(), path, parsers)
+
+
+def read_table(path, header, parsers) -> list:
+    """The rows of a UTF-8 CSV file whose first row is the list `header`,
+    blank rows skipped; each value goes through its column's parser. Errors
+    read '{path}:{line}: ...' and name the column of a bad value."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    rows = []
+    try:
+        got = next(reader, None)
+        if got != header:
+            raise ValueError(f"{path}:1: expected header {header}, got {got}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} columns, "
+                                 f"got {len(row)}")
+            rows.append([_parsed(parse, text, where, name)
+                         for name, parse, text in zip(header, parsers, row)])
+    except csv.Error as err:
+        raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+    return rows
+
+
+def write_table(path, header, rows) -> None:
+    """Write a CSV file, UTF-8 with LF line endings: the header, then rows."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -3,9 +3,10 @@ import itertools
 import pytest
 
 from pdcnn.arch import (ARCH_KEYS, ArchConfig, arch_dict_from_spec, build_arch,
-                        build_pdcnn, param_count, parse_kv_file, shape_check,
+                        build_pdcnn, param_count, shape_check,
                         spec_from_arch_dict)
 from pdcnn.layers import ShapeError
+from pdcnn.tensor import parse_kv_file
 
 
 def _names(arch):

@@ -4,7 +4,6 @@ import os
 import struct
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -553,30 +552,27 @@ def test_eval_model_declaring_4_gib_is_one_line_error(tmp_path, raw, left):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
-@pytest.mark.parametrize("role", ["model", "image"])
-def test_eval_fifo_input_is_one_line_error(tmp_path, capsys, role):
+@pytest.mark.parametrize("role", ["model", "image", "manifest", "arch"])
+def test_fifo_input_is_one_line_error(tmp_path, role):
+    # nothing opens the FIFO's other end, so a reader that waited for a
+    # writer would never return: the run gets a timeout, not the suite
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    model, manifest = fifo, tmp_path / "missing.csv"
-    if role == "image":
-        model, manifest = _tiny_model(tmp_path), tmp_path / "m.csv"
-        manifest.write_text(f"path,label,category\n{fifo},0,t\n",
-                            encoding="utf-8")
-
-    def writer():  # opening a FIFO blocks until its other end is opened
-        try:
-            with open(fifo, "wb") as f:
-                f.write(b"PDT1")
-        except BrokenPipeError:
-            pass
-
-    thread = threading.Thread(target=writer, daemon=True)
-    thread.start()
-    code = main(["eval", "--model", str(model), "--manifest", str(manifest)])
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {fifo}: not a regular file\n"
+    model, manifest = _tiny_model(tmp_path), tmp_path / "m.csv"
+    manifest.write_text(f"path,label,category\n{fifo},0,t\n",
+                        encoding="utf-8")
+    argv = {
+        "model": ["eval", "--model", fifo, "--manifest", manifest],
+        "image": ["eval", "--model", model, "--manifest", manifest],
+        "manifest": ["eval", "--model", model, "--manifest", fifo],
+        "arch": ["train", "--arch", fifo, "--depths", "3",
+                 "--manifest", manifest, "--out", tmp_path / "out"],
+    }[role]
+    proc = subprocess.run([sys.executable, "-m", "pdcnn.cli", *map(str, argv)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {fifo}: not a regular file\n"
+    assert not (tmp_path / "out").exists()
 
 
 def _tiny_model(tmp_path):
@@ -661,15 +657,28 @@ def test_search_replay_max_branches_one(tmp_path, capsys):
     assert "winner=4" in capsys.readouterr().out
 
 
-def test_search_replay_max_branches_above_limit_exit_1(tmp_path, capsys):
+@pytest.mark.parametrize("source", ["flag", "config", "replay", "manifest"])
+def test_bad_max_branches_is_usage_error(tmp_path, capsys, source):
+    # checked when parsed, before the replay fixture or the manifest is read
     fixture = tmp_path / "fixture.csv"
     fixture.write_text(FIXTURE_CSV, encoding="utf-8")
-    code = main(["search", "--replay", str(fixture),
-                 "--out", str(tmp_path / "s"), "--max-branches", "5"])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        "error: max_branches must be in [1, 4], got 5\n")
-    assert not (tmp_path / "s").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\nmax_branches=0\n", encoding="utf-8")
+    argv, message = {
+        "flag": (["--max-branches", "9"],
+                 "argument --max-branches: must be in [1, 4], got 9"),
+        "config": (["--config", str(cfg), "--replay", str(fixture)],
+                   f"{cfg}:2: max_branches: must be in [1, 4], got 0"),
+        "replay": (["--max-branches", "5", "--replay", str(fixture)],
+                   "argument --max-branches: must be in [1, 4], got 5"),
+        "manifest": (["--max-branches", "0", "--manifest",
+                      str(tmp_path / "missing.csv")],
+                     "argument --max-branches: must be in [1, 4], got 0"),
+    }[source]
+    out = tmp_path / "s"
+    assert main(["search", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_search_replay_missing_row_exit_1(tmp_path, capsys):
@@ -949,6 +958,18 @@ def test_malformed_text_input_is_one_line_error(tmp_path, capsys, kind,
     err = capsys.readouterr().err
     prefix = "usage error: " if code == 2 else "error: "
     assert err == f"{prefix}{path}{tail}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("kind", ["arch", "config", "manifest", "fixture",
+                                  "curve"])
+def test_text_input_not_a_regular_file_is_one_line_error(tmp_path, capsys,
+                                                         kind):
+    # /dev/null would read as empty text; a --config file that cannot be
+    # read is an error like a missing one, not a usage error
+    assert main(_text_argv(kind, "/dev/null", tmp_path)) == 1
+    assert capsys.readouterr().err == "error: /dev/null: not a regular file\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_search_timing_is_usage_error(tmp_path, capsys):

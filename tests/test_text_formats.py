@@ -1,17 +1,20 @@
 """Literal bytes of every text file the engine writes, and the shared text
-codecs in pdcnn.arch that read and write them."""
+codecs in pdcnn.tensor that read and write them."""
+
+import os
+from functools import partial
 
 import pytest
 
-from pdcnn.arch import (format_int_list, format_kv_lines, parse_int_list,
-                        parse_kv_file, parse_kv_lines, read_table, read_text,
-                        write_table)
 from pdcnn.cli import main
 from pdcnn.data import ManifestRecord, gen_synthetic, write_manifest
 from pdcnn.diag import write_convergence_csv, write_variance_csv
 from pdcnn.optim import EpochRecord, write_curve_csv
 from pdcnn.search import (CandidateEval, SearchRound, SearchTrace,
                           write_trace_csv)
+from pdcnn.tensor import (format_int_list, format_kv_lines, parse_int_list,
+                          parse_kv_file, parse_kv_lines, read_table, read_text,
+                          write_table)
 
 CURVE = [EpochRecord(1, 0.6931471805599453, 0.5, 0.4375, 1.25),
          EpochRecord(2, 0.4012345678, 0.25, 1 / 3, 12.3456789)]
@@ -115,6 +118,19 @@ def test_read_text_names_file_and_offset_of_a_bad_byte(tmp_path):
     path.write_bytes(b"a=1\r\nb=2\n")
     assert read_text(path) == "a=1\r\nb=2\n"
     assert parse_kv_file(path, {"a": str, "b": str}) == {"a": "1", "b": "2"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("read", [
+    read_text,
+    partial(read_table, header=["name", "n"], parsers=(str, int)),
+    partial(parse_kv_file, parsers={"a": str}),
+], ids=["read_text", "read_table", "parse_kv_file"])
+def test_text_readers_refuse_a_file_that_is_not_regular(read):
+    # /dev/null would read as empty text, and /dev/zero without end
+    with pytest.raises(OSError) as err:
+        read("/dev/null")
+    assert str(err.value) == "/dev/null: not a regular file"
 
 
 def test_int_lists_round_trip():
