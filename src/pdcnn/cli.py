@@ -279,6 +279,7 @@ def _replay_table(path):
 
 
 def cmd_search(args):
+    dtype, cfg = _training_settings(args)
     if args.replay:
         oracle = S.replay_oracle(_replay_table(args.replay))
     else:
@@ -289,7 +290,6 @@ def cmd_search(args):
         for depth in args.candidates:
             spec = _checked_spec(args, {**arch_d, "depths": [depth],
                                         "variants": None})
-        dtype, cfg = _training_settings(args)
         train_set, test_set = _load_split(args, spec.input_shape[1])
         oracle = S.train_eval_oracle(train_set, test_set, cfg, args.seed,
                                      spec.input_shape, spec.config, dtype=dtype)

@@ -26,9 +26,9 @@ or float64: PdcnnNet casts its input batch and its logit gradients to its own.
 Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
 convolutional neural networks for document processing"). In inference a
-float32 conv pads the input and builds the matrix one block of samples at a
-time, into reused buffers, each block's columns within COL_BUDGET bytes, and
-keeps none (cache blocking after Goto & van de Geijn 2008, "Anatomy of
+float32 conv pads its input once, then builds the matrix one block of samples
+at a time, into reused buffers, each block's columns within COL_BUDGET bytes,
+and keeps none (cache blocking after Goto & van de Geijn 2008, "Anatomy of
 high-performance matrix multiplication"). In training, a float32 conv that
 computes its input gradient and whose whole batch has more than
 RECOMPUTE_COL_BYTES of columns pads its input once, into the whole batch's
@@ -176,7 +176,8 @@ class _Whole:
     input xp; from backward on, the upstream gradient dmat (Co, N*oh*ow) and
     the gradients. The parts fill disjoint sample ranges. cols may instead
     be a read-only stem, the columns at kernel `kernel` (else 0) >= the
-    conv's k, whose rows (c, i<k, j<k) are the conv's columns."""
+    conv's k, whose rows (c, i<k, j<k) are the conv's columns. A whole-batch
+    part's backward drops it after the weight gradient."""
 
     def __init__(self, cols, kernel: int = 0, xp=None):
         self.cols, self.kernel, self.xp, self.dmat = cols, kernel, xp, None
@@ -219,32 +220,33 @@ class Conv2d(Layer):
     out[o,y,x] = bias[o] + sum_{c,i,j} w[o,c,i,j] * padded[c, y*stride+i, x*stride+j]
 
     Columns are channel-major, cols_t[(c,i,j), (n,y,x)], so out = W @ cols_t
-    and grad_weights = dout @ cols_t.T. Forward loops over blocks of samples:
-    each block is zero-padded into one reused buffer, its columns are copied
-    into a second and multiplied into a third, the bias is added there, and
-    the result is copied transposed into the block's rows of the (N,Co,oh*ow)
-    output. A float32 conv runs in ceil(column bytes / COL_BUDGET) blocks, at
-    most one per sample, with edges at n*i//nblk, in inference, and in
-    training when it computes its input gradient and its whole batch's
-    columns exceed RECOMPUTE_COL_BYTES; it then keeps no columns, but its
-    part's input, padded once into the whole batch's, whose rows the blocks
-    read. Any other forward is one block, whose columns in training are its
-    part's sample range of the whole batch's column matrix: written there, or
-    read from a stem its Split holds (see the module docstring).
+    and grad_weights = dout @ cols_t.T. Forward zero-pads its input once, then
+    loops over blocks of samples: each block's columns are copied from its
+    rows of the padded input into one reused buffer and multiplied into a
+    second, the bias is added there, and the result is copied transposed into
+    the block's rows of the (N,Co,oh*ow) output. A float32 conv runs in
+    ceil(column bytes / COL_BUDGET) blocks, at most one per sample, with edges
+    at n*i//nblk, in inference, and in training when it computes its input
+    gradient and its whole batch's columns exceed RECOMPUTE_COL_BYTES; it then
+    keeps no columns, and pads its part's input into the whole batch's padded
+    input, which it keeps; every other conv pads into a fresh array. Any other
+    forward is one block, whose columns in training are its part's sample
+    range of the whole batch's column matrix: written there, or read from a
+    stem its Split holds (see the module docstring).
 
     Backward writes its part's upstream gradient into the whole batch's. A
     part that is the whole batch then writes the weight gradient dout @
     cols_t.T: in one GEMM from columns at its own kernel, else kernel row by
     kernel row, each row's columns rebuilt from the padded input or copied
     from a wider stem into one reused (C*kw, N*oh*ow) buffer (on a slice,
-    Split.weight_grads does this later). Then it loops over groups of kernel
-    rows, all kh for kept columns, one otherwise, and writes each group's
-    column gradient W[:, :, rows].T @ dout into the whole batch's own column
-    buffer, so the two are not alive side by side, or, on a slice or without
-    kept columns, into one of the group's size; col2im adds each tap's
-    (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, kernel rows outermost,
-    transposed back once. With input_grad=False, backward stops after the
-    parameter gradients and returns None.
+    Split.weight_grads does this later). Then it drops the whole-batch arrays,
+    which frees a whole-batch part's kept columns before the column gradient's
+    buffer is made, and loops over groups of kernel rows, all kh for kept
+    columns, one otherwise, writing each group's column gradient
+    W[:, :, rows].T @ dout into one buffer of the group's size; col2im adds
+    each tap's (C,N,oh,ow) block into a (C,N,Hp,Wp) buffer, kernel rows
+    outermost, transposed back once. With input_grad=False, backward stops
+    after the parameter gradients and returns None.
     """
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray, stride: int = 1,
@@ -295,18 +297,16 @@ class Conv2d(Layer):
             whole = part.split.whole(self, lambda: _Whole(None, xp=np.zeros(
                 (nw, c, h + 2 * p, w + 2 * p), x.dtype)) if blocked
                 else _Whole(np.empty((k, nw * m), x.dtype)))
-            if blocked:  # padded once, so the blocks read rows of xp
-                xp = whole.xp[part.n0:part.n1]
-                xp[:, :, p:p + h, p:p + w] = x
-                x, p = xp, 0
-            else:  # a view of the kept columns, or a wider stem's rows copied
+            if not blocked:  # a view of the kept columns, or a wider stem's rows copied
                 cols = whole.cols[:, part.n0 * m:part.n1 * m]
                 if whole.kernel > kh:
                     wk = whole.kernel
                     cols = cols.reshape(c, wk, wk, -1)[:, :kh, :kw].reshape(k, -1)
         stem = whole is not None and whole.kernel  # columns built already
-        if p and not stem:  # only the interior is written, so the border stays zero
-            pad_buf = np.zeros((nb_max, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        if not stem:  # padded once; only the interior is written, the border stays zero
+            xp = (whole.xp[part.n0:part.n1] if blocked and whole is not None
+                  else np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype))
+            xp[:, :, p:p + h, p:p + w] = x
         if cols is None:
             col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
         gemm_buf = np.empty(co * nb_max * m, dtype=x.dtype)
@@ -317,11 +317,7 @@ class Conv2d(Layer):
             cols_t = (cols if cols is not None
                       else col_buf[:k * nb * m].reshape(k, nb * m))
             if not stem:
-                xb = x[n0:n1]
-                if p:
-                    xb = pad_buf[:nb]
-                    xb[:, :, p:p + h, p:p + w] = x[n0:n1]
-                _im2col(xb, kh, kw, s, 0, kh, cols_t)
+                _im2col(xp[n0:n1], kh, kw, s, 0, kh, cols_t)
             gemm = np.matmul(wmat, cols_t,
                              out=gemm_buf[:co * nb * m].reshape(co, nb * m))
             gemm += self.bias[:, None]
@@ -339,21 +335,19 @@ class Conv2d(Layer):
         whole.dmat.reshape(co, -1, m)[:, n0:n0 + n] = (
             dout.reshape(n, co, m).transpose(1, 0, 2))
         dmat = whole.dmat[:, n0 * m:(n0 + n) * m]
-        # the whole batch's weight gradients come first, while the columns'
-        # buffer is free; a slice's come from Split.weight_grads, once every
-        # slice has written its dmat
-        sole = part.sole
-        if sole:
+        # the whole batch's weight gradients come first, so that its columns
+        # are freed before the column gradient's buffer is made; a slice's
+        # come from Split.weight_grads, once every slice has written its dmat
+        if part.sole:
             del part.split.convs[self]
             self._weight_grads(whole)
         if not self.input_grad:
             return None
-        # kernel rows per group: all of them with kept columns, else one; the
-        # whole batch's kept columns take the column gradient, which
-        # otherwise gets a buffer of its own
+        # kernel rows per group: all of them with kept columns, else one
+        # (splitting a kept-columns GEMM by kernel row changes float64 bytes)
         g = kh if whole.cols is not None else 1
-        cols = (whole.cols if sole and whole.cols is not None else
-                np.empty((ci * g * kw, n * m), dtype=dout.dtype))
+        del whole
+        cols = np.empty((ci * g * kw, n * m), dtype=dout.dtype)
         dxp = np.zeros((ci, n, h + 2 * p, w + 2 * p), dtype=dout.dtype)
         for i0 in range(0, kh, g):
             wrows_t = self.weights[:, :, i0:i0 + g].reshape(co, -1).T
@@ -362,7 +356,7 @@ class Conv2d(Layer):
             for i in range(i0, i0 + g):
                 for j in range(kw):
                     dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dcols_t[:, i - i0, j]
-        del cols, whole, dmat, dcols_t  # not alive beside dx
+        del cols, dmat, dcols_t  # not alive beside dx
         dx = dxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
         return np.ascontiguousarray(dx)
 

@@ -352,24 +352,33 @@ def test_bad_arch_is_reported_before_manifest_is_read(tmp_path, capsys, argv):
         f"error: {arch}: conv1_stride must be >= 1, got 0\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--depths", "4"],
-    ["search", "--candidates", "3,4"],
-], ids=["train", "search"])
-def test_bad_dtype_is_usage_error_before_manifest_is_read(tmp_path, capsys, argv):
-    missing = tmp_path / "missing.csv"
-    code = main([*argv, "--dtype", "int8", "--manifest", str(missing),
-                 "--out", str(tmp_path / "x")])
+def _source_argv(tmp_path, source):
+    """A command line for `source` whose manifest is missing, or, for
+    search-replay, whose replay fixture is valid."""
+    fixture = tmp_path / "fixture.csv"
+    fixture.write_text(FIXTURE_CSV, encoding="utf-8")
+    manifest = ["--manifest", str(tmp_path / "missing.csv")]
+    return {"train": ["train", "--depths", "4", *manifest],
+            "search": ["search", "--candidates", "3,4", *manifest],
+            "search-replay": ["search", "--replay", str(fixture)]}[source]
+
+
+SOURCES = ["train", "search", "search-replay"]
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_bad_dtype_is_usage_error_before_manifest_is_read(tmp_path, capsys, source):
+    out = tmp_path / "x"
+    code = main([*_source_argv(tmp_path, source), "--dtype", "int8",
+                 "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: dtype must be float32 or float64")
     assert err.count("\n") == 1
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--depths", "4"],
-    ["search", "--candidates", "3,4"],
-], ids=["train", "search"])
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("flag,value,message", [
     ("--batch-size", "-1", "batch_size must be >= 1, got -1"),
     ("--batch-size", "0", "batch_size must be >= 1, got 0"),
@@ -386,11 +395,13 @@ def test_bad_dtype_is_usage_error_before_manifest_is_read(tmp_path, capsys, argv
     ("--lr-patience", "-3", "lr_patience must be >= 1, got -3"),
 ])
 def test_bad_sgd_option_is_usage_error_before_manifest_is_read(
-        tmp_path, capsys, argv, flag, value, message):
-    code = main([*argv, f"{flag}={value}", "--manifest", str(tmp_path / "missing.csv"),
-                 "--out", str(tmp_path / "x")])
+        tmp_path, capsys, source, flag, value, message):
+    out = tmp_path / "x"
+    code = main([*_source_argv(tmp_path, source), f"{flag}={value}",
+                 "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
 
 
 def test_bad_sgd_config_file_value_is_usage_error(tmp_path, capsys):

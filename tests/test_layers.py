@@ -262,33 +262,41 @@ def test_conv_blocked_inference_forward_is_bit_equal(config, size, batch, dtype)
 
 
 @pytest.mark.bit_equal
-@pytest.mark.parametrize("batch", [32, 16])
-def test_conv_recomputed_columns_backward_is_bit_equal(batch):
-    # every full-scale 4,3,4 conv whose training forward keeps no columns, at
-    # the training batch and the benchmark's final batch: the forward and all
-    # three gradients keep the bytes of the whole-batch GEMMs
+@pytest.mark.parametrize("config,size,batch,dtype", [
+    *[(config, size, batch, dtype) for dtype in (np.float32, np.float64)
+      for config, size, batch in [(DESK, 56, 32), (DESK, 56, 64),
+                                  (DESK, 56, 19), (TINY, 20, 7)]],
+    (FULL, 224, 32, np.float32), (FULL, 224, 16, np.float32),
+], ids=[f"{name}-{dtype}" for dtype in ("float32", "float64")
+        for name in ("desk32", "desk64", "desk19", "tiny7")]
+    + ["full32-float32", "full16-float32"])
+def test_conv_training_backward_is_bit_equal(config, size, batch, dtype):
+    # every 4,3,4 conv as the network builds it, its columns kept or
+    # recomputed, at the full-scale training batch and the benchmark's final
+    # batch too: the forward and all three gradients keep the bytes of the
+    # whole-batch GEMMs (conv1 computes no input gradient)
     rng = np.random.default_rng(batch)
     recomputed = 0
-    for conv, x in _conv_inputs(FULL, 224, batch, np.float32):
-        if not conv.input_grad or _col_bytes(conv, x) <= RECOMPUTE_COL_BYTES:
-            continue
-        recomputed += 1
+    for conv, x in _conv_inputs(config, size, batch, dtype):
         part = batch_part(batch)
         with part:
             out = conv.forward(x)
-            assert not _holds_columns(part, conv)
-            dout = rng.standard_normal(out.shape, dtype=np.float32)
+            recomputed += not _holds_columns(part, conv)
+            dout = rng.standard_normal(out.shape, dtype=dtype)
             dx = conv.backward(dout)
         got = [out, conv.grad_weights, conv.grad_bias, dx]
         want = [conv_whole_batch(x, conv.weights, conv.bias, conv.stride,
                                  conv.padding),
                 *conv_backward_whole_batch(x, conv.weights, dout, conv.stride,
                                            conv.padding)]
+        if not conv.input_grad:
+            assert dx is None
+            del got[-1], want[-1]
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
-    # every branch's conv2 at 32; at 16, the 5x5 ones
-    assert recomputed == {32: 3, 16: 2}[batch]
+    # full scale: every branch's conv2 at 32; at 16, the 5x5 ones
+    assert recomputed == ({32: 3, 16: 2}[batch] if config is FULL else 0)
 
 
 def test_conv_caches_columns_below_the_recompute_rule():
