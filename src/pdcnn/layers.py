@@ -17,9 +17,10 @@ fills its grad_* attributes the same way but returns None: it skips the
 input-gradient GEMM and col2im, for a layer that reads the network input,
 whose gradient nothing consumes. A training Relu keeps only its bool mask
 and MaxPool only its input shape and each window's winning tap, found in
-forward, so a ReLU output is freed once the pool has read it; an inference
-forward finds neither. Analytic gradients are checked against finite
-differences (central, step 1e-3, double precision, relative error < 1e-4).
+forward, so a conv output is freed once the pool has read it (the network
+runs each pool before its ReLU); an inference forward finds neither.
+Analytic gradients are checked against finite differences (central, step
+1e-3, double precision, relative error < 1e-4).
 A layer's input, upstream gradient and parameters share one dtype, float32
 or float64: PdcnnNet casts its input batch and its logit gradients to its own.
 
@@ -77,7 +78,7 @@ import numpy as np
 # - desk scale: the forward split loses bytes below the chunk rule (b3 conv4
 #   at 8-sample slices, conv3 at 3), while W.T @ dmat keeps them everywhere,
 #   and so does dW by output rows at 76 samples and more.
-COL_BUDGET = 4 << 20  # per block of a blocked conv
+COL_BUDGET = 4 << 20  # per block of a blocked conv or pool backward
 RECOMPUTE_COL_BYTES = 8 * COL_BUDGET  # above it, training recomputes columns
 CHUNK_COL_BYTES = 256 << 10  # fewest an inference chunk gives the smallest conv
 
@@ -394,7 +395,8 @@ class Conv2d(Layer):
 class MaxPool(Layer):
     """Max pooling; backward routes each upstream value to the window's first
     maximum (first NaN, if any) in row-major scan order, zero elsewhere: a
-    tap a training forward finds and keeps, as a rank (uint8 up to 16x16)."""
+    tap a training forward finds and keeps, as a rank (uint8 up to 16x16).
+    Backward sums a block of samples at a time, within COL_BUDGET bytes."""
 
     def __init__(self, window: int, stride: int):
         if window < 1 or stride < 1:
@@ -437,15 +439,21 @@ class MaxPool(Layer):
         (n, c, h, w), rank = self._take_cache()
         k, s = self.window, self.stride
         oh, ow = rank.shape[2:]
-        # flat input index: plane offset + window corner + tap offset i*w + j
+        b = max(1, COL_BUDGET // (c * h * w * 8))  # samples per float64 block
+        # flat input index in a block: plane offset + window corner + tap
+        # offset i*w + j
         tap_offset = (np.arange(k)[:, None] * w + np.arange(k)).ravel()[::-1]
-        flat = tap_offset.take(rank)
-        flat += (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
-        flat += (np.arange(oh) * (s * w))[:, None] + np.arange(ow) * s
-        # bincount casts its weights to float64 itself, so overlapping-window
-        # contributions accumulate in double precision whatever dout's dtype
-        acc = np.bincount(flat.ravel(), weights=dout.ravel(), minlength=n * c * h * w)
-        return acc.reshape(n, c, h, w).astype(dout.dtype)
+        corner = ((np.arange(min(n, b) * c) * (h * w)).reshape(-1, c, 1, 1)
+                  + (np.arange(oh) * (s * w))[:, None] + np.arange(ow) * s)
+        dx = np.empty((n, c, h, w), dtype=dout.dtype)
+        for a in range(0, n, b):
+            flat, blk = tap_offset.take(rank[a:a + b]), dx[a:a + b]
+            flat += corner[:len(blk)]
+            # bincount sums its weights in float64 whatever dout's dtype, and
+            # samples share no window: each sum keeps its whole-batch order
+            blk[...] = np.bincount(flat.ravel(), weights=dout[a:a + b].ravel(),
+                                   minlength=blk.size).reshape(blk.shape)
+        return dx
 
 
 def _channel_window_sum(v: np.ndarray, radius: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdcnn import layers as L
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn, shape_check
 from pdcnn.layers import (COL_BUDGET, RECOMPUTE_COL_BYTES, Conv2d,
@@ -577,9 +578,13 @@ def _tied_batch(draw):
     return x.astype(dtype), k, draw(st.integers(1, 4)), rng
 
 
+@pytest.mark.bit_equal
+@pytest.mark.parametrize("budget", [COL_BUDGET, 1], ids=["default", "1-sample"])
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(st.data())
-def test_pool_matches_argmax_reference_bit_for_bit(data):
+def test_pool_matches_argmax_reference_bit_for_bit(budget, data):
+    # backward sums one block of samples at a time: with the default budget
+    # the whole batch, with a 1-byte budget each sample alone
     x, window, stride, rng = _tied_batch(data.draw)
     pool = MaxPool(window, stride)
     part = batch_part(len(x))
@@ -592,10 +597,35 @@ def test_pool_matches_argmax_reference_bit_for_bit(data):
     nan = np.isnan(ref_out)
     npt.assert_array_equal(np.isnan(out), nan)
     assert out[~nan].tobytes() == ref_out[~nan].tobytes()
-    with part:
+    with part, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L, "COL_BUDGET", budget)
         dx = pool.backward(dout)
     assert dx.dtype == dout.dtype
     assert dx.tobytes() == ref_dx.tobytes()
+
+
+def test_pool_backward_sums_a_block_of_samples_at_a_time():
+    # pool1 of a full-scale batch of 32: a whole-batch float64 sum would
+    # take 51 MB beside the 26 MB float32 gradient; 2-sample blocks keep
+    # backward's peak below 40 MiB (about 29 MiB)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((32, 64, 56, 56), dtype=np.float32)
+    pool = MaxPool(3, 2)
+    part = batch_part(32)
+    with part:
+        out = pool.forward(x)
+    dout = rng.standard_normal(out.shape, dtype=np.float32)
+    del x, out
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with part:
+            dx = pool.backward(dout)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == (32, 64, 56, 56) and dx.dtype == np.float32
+    assert peak < 40 << 20, peak / 2**20
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)

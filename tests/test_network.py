@@ -426,30 +426,34 @@ def test_no_layer_holds_per_step_state(monkeypatch, size, config, batch, cores):
 
 def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
     # a full-scale 4,3,4 float32 training forward at batch 8 on 2 cores (b3
-    # as two slices): a MaxPool part cache is (input shape, integer rank
-    # shaped like the output), a Relu's a bool mask, and every ReLU output
-    # is freed by the end of the forward, so what the forward leaves
-    # allocated stays below 84 MiB (about 75 MiB; 93 MiB when the ReLU kept
-    # its output and the pool its input and output)
+    # as two slices): each stage runs conv -> pool -> ReLU, so a MaxPool part
+    # cache is (input shape, integer rank shaped like the output), the next
+    # Relu's a bool mask of that same shape, and every conv output a pool
+    # reads is freed by the end of the forward, so what the forward leaves
+    # allocated stays below 74 MiB (about 70 MiB; 76 MiB with the ReLU before
+    # the pool, 93 MiB when the ReLU kept its output and the pool its input
+    # and output)
     monkeypatch.setattr(N, "usable_cores", lambda: 2)
     spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224),
                        config=ArchConfig())
     net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
-    outputs = []  # a weak reference to every ReLU output
+    outputs = []  # a weak reference to the output of every conv a pool reads
 
-    def hook(relu):
-        forward = relu.forward
+    def hook(conv):
+        forward = conv.forward
 
         def fwd(h):
             out = forward(h)
             outputs.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(relu, "forward", fwd)
+        monkeypatch.setattr(conv, "forward", fwd)
 
-    for layer in sum(net.branches, []):
-        if isinstance(layer, L.Relu):
-            hook(layer)
+    for layers in net.branches:
+        for conv, pool in zip(layers, layers[1:]):
+            if isinstance(pool, L.MaxPool):
+                assert isinstance(conv, L.Conv2d)
+                hook(conv)
     x = np.random.default_rng(2).random((8, 3, 224, 224))
     tracemalloc.start()
     try:
@@ -458,25 +462,69 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert held < 84 << 20, held / 2**20
-    assert len(outputs) == 4 + 3 + 2 * 4  # b3 runs as 2 slices
+    assert held < 74 << 20, held / 2**20
+    assert len(outputs) == 3 + 3 + 2 * 3  # b3 runs as 2 slices
     assert all(ref() is None for ref in outputs)
     plan, head = net._plan
     pools = relus = 0
-    for part in [part for run in plan for _, part in run] + [head]:
-        for layer, cache in part.caches.items():
-            if isinstance(layer, L.MaxPool):
-                shape, rank = cache
-                k, s = layer.window, layer.stride
+    for b, part in [(b, part) for run in plan for b, part in run]:
+        layers = net.branches[b]
+        for pool, relu in zip(layers, layers[1:]):
+            if isinstance(pool, L.MaxPool):
+                (shape, rank), mask = part.caches[pool], part.caches[relu]
+                k, s = pool.window, pool.stride
                 assert rank.dtype == np.uint8  # a 3x3 window's 9 taps
                 assert rank.shape == (*shape[:2], *(L.conv_extent(e, k, s, 0)
                                                     for e in shape[2:]))
+                assert isinstance(relu, L.Relu)
+                assert mask.dtype == bool and mask.shape == rank.shape
                 pools += 1
-            elif isinstance(layer, L.Relu):
-                assert cache.dtype == bool
-                relus += 1
-    assert (pools, relus) == (3 + 3 + 2 * 3, len(outputs))
+        relus += sum(isinstance(layer, L.Relu) for layer in part.caches)
+    assert (pools, relus) == (len(outputs), 4 + 3 + 2 * 4)
     net.backward(np.ones_like(logits))
+
+
+def _spec_order(net):
+    """net with each branch's (MaxPool, Relu) pairs swapped back to the
+    spec's order, conv -> ReLU -> pool."""
+    for layers, names in zip(net.branches, net.branch_layer_names):
+        for i in range(len(layers) - 1):
+            if (isinstance(layers[i], L.MaxPool)
+                    and isinstance(layers[i + 1], L.Relu)):
+                for seq in (layers, names):
+                    seq[i], seq[i + 1] = seq[i + 1], seq[i]
+    return net
+
+
+@pytest.mark.bit_equal
+@pytest.mark.parametrize("size,config,batch,dtype,cores", [
+    (56, DESK, 32, np.float32, 1), (56, DESK, 32, np.float64, 1),
+    (56, DESK, 19, np.float32, 1), (56, DESK, 19, np.float64, 1),
+    (20, TINY, 7, np.float32, 1), (20, TINY, 7, np.float64, 1),
+    (224, ArchConfig(), 8, np.float32, 2),
+], ids=["desk32-float32", "desk32-float64", "desk19-float32", "desk19-float64",
+        "tiny7-float32", "tiny7-float64", "full8-split"])
+def test_pool_before_relu_bit_equal_to_spec_order(monkeypatch, size, config,
+                                                  batch, dtype, cores):
+    # the network runs each stage's pool before its ReLU; a training step
+    # gives the logits and gradient bytes of the spec's order, ReLU first,
+    # the sign of every zero included: a window whose max is <= 0 sends
+    # nothing back in either order. Full scale on 2 cores runs b3 as slices
+    monkeypatch.setattr(N, "usable_cores", lambda: cores)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    rng = np.random.default_rng(6)
+    x = rng.random((batch, 3, size, size))
+    labels = rng.integers(0, 2, batch)
+    nets = [PdcnnNet(spec, T.Rng(4), dtype=dtype),
+            _spec_order(PdcnnNet(spec, T.Rng(4), dtype=dtype))]
+    assert [[type(layer) for layer in net.branches[0][:4]] for net in nets] == [
+        [L.Conv2d, L.MaxPool, L.Relu, L.Lrn], [L.Conv2d, L.Relu, L.MaxPool, L.Lrn]]
+    got = []
+    for net in nets:
+        logits = net.forward(x)
+        net.backward(softmax_xent_batch(logits, labels)[1])
+        got.append([logits.tobytes()] + [g.tobytes() for _, g in net.gradients()])
+    assert got[0] == got[1]
 
 
 @pytest.mark.bit_equal
