@@ -1,11 +1,11 @@
 """Declarative branch architectures and their parallel composition.
 
-Single branches come in depths 3, 4, and 5 (convolutional layers); the
-4-layer branch uses filter counts (64, 96, 96, 64) and kernels (7, 5, 3, 3).
-A paralleled network runs 1..4 branches on the same input, concatenates the
-flattened final feature maps, and classifies with one shared 2-way fully
-connected head. Branches sharing a depth get distinct conv1/conv2 kernel
-sizes via a deterministic variant rule.
+A branch of depth 3, 4 or 5 runs three conv -> pool -> ReLU -> LRN stages,
+then conv -> ReLU for conv4 and conv5; the 4-layer branch uses filter counts
+(64, 96, 96, 64) and kernels (7, 5, 3, 3). A paralleled network runs 1..4
+branches on the same input, concatenates the flattened final feature maps,
+and classifies with one shared 2-way fully connected head. Branches sharing a
+depth get distinct conv1/conv2 kernel sizes by a deterministic variant rule.
 """
 
 import math
@@ -92,10 +92,10 @@ class PdcnnSpec:
 
 def build_arch(depth: int, variant: int = 0,
                config: ArchConfig = DEFAULT_CONFIG) -> ArchitectureSpec:
-    """Single-branch layout for the given conv depth (3, 4, or 5).
-
-    Variant 0 is canonical; higher variants cycle the conv1/conv2 kernel
-    sizes so branches of equal depth stay structurally distinct.
+    """Single-branch layout for the given conv depth (3, 4, or 5), each pool
+    before its ReLU (the paper's order swapped: max(0, .) commutes with a
+    window max). Variant 0 is canonical; higher variants cycle the
+    conv1/conv2 kernel sizes so equal-depth branches stay distinct.
     """
     if depth not in DEPTHS:
         raise ValueError(f"unsupported depth {depth}; expected one of "
@@ -114,9 +114,10 @@ def build_arch(depth: int, variant: int = 0,
         layers.append(LayerSpec(kind="conv", name=f"conv{i + 1}",
                                 filters=filters, kernel=kernels[i],
                                 stride=stride, padding=padding))
-        layers.append(LayerSpec(kind="relu", name=f"relu{i + 1}"))
         if i < 3:
             layers.append(LayerSpec(kind="pool", name=f"pool{i + 1}"))
+        layers.append(LayerSpec(kind="relu", name=f"relu{i + 1}"))
+        if i < 3:
             norm_name = "norm1" if i == 0 else f"rnorm{i + 1}"
             layers.append(LayerSpec(kind="lrn", name=norm_name))
     return ArchitectureSpec(depth=depth, variant=variant, layers=tuple(layers))

@@ -64,6 +64,13 @@ def _candidate_list(text):
     return depths
 
 
+def _at_least(low, parse, text):
+    """parse(text), checked to be >= low (a NaN is not)."""
+    if not (value := parse(text)) >= low:
+        raise ValueError(f"must be >= {low}, got {value}")
+    return value
+
+
 def _checked_flag(parse, text):
     """parse (a checking parser) for argparse, which would otherwise report
     any error as "invalid <parse> value" in place of the parser's message."""
@@ -134,8 +141,8 @@ _OPTS = {
         "curve": (str, ""),
         "time": (str, ""),
         "out": (str, ""),
-        "window": (int, G.CONVERGENCE_WINDOW),
-        "tol": (float, G.CONVERGENCE_TOL),
+        "window": (partial(_at_least, 1, int), G.CONVERGENCE_WINDOW),
+        "tol": (partial(_at_least, 0, float), G.CONVERGENCE_TOL),
     },
 }
 
@@ -313,10 +320,6 @@ def cmd_search(args):
 def cmd_diag(args):
     if not (args.time or args.model or args.curve):
         raise UsageError("diag needs --time t,n,e and/or --model and/or --curve")
-    if args.window < 1:
-        raise UsageError(f"--window must be >= 1, got {args.window}")
-    if not args.tol >= 0:
-        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     if args.time:
         try:
             t, n, e = args.time.split(",")

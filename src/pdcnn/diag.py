@@ -37,7 +37,10 @@ def write_variance_csv(rows, mean, path) -> None:
 
 def convergence_time(t: float, n: float, e: float) -> int:
     """Total convergence time T = t * n * e, rounded to the nearest second."""
-    total = t * n * e
+    try:
+        total = t * n * e
+    except OverflowError:  # an int too large for a float
+        total = math.inf
     if not (t >= 0 and n >= 0 and e >= 0 and math.isfinite(total)):
         raise ValueError(f"convergence_time inputs must be >= 0 with a finite "
                          f"product, got ({t}, {n}, {e})")

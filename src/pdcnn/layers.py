@@ -17,8 +17,8 @@ fills its grad_* attributes the same way but returns None: it skips the
 input-gradient GEMM and col2im, for a layer that reads the network input,
 whose gradient nothing consumes. A training Relu keeps only its bool mask
 and MaxPool only its input shape and each window's winning tap, found in
-forward, so a conv output is freed once the pool has read it (the network
-runs each pool before its ReLU); an inference forward finds neither.
+forward, so a conv output is freed once the pool has read it (a branch's
+spec puts each pool before its ReLU); an inference forward finds neither.
 Analytic gradients are checked against finite differences (central, step
 1e-3, double precision, relative error < 1e-4).
 A layer's input, upstream gradient and parameters share one dtype, float32

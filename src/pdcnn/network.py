@@ -137,15 +137,8 @@ class PdcnnNet:
                         groups.setdefault((ls.stride, ls.padding, oh, ow),
                                           {})[b] = layers[0]
                 shape = row.shape
-            # each stage runs conv -> pool -> ReLU -> LRN, not the spec's
-            # conv -> ReLU -> pool: a window max commutes with max(0, .), so
-            # the ReLU sees a quarter of the values, and every byte holds
-            order = list(range(len(layers)))
-            for i, (a, z) in enumerate(zip(arch.layers, arch.layers[1:])):
-                if (a.kind, z.kind) == ("relu", "pool"):
-                    order[i:i + 2] = i + 1, i
-            self.branches.append([layers[i] for i in order])
-            self.branch_layer_names.append([arch.layers[i].name for i in order])
+            self.branches.append(layers)
+            self.branch_layer_names.append([ls.name for ls in arch.layers])
             self._feat_shapes.append(shape)
         # float32 samples per inference chunk and fewest per training slice;
         # float64 never splits a batch (layers.py)

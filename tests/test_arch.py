@@ -21,8 +21,8 @@ def test_depth3_layout():
     arch = build_arch(3)
     names = _names(arch)
     assert "conv3" in names and "conv4" not in names
-    assert names.index("conv3") < names.index("pool3") < names.index("rnorm3")
-    assert names[-2:] == ["pool3", "rnorm3"]  # no branch fc: the head replaces it
+    # each stage pools before its ReLU; no branch fc: the head replaces it
+    assert names[-4:] == ["conv3", "pool3", "relu3", "rnorm3"]
     assert [c.filters for c in _conv_layers(arch)] == [64, 96, 96]
 
 
@@ -53,11 +53,21 @@ def test_variant1_changes_conv1_kernel():
 
 
 def test_relu_follows_every_conv_not_fc():
-    arch = build_arch(4)
-    names = _names(arch)
-    for i in range(1, 5):
-        assert names.index(f"relu{i}") == names.index(f"conv{i}") + 1
-    assert {layer.kind for layer in arch.layers} == {"conv", "relu", "pool", "lrn"}
+    # conv1-3 are each followed by their pool, then the ReLU; conv4 and
+    # conv5 have no pool, so their ReLU follows them directly
+    for depth in (3, 4, 5):
+        arch = build_arch(depth)
+        names = _names(arch)
+        for i in range(1, depth + 1):
+            conv = names.index(f"conv{i}")
+            if i <= 3:
+                assert names.index(f"pool{i}") == conv + 1
+                assert names.index(f"relu{i}") == conv + 2
+            else:
+                assert names.index(f"relu{i}") == conv + 1
+        kinds = [layer.kind for layer in arch.layers]
+        assert kinds.count("relu") == kinds.count("conv") == depth
+        assert set(kinds) == {"conv", "relu", "pool", "lrn"}  # no fc
 
 
 def test_unsupported_depth():

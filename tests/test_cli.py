@@ -1,12 +1,15 @@
 import ctypes
 import glob
+import io
 import os
 import struct
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdcnn import tensor as T
 from pdcnn.arch import ArchConfig, build_pdcnn
@@ -787,13 +790,20 @@ def test_diag_without_inputs_usage_error(capsys):
 @pytest.mark.parametrize("flag,value", [("--window", "0"), ("--window", "-3"),
                                         ("--tol", "-0.1"), ("--tol", "nan")])
 def test_diag_bad_window_or_tol_is_usage_error(tmp_path, capsys, flag, value):
+    # checked as parsed: a flag's error names the flag, a config file's its
+    # file, line and key
     curve = tmp_path / "curve.csv"
     curve.write_text("epoch,train_loss,train_error,test_error,seconds\n"
                      "1,0.7,0.5,0.5,0\n", encoding="utf-8")
+    key = flag[2:]
+    message = f"must be >= {1 if key == 'window' else 0}, got {value}"
     assert main(["diag", "--curve", str(curve), flag, value]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage error: {flag} must be >= ")
-    assert len(err.splitlines()) == 1
+    assert capsys.readouterr().err == (
+        f"usage error: argument {flag}: {message}\n")
+    cfg = tmp_path / "diag.cfg"
+    cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+    assert main(["diag", "--curve", str(curve), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"usage error: {cfg}:1: {key}: {message}\n"
 
 
 def test_diag_bad_time_format(capsys):
@@ -807,14 +817,35 @@ def test_diag_bad_time_number_is_usage_error(tmp_path, capsys, value):
     assert not (tmp_path / "d").exists()
 
 
-@pytest.mark.parametrize("value", ["-1,3,967", "inf,3,967", "nan,3,967",
-                                   "1e300,100000,100000"])
+@pytest.mark.parametrize("value", [
+    "-1,3,967", "inf,3,967", "nan,3,967", "1e300,100000,100000",
+    pytest.param(f"1,{10**400},2", id="400-digit-n"),
+    pytest.param(f"1,2,{10**400}", id="400-digit-e"),
+])
 def test_diag_time_out_of_range_is_one_error_line(tmp_path, capsys, value):
     assert main(["diag", f"--time={value}", "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: convergence_time inputs must be >= 0 ")
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "d").exists()
+
+
+_TIME_PART = st.one_of(
+    st.integers(-10**400, 10**400).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+    st.text(max_size=6))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(parts=st.lists(_TIME_PART, min_size=1, max_size=4))
+def test_diag_time_ends_in_an_exit_code_whatever_the_text(parts):
+    # huge ints, infinities, NaN and junk end in exit 0, 1 or 2 with at most
+    # one stderr line, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["diag", f"--time={','.join(parts)}"])
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().splitlines()) <= 1
 
 
 def test_diag_missing_model_is_one_error_line(tmp_path, capsys):

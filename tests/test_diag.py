@@ -108,7 +108,9 @@ def test_convergence_time_rejects_negative():
 
 
 @pytest.mark.parametrize("t,n,e", [(math.inf, 3, 967), (math.nan, 3, 967),
-                                   (math.inf, 3, 0), (1e300, 100000, 100000)])
+                                   (math.inf, 3, 0), (1e300, 100000, 100000),
+                                   pytest.param(1.0, 2, 10**400,
+                                                id="1.0-2-10**400")])
 def test_convergence_time_rejects_non_finite(t, n, e):
     with pytest.raises(ValueError, match="finite product"):
         convergence_time(t, n, e)

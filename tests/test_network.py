@@ -371,6 +371,28 @@ def test_shape_rows_count_the_network_parameters(size, config, depths):
     assert param_count(spec) == sum(sizes.values())
 
 
+_LAYER_KIND = {L.Conv2d: "conv", L.MaxPool: "pool", L.Relu: "relu",
+               L.Lrn: "lrn"}
+
+
+@pytest.mark.parametrize("depths", [[3], [4], [5], [4, 3, 4], [4, 4, 4, 4]],
+                         ids=["3", "4", "5", "4,3,4", "4,4,4,4"])
+def test_network_builds_each_branch_in_spec_order(depths):
+    # one order per branch: the spec's layers, the network's layers and
+    # names, and shape_check's rows; [4, 4, 4, 4] covers variants 0-3
+    spec = build_pdcnn(depths, input_shape=(3, 20, 20), config=TINY)
+    net = PdcnnNet(spec, T.Rng(1), dtype=np.float32)
+    rows = shape_check(spec)
+    assert len(net.branches) == len(spec.branches)
+    for b, arch in enumerate(spec.branches):
+        names = [ls.name for ls in arch.layers]
+        assert ([_LAYER_KIND[type(layer)] for layer in net.branches[b]]
+                == [ls.kind for ls in arch.layers])
+        assert net.branch_layer_names[b] == names
+        branch_rows = [row for row in rows if row.branch == f"branch{b + 1}"]
+        assert [row.layer for row in branch_rows] == names
+
+
 def test_backward_consumes_every_layer_cache():
     # backward raises one error before any forward, a second time, and
     # after an inference forward
@@ -484,9 +506,9 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
     net.backward(np.ones_like(logits))
 
 
-def _spec_order(net):
-    """net with each branch's (MaxPool, Relu) pairs swapped back to the
-    spec's order, conv -> ReLU -> pool."""
+def _paper_order(net):
+    """net with each branch's (MaxPool, Relu) pairs swapped to the paper's
+    order, conv -> ReLU -> pool."""
     for layers, names in zip(net.branches, net.branch_layer_names):
         for i in range(len(layers) - 1):
             if (isinstance(layers[i], L.MaxPool)
@@ -504,10 +526,10 @@ def _spec_order(net):
     (224, ArchConfig(), 8, np.float32, 2),
 ], ids=["desk32-float32", "desk32-float64", "desk19-float32", "desk19-float64",
         "tiny7-float32", "tiny7-float64", "full8-split"])
-def test_pool_before_relu_bit_equal_to_spec_order(monkeypatch, size, config,
-                                                  batch, dtype, cores):
-    # the network runs each stage's pool before its ReLU; a training step
-    # gives the logits and gradient bytes of the spec's order, ReLU first,
+def test_pool_before_relu_bit_equal_to_paper_order(monkeypatch, size, config,
+                                                   batch, dtype, cores):
+    # the spec runs each stage's pool before its ReLU; a training step
+    # gives the logits and gradient bytes of the paper's order, ReLU first,
     # the sign of every zero included: a window whose max is <= 0 sends
     # nothing back in either order. Full scale on 2 cores runs b3 as slices
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
@@ -516,7 +538,7 @@ def test_pool_before_relu_bit_equal_to_spec_order(monkeypatch, size, config,
     x = rng.random((batch, 3, size, size))
     labels = rng.integers(0, 2, batch)
     nets = [PdcnnNet(spec, T.Rng(4), dtype=dtype),
-            _spec_order(PdcnnNet(spec, T.Rng(4), dtype=dtype))]
+            _paper_order(PdcnnNet(spec, T.Rng(4), dtype=dtype))]
     assert [[type(layer) for layer in net.branches[0][:4]] for net in nets] == [
         [L.Conv2d, L.MaxPool, L.Relu, L.Lrn], [L.Conv2d, L.Relu, L.MaxPool, L.Lrn]]
     got = []
