@@ -28,11 +28,12 @@ Convolution is a GEMM over a channel-major im2col matrix (C*kh*kw, N*oh*ow)
 for every stride and padding (Chellapilla et al. 2006, "High performance
 convolutional neural networks for document processing"). In inference a
 float32 conv pads its input once, then builds the matrix one block of samples
-at a time, into reused buffers, each block's columns within COL_BUDGET bytes,
-and keeps none (cache blocking after Goto & van de Geijn 2008, "Anatomy of
-high-performance matrix multiplication"). In training, a float32 conv that
-computes its input gradient and whose whole batch has more than
-RECOMPUTE_COL_BYTES of columns pads its input once, into the whole batch's
+at a time, each block's columns within COL_BUDGET bytes, and keeps none (cache
+blocking after Goto & van de Geijn 2008, "Anatomy of high-performance matrix
+multiplication"); the columns and the GEMM output share its thread's
+workspace, which the network drops when the thread's run ends. In training, a
+float32 conv that computes its input gradient and whose whole batch has more
+than RECOMPUTE_COL_BYTES of columns pads its input once, into the whole batch's
 zero-padded input, runs the same blocks over its rows and keeps only it;
 backward rebuilds the columns one kernel row at a time (recompute for
 memory after Chen et al. 2016, arXiv:1604.06174). Every other training conv
@@ -104,11 +105,22 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, i0: int, i1: int,
               win.transpose(1, 4, 5, 0, 2, 3))
 
 
-_THREAD = threading.local()  # .part: the Part this thread runs
+_THREAD = threading.local()  # .part: the Part this thread runs; .workspace
 
 
 def _part():
     return getattr(_THREAD, "part", None)
+
+
+def _workspace(nbytes: int) -> np.ndarray:
+    """nbytes of this thread's byte buffer, grown to the largest asked."""
+    if len(getattr(_THREAD, "workspace", ())) < nbytes:
+        _THREAD.workspace = np.empty(nbytes, np.uint8)
+    return _THREAD.workspace[:nbytes]
+
+
+def release_workspace() -> None:
+    vars(_THREAD).pop("workspace", None)
 
 
 class Split:
@@ -224,8 +236,9 @@ class Conv2d(Layer):
     and grad_weights = dout @ cols_t.T. Forward zero-pads its input once, then
     loops over blocks of samples: each block's columns are copied from its
     rows of the padded input into one reused buffer and multiplied into a
-    second, the bias is added there, and the result is copied transposed into
-    the block's rows of the (N,Co,oh*ow) output. A float32 conv runs in
+    second (in inference, both views of its thread's workspace), the bias is
+    added there, and the result is copied transposed into the block's rows of
+    the (N,Co,oh*ow) output. A float32 conv runs in
     ceil(column bytes / COL_BUDGET) blocks, at most one per sample, with edges
     at n*i//nblk, in inference, and in training when it computes its input
     gradient and its whole batch's columns exceed RECOMPUTE_COL_BYTES; it then
@@ -308,9 +321,12 @@ class Conv2d(Layer):
             xp = (whole.xp[part.n0:part.n1] if blocked and whole is not None
                   else np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype))
             xp[:, :, p:p + h, p:p + w] = x
-        if cols is None:
-            col_buf = np.empty(k * nb_max * m, dtype=x.dtype)
-        gemm_buf = np.empty(co * nb_max * m, dtype=x.dtype)
+        if part is None and blocked:  # one view of the thread's workspace
+            col_buf = _workspace((k + co) * nb_max * m * x.itemsize).view(x.dtype)
+            gemm_buf = col_buf[k * nb_max * m:]
+        else:
+            col_buf = None if cols is not None else np.empty(k * nb_max * m, x.dtype)
+            gemm_buf = np.empty(co * nb_max * m, dtype=x.dtype)
         out = np.empty((n, co, m), dtype=x.dtype)
         for i in range(nblk):
             n0, n1 = n * i // nblk, n * (i + 1) // nblk

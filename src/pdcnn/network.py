@@ -16,7 +16,7 @@ from . import tensor as T
 from .arch import (ARCH_KEYS, NUM_CLASSES, PdcnnSpec, arch_dict_from_spec,
                    param_count, shape_check, spec_from_arch_dict)
 from .layers import (CHUNK_COL_BYTES, Conv2d, FullyConnected, Lrn, MaxPool,
-                     Relu, ShapeError, Split, batch_part)
+                     Relu, ShapeError, Split, batch_part, release_workspace)
 
 # Image files carry values in [0, 1]; the network sees them centered and in
 # raw-pixel scale, the convention the Gaussian(0, 0.01) initialization and
@@ -51,7 +51,10 @@ _POOL = ThreadPoolExecutor(max(1, usable_cores() - 1),
 
 
 def _in_order(fn, items):
-    return [fn(*item) for item in items]
+    try:
+        return [fn(*item) for item in items]
+    finally:  # a run's inference convs leave no workspace on its thread
+        release_workspace()
 
 
 def _contiguous(items, k):

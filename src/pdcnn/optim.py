@@ -172,6 +172,8 @@ def evaluate(net: PdcnnNet, test_set: Dataset, batch_size: int = 64) -> float:
     n = len(test_set)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     labels = test_set.labels
     crop = test_set.crop_size
     wrong = 0

@@ -143,6 +143,45 @@ def test_chunked_inference_bit_equal_to_training_forward(monkeypatch, size, conf
     assert chunked == [whole] * 3
 
 
+def _fill_workspace():
+    """Leave this thread a workspace larger than any 4,3,4 net's, full of
+    another conv's columns and output (outside the network a conv's workspace
+    stays); its size in bytes."""
+    rng = np.random.default_rng(9)
+    conv = L.Conv2d(rng.standard_normal((256, 64, 5, 5), dtype=np.float32),
+                    np.ones(256, np.float32), padding=2)
+    conv.forward(rng.standard_normal((1, 64, 56, 56), dtype=np.float32))
+    return L._THREAD.workspace.size
+
+
+@pytest.mark.bit_equal
+@pytest.mark.parametrize("size,config,batch", [
+    (56, DESK, 64), (224, ArchConfig(), 6)], ids=["desk", "full"])
+def test_reused_workspace_leaks_nothing_into_logits(monkeypatch, size, config,
+                                                    batch):
+    # one thread runs every item of a float32 4,3,4 inference forward (at
+    # full scale 2 chunks of 3 samples per branch) in a workspace that a
+    # larger conv filled first and that each conv leaves to the next; the
+    # logits are the bytes of the same forward given fresh buffers per conv
+    monkeypatch.setattr(N, "usable_cores", lambda: 1)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    net.inference = True
+    x = np.random.default_rng(6).random((batch, 3, size, size))
+    asked = []
+
+    def fresh(nbytes):
+        asked.append(nbytes)
+        return np.empty(nbytes, np.uint8)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(L, "_workspace", fresh)
+        want = net.forward(x).tobytes()
+    assert _fill_workspace() > max(asked)
+    assert net.forward(x).tobytes() == want
+    assert not hasattr(L._THREAD, "workspace")
+
+
 def _sgd_run(monkeypatch, tmp_path, cores, dtype, size, config, batch, steps):
     """Parameters, gradients and model-file bytes after a few SGD steps of a
     4,3,4 net on `cores` threads, and the sorted batch sizes its branches ran
@@ -310,6 +349,89 @@ def test_chunk_error_on_pool_thread_reaches_caller_unchanged(monkeypatch, tmp_pa
         model.backward(dlogits)
     for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
         assert g.tobytes() == want.tobytes()
+
+
+def _pool_threads_holding_a_workspace():
+    """How many of _POOL's threads hold a workspace: one probe on each, all
+    held at a barrier until every thread has taken one."""
+    k = N._POOL._max_workers
+    barrier = threading.Barrier(k)
+
+    def probe():
+        barrier.wait(timeout=60)
+        return hasattr(L._THREAD, "workspace")
+
+    return sum(future.result(timeout=60)
+               for future in [N._POOL.submit(probe) for _ in range(k)])
+
+
+def test_inference_workspace_is_one_buffer_per_thread_per_run(monkeypatch):
+    # desk 4,3,4 in float32 at eval batch 152 on two cores: the calling
+    # thread runs b1's 2 chunks and b2's first, the pool b2's second and
+    # b3's. Each blocked conv's columns and GEMM output are views of its
+    # thread's one workspace, reused by the next conv, and no thread holds
+    # a workspace once forward returns, also when a layer raises on both
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    net.inference = True
+    x = np.random.default_rng(1).random((152, 3, 56, 56))
+    caller = threading.get_ident()
+    gemms = []  # (thread, columns' base, output's base) of each conv block
+
+    class Numpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(a, b, out=None):
+            gemms.append((threading.get_ident(), b.base, out.base))
+            return np.matmul(a, b, out=out)
+
+    monkeypatch.setattr(L, "np", Numpy())
+    net.forward(x)
+    assert {thread for thread, _, _ in gemms} - {caller}
+    for thread in {thread for thread, _, _ in gemms}:
+        bases = [(cols, out) for t, cols, out in gemms if t == thread]
+        assert all(cols is out and cols.dtype == np.uint8
+                   for cols, out in bases)
+        # reused: a thread makes a new one only for a block that needs more
+        assert len({id(cols) for cols, _ in bases}) < len(bases) / 4
+    assert not hasattr(L._THREAD, "workspace")
+    assert _pool_threads_holding_a_workspace() == 0
+    planted = ShapeError("planted after conv1")
+    gemms.clear()
+
+    def raise_planted(_):
+        raise planted
+
+    for b in (0, 2):
+        net.branches[b][1].forward = raise_planted
+    with pytest.raises(ShapeError) as got:
+        net.forward(x)
+    assert got.value is planted
+    assert len({thread for thread, _, _ in gemms}) == 2
+    assert not hasattr(L._THREAD, "workspace")
+    assert _pool_threads_holding_a_workspace() == 0
+
+
+def test_training_never_makes_a_workspace(monkeypatch):
+    # full-scale 4,3,4 in float32 at batch 8 on two cores: b1 and b2's conv2
+    # recompute their columns, running blocks as an inference conv does, and
+    # b3 runs as two 4-sample slices; every training conv allocates its own
+    # buffers
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    made = []
+    monkeypatch.setattr(L, "_workspace", made.append)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    net.forward(np.random.default_rng(1).random((8, 3, 224, 224)))
+    parts = [part for run in net._plan[0] for _, part in run]
+    assert sum(not part.sole for part in parts) == 2
+    assert sum(whole.cols is None for part in parts
+               for whole in part.split.convs.values()) >= 2
+    net.backward(np.ones((8, 2)))
+    assert made == []
 
 
 @pytest.mark.parametrize("dtype,other", [(np.float32, np.float64),

@@ -150,6 +150,16 @@ def test_evaluate_empty_errors(tmp_path):
         evaluate(_StubNet([[1, 0]]), Dataset([], crop_size=8))
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_evaluate_rejects_batch_size_below_one(tmp_path, batch_size):
+    # a negative batch size would run no image and read an error rate of
+    # 0.0, and 0 would end in range()'s own error
+    ds = _memory_dataset(tmp_path, [0, 1, 0, 1])
+    with pytest.raises(ValueError) as got:
+        evaluate(_StubNet([[1, 0]] * 4), ds, batch_size)
+    assert str(got.value) == f"batch_size must be >= 1, got {batch_size}"
+
+
 def _tiny_sets(tmp_path, n_per_class=8, size=20):
     ds = gen_synthetic(n_per_class, size, 0.0, seed=5, out_dir=tmp_path)
     ds.crop_size = size
