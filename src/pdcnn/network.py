@@ -1,13 +1,13 @@
 """Executable parallel network: parameters, forward/backward over batches,
-the threaded training-mode branch runs, and what a PDM1 model file holds
+the threaded training-mode branch runs (whole branches, sample slices, or a
+branch cut in two at a layer), and what a PDM1 model file holds
 (`pdcnn.tensor` frames it). The README's `pdcnn.network` and `pdcnn.layers`
-entries describe the design.
-"""
+entries describe the design."""
 
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 
 import numpy as np
@@ -86,6 +86,16 @@ def _branch_forward(layers, h):
 def _branch_backward(layers, d):
     for layer in reversed(layers):
         d = layer.backward(d)
+    return d
+
+
+def _hand_over(cut, fn, layers, h):
+    """fn(layers, h) as the Future cut's result, or exception; None."""
+    try:
+        cut.set_result(fn(layers, h))
+    except BaseException as err:
+        cut.set_exception(err)
+        raise
 
 
 def _on_part(part, fn, *args):
@@ -204,17 +214,43 @@ class PdcnnNet:
         the threads in order, q = branches // cores to each; each branch left
         over runs as one sample slice per thread, a slice holding at least a
         chunk's samples (see __init__). A float64 net, or a batch too small
-        for two slices, keeps whole branches in contiguous runs."""
+        for two slices, keeps whole branches in contiguous runs; if the last
+        run then holds more than the first, its last branch is cut in two
+        (_on_plan), its item first in the last run and last in the first."""
         branches, cores = len(self.branches), usable_cores()
         q, left = divmod(branches, cores)
         k = min(cores, n // self._chunk) if self.dtype == np.float32 else 1
         if not left or k < 2:
-            return _contiguous([(b, batch_part(n)) for b in range(branches)],
+            runs = _contiguous([(b, batch_part(n)) for b in range(branches)],
                                min(cores, branches))
+            if len(runs[-1]) > len(runs[0]):
+                runs[-1].insert(0, runs[-1].pop())
+                runs[0].append(runs[-1][0])
+            return runs
         parts = [Split(n).parts(k) for _ in range(left)]
         return [[(b, batch_part(n)) for b in range(q * t, q * (t + 1))]
                 + [(q * cores + i, p[t]) for i, p in enumerate(parts) if t < k]
                 for t in range(cores if q else k)]
+
+    def _on_plan(self, fn, plan, inputs, backward=False):
+        """_on_threads of fn (_branch_forward or _branch_backward) over each
+        (b, part) of the plan: branch b from inputs[b][n0:n1], within part. An
+        item in the first run and another is a branch cut before its conv2:
+        the pool runs its first stage (backward: the rest), handing the array
+        at the cut to the caller through a Future; only the caller waits."""
+        cut = {i: Future() for i in set(plan[0]) & set(sum(plan[1:], []))}
+
+        def item(t, b, part):
+            layers, h = self.branches[b], inputs[b][part.n0:part.n1]
+            if (b, part) not in cut:
+                return part, fn, layers, h
+            c = [isinstance(layer, Conv2d) for layer in layers].index(True, 1)
+            piece = layers[:c] if (t > 0) != backward else layers[c:]
+            return ((part, _hand_over, cut[b, part], fn, piece, h) if t
+                    else (part, lambda: fn(piece, cut[b, part].result())))
+
+        return _on_threads(_on_part, [[item(t, b, part) for b, part in run]
+                                      for t, run in enumerate(plan)])
 
     def _share_stems(self, x, plan):
         """Build each group of conv1s (__init__) its stem, the batch's columns
@@ -248,22 +284,21 @@ class PdcnnNet:
             # branch; k chunks, none below the rule
             k = max(1, n // self._chunk) if self.dtype == np.float32 else 1
             edges = [n * i // k for i in range(k + 1)]
-            items = [(b, None, x[a:e]) for b in range(len(self.branches))
+            items = [(b, x[a:e]) for b in range(len(self.branches))
                      for a, e in zip(edges, edges[1:])]
             runs = _contiguous(items, min(usable_cores(), len(items))
                                if k > 1 else 1)
+            out = _on_threads(_branch_forward, [
+                [(self.branches[b], h) for b, h in run] for run in runs])
         else:
-            plan = self._schedule(n)
+            runs = plan = self._schedule(n)
             head = batch_part(n)
             self._share_stems(x, plan)
-            runs = [[(b, part, x[part.n0:part.n1]) for b, part in run]
-                    for run in plan]
-        out = _on_threads(_on_part, [
-            [(part, _branch_forward, self.branches[b], h) for b, part, h in run]
-            for run in runs])
+            out = self._on_plan(_branch_forward, plan, [x] * len(self.branches))
         feats = [[] for _ in self.branches]  # each branch's, in sample order
-        for (b, _, _), h in zip(sum(runs, []), out):
-            feats[b].append(h.reshape(len(h), -1))
+        for (b, _), h in zip(sum(runs, []), out):
+            if h is not None:  # None: a cut branch's first stage
+                feats[b].append(h.reshape(len(h), -1))
         logits = _on_part(head, self.head.forward, np.concatenate(
             [np.concatenate(hs) for hs in feats], axis=1))
         if head is not None:
@@ -285,22 +320,22 @@ class PdcnnNet:
         ds = [d.reshape(len(d), *shape) for d, shape in
               zip(np.split(dfused, edges, axis=1), self._feat_shapes)]
 
-        def runs(sliced):  # the backward calls of whole branches or of slices
-            return [[(part, _branch_backward, self.branches[b],
-                      ds[b][part.n0:part.n1])
-                     for b, part in run if part.sole != sliced] for run in plan]
+        def branches_backward(sliced):  # of whole branches or of slices
+            return self._on_plan(_branch_backward, [
+                [(b, part) for b, part in run if part.sole != sliced]
+                for run in plan], ds, backward=True)
 
         # sliced branches first, so that their whole-batch arrays are freed
         # before the whole branches' backward allocates
         splits = [part.split for _, part in plan[0] if not part.sole]
         if splits:
-            _on_threads(_on_part, runs(True))
+            branches_backward(True)
             _on_threads(Split.weight_grads, [[(split, t, len(plan))
                                               for split in splits]
                                              for t in range(len(plan))])
             for split in splits:
                 split.convs.clear()
-        _on_threads(_on_part, runs(False))
+        branches_backward(False)
 
 
 def save_model(net: PdcnnNet, path) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -215,8 +216,8 @@ def _sgd_run(monkeypatch, tmp_path, cores, dtype, size, config, batch, steps):
 
 @pytest.mark.bit_equal
 @pytest.mark.parametrize("size,config,batch,dtype,steps,runs", [
-    (56, DESK, 16, np.float32, 3, {2: [16] * 3, 3: [16] * 3}),
-    (56, DESK, 16, np.float64, 3, {2: [16] * 3, 3: [16] * 3}),
+    (56, DESK, 16, np.float32, 3, {2: [16] * 4, 3: [16] * 3}),
+    (56, DESK, 16, np.float64, 3, {2: [16] * 4, 3: [16] * 3}),
     (224, ArchConfig(), 8, np.float32, 2,
      {2: [4, 4, 8, 8], 3: [8] * 3, 4: [4] * 6}),
     (224, ArchConfig(), 7, np.float32, 2,
@@ -228,7 +229,8 @@ def test_parallel_branches_train_bit_equal_to_sequential(
     # At full scale in float32, 2 threads run b1 and b2 whole, then b3 as one
     # slice of at least 3 samples per thread, and 4 threads every branch as
     # 2 slices; a desk slice would need 76 samples, so desk and float64 runs
-    # keep whole branches in contiguous runs, [b1] | [b2 b3] on 2 threads
+    # keep whole branches in contiguous runs, and on 2 threads b3 runs as two
+    # pieces cut before its conv2, [b1, b3 conv2...] | [b3 stage 1, b2]
     sequential = _sgd_run(monkeypatch, tmp_path, 1, dtype, size, config,
                           batch, steps)
     assert sequential[3] == [batch] * 3
@@ -239,12 +241,181 @@ def test_parallel_branches_train_bit_equal_to_sequential(
         assert got[3] == sorted(sizes)
 
 
+def _record_calls(net, calls):
+    """Append (method, branch, layer index, thread) to calls at every branch
+    layer's forward and backward."""
+    for b, layers in enumerate(net.branches):
+        for i, layer in enumerate(layers):
+            for method in ("forward", "backward"):
+                def call(h, real=getattr(layer, method), key=(method, b, i)):
+                    calls.append((*key, threading.get_ident()))
+                    return real(h)
+
+                setattr(layer, method, call)
+
+
+def _desk_sgd(tmp_path, dtype, batch, steps, seed=4, calls=None):
+    """Parameter, gradient and model-file bytes after `steps` SGD steps of a
+    desk 4,3,4 net; calls, if given, records the last step's layer calls."""
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
+    net = PdcnnNet(spec, T.Rng(seed), dtype=dtype)
+    if calls is not None:
+        _record_calls(net, calls)
+    cfg = SgdConfig()
+    state = init_state(net, 0, cfg)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        if calls is not None:
+            calls.clear()
+        x = rng.random((batch, 3, 56, 56))
+        _, dlogits = softmax_xent_batch(net.forward(x), rng.integers(0, 2, batch))
+        net.backward(dlogits / batch)
+        sgd_step(state, net.gradients(), cfg)
+    path = tmp_path / f"desk-{seed}-{threading.get_ident()}.bin"
+    save_model(net, path)
+    return ([w.tobytes() for _, w in net.parameters()],
+            [g.tobytes() for _, g in net.gradients()], path.read_bytes())
+
+
+@pytest.mark.bit_equal
+@pytest.mark.parametrize("dtype,batch", [(np.float32, 32), (np.float64, 19)],
+                         ids=["float32", "float64"])
+def test_cut_branch_bit_equal_to_sequential(monkeypatch, tmp_path, dtype, batch):
+    # desk 4,3,4 on 2 cores, which may not slice (a slice needs 76 samples,
+    # and float64 never slices), cuts b3 before its conv2: in forward the
+    # pool runs b3's first stage, conv1 to norm1, before b2, and the caller
+    # b3's conv2 onward after b1; backward is the mirror image. Every byte
+    # is one thread's
+    monkeypatch.setattr(N, "usable_cores", lambda: 1)
+    sequential = _desk_sgd(tmp_path, dtype, batch, 3)
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    calls = []
+    assert _desk_sgd(tmp_path, dtype, batch, 3, calls=calls) == sequential
+    caller = threading.get_ident()
+    for method, ahead, behind in [("forward", range(4), range(4, 14)),
+                                  ("backward", range(4, 14), range(4))]:
+        order = [(b, i, thread) for m, b, i, thread in calls if m == method]
+        at = {(b, i): k for k, (b, i, _) in enumerate(order)}
+        threads = {(b, i): thread for b, i, thread in order}
+        assert len(at) == len(order) == 14 + 12 + 14
+        assert all(threads[2, i] != caller for i in ahead)
+        assert all(threads[2, i] == caller for i in behind)
+        assert all(threads[1, i] == threads[2, ahead[0]] for i in range(12))
+        assert all(threads[0, i] == caller for i in range(14))
+        assert max(at[2, i] for i in ahead) < min(at[1, i] for i in range(12))
+        assert min(at[2, i] for i in behind) > max(at[0, i] for i in range(14))
+    # a full-scale float32 batch of 8 still runs b3 as two slices, uncut
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
+    plan = PdcnnNet(spec, T.Rng(4), dtype=np.float32)._schedule(8)
+    assert [[(b, part.sole) for b, part in run] for run in plan] == [
+        [(0, True), (2, False)], [(1, True), (2, False)]]
+
+
+def _ends_within(seconds, fn):
+    """The exception fn() raised on a thread of its own, None if it
+    returned; asserts that it ended within `seconds`."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except Exception as err:
+            raised.append(err)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive()
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize("method,b,i,on_pool", [
+    ("forward", 2, 3, True), ("backward", 2, 4, True),
+    ("forward", 0, 1, False), ("backward", 0, 4, False),
+], ids=["b3-norm1-forward", "b3-conv2-backward", "b1-pool1-forward",
+        "b1-conv2-backward"])
+def test_cut_handoff_error_reaches_caller_unchanged(monkeypatch, method, b, i,
+                                                    on_pool):
+    # desk 4,3,4 in float32 at batch 8 on 2 cores, b3 cut before its conv2.
+    # An error in a piece that runs ahead on the pool (b3's norm1 forward or
+    # conv2 backward) is set on the handoff and raised, the same object, by
+    # the caller waiting on it; an error in b1, before the caller's piece,
+    # leaves nothing waiting: the pool runs all of its work and the caller
+    # never runs its piece. Either way the pool answers a probe and the next
+    # step's gradients are a fresh net's
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 56, 56), config=DESK)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    x = np.random.default_rng(1).random((8, 3, 56, 56))
+    dlogits = np.ones((8, 2))
+    calls = []
+    _record_calls(net, calls)
+    layer = net.branches[b][i]
+    real = getattr(layer, method)
+    planted = ShapeError(f"planted in branch{b + 1}")
+
+    def raise_planted(h):
+        real(h)
+        raise planted
+
+    setattr(layer, method, raise_planted)
+
+    def step():
+        net.forward(x)
+        net.backward(dlogits)
+
+    assert _ends_within(60, step) is planted
+    caller = {thread for m, bb, _, thread in calls if bb == 0}
+    assert len(caller) == 1
+    threads = {(m, bb, ii): thread for m, bb, ii, thread in calls}
+    assert (threads[method, b, i] in caller) != on_pool
+    if not on_pool:  # the pool ran to its end, b2; the caller stopped at b1
+        assert (method, 1, 11 if method == "forward" else 0) in threads
+        assert (method, 2, 4 if method == "forward" else 3) not in threads
+    assert N._POOL.submit(threading.get_ident).result(timeout=60) not in caller
+    setattr(layer, method, real)
+    fresh = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    for model in (net, fresh):
+        model.forward(x)
+        model.backward(dlogits)
+    for (_, g), (_, want) in zip(net.gradients(), fresh.gradients()):
+        assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.bit_equal
+def test_two_trainings_share_the_pool(monkeypatch, tmp_path):
+    # two desk trainings from two threads at once, each cutting b3 on 2
+    # cores, share _POOL (a single thread on a 2-core machine); each
+    # caller waits only on its own pool piece, which never waits, so both
+    # finish with their one-thread bytes, also with threads switched often
+    monkeypatch.setattr(N, "usable_cores", lambda: 1)
+    want = [_desk_sgd(tmp_path, np.float32, 16, 3, seed) for seed in (4, 5)]
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    got = {}
+    threads = [threading.Thread(target=lambda seed=seed: got.update(
+        {seed: _desk_sgd(tmp_path, np.float32, 16, 3, seed)}), daemon=True)
+        for seed in (4, 5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [got.get(seed) for seed in (4, 5)] == want
+
+
 @pytest.mark.parametrize("method", ["forward", "backward"])
 @pytest.mark.parametrize("failing", [[2], [0, 2]], ids=["pool", "both"])
 def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
     # two cores: branch 1 runs on the calling thread, branches 2 and 3 on the
-    # pool; the first failing branch's exception is the one raised
+    # pool; the first failing branch's exception is the one raised. b3 is cut
+    # before its conv2, so pool1's forward and conv2's backward run on the pool
     monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    layer = 1 if method == "forward" else 4
     net = tiny_net([4, 3, 3], seed=5)
     x = np.random.default_rng(1).random((2, 3, 20, 20))
     dlogits = np.ones((2, 2))
@@ -258,14 +429,14 @@ def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
         return raise_planted
 
     for b in failing:
-        setattr(net.branches[b][1], method, fail(b))
+        setattr(net.branches[b][layer], method, fail(b))
     with pytest.raises(ShapeError) as got:
         net.forward(x)
         net.backward(dlogits)
     assert got.value is errors[failing[0]]
     assert threads[2] != threading.get_ident()
     for b in failing:
-        delattr(net.branches[b][1], method)
+        delattr(net.branches[b][layer], method)
     net.forward(x)
     net.backward(dlogits)
     fresh = tiny_net([4, 3, 3], seed=5)
