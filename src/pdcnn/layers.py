@@ -51,7 +51,7 @@ The output and gradient bytes are the same on every path.
 A conv's whole-batch arrays, its columns or padded input and from backward
 on its upstream gradient, live in the Split, each part filling its own sample
 range. A part that is the whole batch computes the weight and bias
-gradients in backward. The network may also run one branch as sample
+gradients in backward. The network may also run a branch as sample
 slices on several threads, one Part each; a slice's backward computes only
 its input gradient, and Split.weight_grads then runs the whole-batch weight
 and bias gradient GEMMs, shared out over the threads, once every slice is
@@ -114,9 +114,10 @@ def _part():
 
 def _workspace(nbytes: int) -> np.ndarray:
     """nbytes of this thread's byte buffer, grown to the largest asked."""
-    if len(getattr(_THREAD, "workspace", ())) < nbytes:
-        _THREAD.workspace = np.empty(nbytes, np.uint8)
-    return _THREAD.workspace[:nbytes]
+    workspace = getattr(_THREAD, "workspace", None)
+    if workspace is None or len(workspace) < nbytes:
+        workspace = _THREAD.workspace = np.empty(nbytes, np.uint8)
+    return workspace[:nbytes]
 
 
 def release_workspace() -> None:

@@ -210,27 +210,24 @@ class PdcnnNet:
 
     def _schedule(self, n):
         """Each thread's training items, (branch index, layers.Part), the
-        calling thread's first. Whole branches, each a one-part Split, go to
-        the threads in order, q = branches // cores to each; each branch left
-        over runs as one sample slice per thread, a slice holding at least a
-        chunk's samples (see __init__). A float64 net, or a batch too small
-        for two slices, keeps whole branches in contiguous runs; if the last
-        run then holds more than the first, its last branch is cut in two
-        (_on_plan), its item first in the last run and last in the first."""
+        calling thread's first. A float32 net with fewer branches than cores,
+        which cannot give each thread a branch of its own, runs every branch
+        as one sample slice per thread when the batch gives two slices, each
+        of at least a chunk's samples (see __init__). Any other step runs
+        whole branches, each a one-part Split, in contiguous runs; if the
+        last run then holds more than the first, its last branch is cut in
+        two (_on_plan), its item first in the last run and last in the first."""
         branches, cores = len(self.branches), usable_cores()
-        q, left = divmod(branches, cores)
         k = min(cores, n // self._chunk) if self.dtype == np.float32 else 1
-        if not left or k < 2:
-            runs = _contiguous([(b, batch_part(n)) for b in range(branches)],
-                               min(cores, branches))
-            if len(runs[-1]) > len(runs[0]):
-                runs[-1].insert(0, runs[-1].pop())
-                runs[0].append(runs[-1][0])
-            return runs
-        parts = [Split(n).parts(k) for _ in range(left)]
-        return [[(b, batch_part(n)) for b in range(q * t, q * (t + 1))]
-                + [(q * cores + i, p[t]) for i, p in enumerate(parts) if t < k]
-                for t in range(cores if q else k)]
+        if branches < cores and k > 1:
+            parts = [Split(n).parts(k) for _ in range(branches)]
+            return [[(b, p[t]) for b, p in enumerate(parts)] for t in range(k)]
+        runs = _contiguous([(b, batch_part(n)) for b in range(branches)],
+                           min(cores, branches))
+        if len(runs[-1]) > len(runs[0]):
+            runs[-1].insert(0, runs[-1].pop())
+            runs[0].append(runs[-1][0])
+        return runs
 
     def _on_plan(self, fn, plan, inputs, backward=False):
         """_on_threads of fn (_branch_forward or _branch_backward) over each
@@ -269,9 +266,9 @@ class PdcnnNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N,K) logits for an (N,C,H,W) batch of [0, 1] images whose
-        (C,H,W) is spec.input_shape."""
+        (C,H,W) is spec.input_shape, N >= 1."""
         want = self.spec.input_shape
-        if x.shape[1:] != want:
+        if x.shape[1:] != want or len(x) < 1:
             raise ShapeError(f"network expects (N, {', '.join(map(str, want))})"
                              f" input batches, got shape {x.shape}")
         # a new array, so the in-place scale leaves the caller's batch alone
@@ -308,9 +305,9 @@ class PdcnnNet:
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate (N,K) logit gradients, cast to the network's dtype;
         fills every grad_* attribute. Consumes the latest training forward's
-        caches, each layer's freed as its backward finishes with it; a
-        branch run as sample slices then computes its weight gradients from
-        the whole batch, shared out over the same threads."""
+        caches, each layer's freed as its backward finishes with it; branches
+        run as sample slices then compute their weight gradients from the
+        whole batch, shared out over the same threads."""
         dlogits = np.asarray(dlogits, dtype=self.dtype)
         plan, head = self._plan or ([], None)
         self._plan = None
@@ -319,23 +316,14 @@ class PdcnnNet:
         edges = np.cumsum([math.prod(s) for s in self._feat_shapes])[:-1]
         ds = [d.reshape(len(d), *shape) for d, shape in
               zip(np.split(dfused, edges, axis=1), self._feat_shapes)]
-
-        def branches_backward(sliced):  # of whole branches or of slices
-            return self._on_plan(_branch_backward, [
-                [(b, part) for b, part in run if part.sole != sliced]
-                for run in plan], ds, backward=True)
-
-        # sliced branches first, so that their whole-batch arrays are freed
-        # before the whole branches' backward allocates
+        self._on_plan(_branch_backward, plan, ds, backward=True)
         splits = [part.split for _, part in plan[0] if not part.sole]
         if splits:
-            branches_backward(True)
             _on_threads(Split.weight_grads, [[(split, t, len(plan))
                                               for split in splits]
                                              for t in range(len(plan))])
             for split in splits:
                 split.convs.clear()
-        branches_backward(False)
 
 
 def save_model(net: PdcnnNet, path) -> None:

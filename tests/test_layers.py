@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
@@ -260,6 +261,18 @@ def test_conv_blocked_inference_forward_is_bit_equal(config, size, batch, dtype)
                                 conv.padding)
         assert out.dtype == want.dtype and out.shape == want.shape
         assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_inference_forward_of_an_empty_batch_is_empty(dtype):
+    # on a thread that holds no workspace, as every thread does between
+    # network runs, a float32 conv asks for a workspace of 0 bytes
+    conv = Conv2d(np.ones((4, 3, 5, 5), dtype), np.zeros(4, dtype), stride=2,
+                  padding=1)
+    with ThreadPoolExecutor(1) as thread:
+        out = thread.submit(conv.forward,
+                            np.empty((0, 3, 20, 20), dtype)).result()
+    assert out.shape == (0, 4, 9, 9) and out.dtype == dtype
 
 
 @pytest.mark.bit_equal

@@ -219,18 +219,18 @@ def _sgd_run(monkeypatch, tmp_path, cores, dtype, size, config, batch, steps):
     (56, DESK, 16, np.float32, 3, {2: [16] * 4, 3: [16] * 3}),
     (56, DESK, 16, np.float64, 3, {2: [16] * 4, 3: [16] * 3}),
     (224, ArchConfig(), 8, np.float32, 2,
-     {2: [4, 4, 8, 8], 3: [8] * 3, 4: [4] * 6}),
+     {2: [8] * 4, 3: [8] * 3, 4: [4] * 6}),
     (224, ArchConfig(), 7, np.float32, 2,
-     {2: [3, 4, 7, 7], 3: [7] * 3, 4: [3, 4] * 3}),
+     {2: [7] * 4, 3: [7] * 3, 4: [3, 4] * 3}),
 ], ids=["float32", "float64", "full-8", "full-7"])
 def test_parallel_branches_train_bit_equal_to_sequential(
         monkeypatch, tmp_path, size, config, batch, dtype, steps, runs):
     # branches spread over 2, 3 or 4 threads give the bytes of one thread.
-    # At full scale in float32, 2 threads run b1 and b2 whole, then b3 as one
-    # slice of at least 3 samples per thread, and 4 threads every branch as
-    # 2 slices; a desk slice would need 76 samples, so desk and float64 runs
-    # keep whole branches in contiguous runs, and on 2 threads b3 runs as two
-    # pieces cut before its conv2, [b1, b3 conv2...] | [b3 stage 1, b2]
+    # At full scale in float32, 4 threads, more than the 3 branches, run
+    # every branch as 2 slices of at least 3 samples; every other run keeps
+    # whole branches in contiguous runs (a desk slice would need 76 samples,
+    # and float64 never slices), and on 2 threads b3 runs as two pieces cut
+    # before its conv2, [b1, b3 conv2...] | [b3 stage 1, b2]
     sequential = _sgd_run(monkeypatch, tmp_path, 1, dtype, size, config,
                           batch, steps)
     assert sequential[3] == [batch] * 3
@@ -304,11 +304,11 @@ def test_cut_branch_bit_equal_to_sequential(monkeypatch, tmp_path, dtype, batch)
         assert all(threads[0, i] == caller for i in range(14))
         assert max(at[2, i] for i in ahead) < min(at[1, i] for i in range(12))
         assert min(at[2, i] for i in behind) > max(at[0, i] for i in range(14))
-    # a full-scale float32 batch of 8 still runs b3 as two slices, uncut
+    # a full-scale float32 batch of 8, large enough for two slices, cuts b3 too
     spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
     plan = PdcnnNet(spec, T.Rng(4), dtype=np.float32)._schedule(8)
     assert [[(b, part.sole) for b, part in run] for run in plan] == [
-        [(0, True), (2, False)], [(1, True), (2, False)]]
+        [(0, True), (2, True)], [(2, True), (1, True)]]
 
 
 def _ends_within(seconds, fn):
@@ -450,12 +450,13 @@ def test_branch_error_reaches_caller_unchanged(monkeypatch, method, failing):
 @pytest.mark.parametrize("failing", [["pool"], ["caller", "pool"]],
                          ids=["pool", "both"])
 def test_slice_error_reaches_caller_unchanged(monkeypatch, method, failing):
-    # full-scale 4,3,4 in float32 at batch 6 on two cores: the calling thread
-    # runs b1 and b3's first 3-sample slice, the pool b2 and b3's second. An
-    # error planted in b3's conv2 on a slice's thread ends the step once
-    # both threads are done, the calling thread's first; no thread is left
-    # waiting, and the next step's gradients are a fresh net's
-    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    # full-scale 4,3,4 in float32 at batch 6 on four cores: every branch
+    # runs as two 3-sample slices, the calling thread the first of each, the
+    # pool the second. An error planted in b3's conv2 on a slice's thread
+    # ends the step once both threads are done, the calling thread's first;
+    # no thread is left waiting, and the next step's gradients are a fresh
+    # net's
+    monkeypatch.setattr(N, "usable_cores", lambda: 4)
     spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
     net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
     x = np.random.default_rng(1).random((6, 3, 224, 224))
@@ -587,18 +588,18 @@ def test_inference_workspace_is_one_buffer_per_thread_per_run(monkeypatch):
 
 
 def test_training_never_makes_a_workspace(monkeypatch):
-    # full-scale 4,3,4 in float32 at batch 8 on two cores: b1 and b2's conv2
-    # recompute their columns, running blocks as an inference conv does, and
-    # b3 runs as two 4-sample slices; every training conv allocates its own
-    # buffers
-    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    # full-scale 4,3,4 in float32 at batch 8 on four cores: every branch
+    # runs as two 4-sample slices, and b1 and b2's conv2 recompute their
+    # columns, running blocks as an inference conv does; every training conv
+    # allocates its own buffers
+    monkeypatch.setattr(N, "usable_cores", lambda: 4)
     made = []
     monkeypatch.setattr(L, "_workspace", made.append)
     spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
     net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
     net.forward(np.random.default_rng(1).random((8, 3, 224, 224)))
     parts = [part for run in net._plan[0] for _, part in run]
-    assert sum(not part.sole for part in parts) == 2
+    assert sum(not part.sole for part in parts) == 6
     assert sum(whole.cols is None for part in parts
                for whole in part.split.convs.values()) >= 2
     net.backward(np.ones((8, 2)))
@@ -629,6 +630,68 @@ def test_forward_rejects_input_of_another_shape(shape):
         net.forward(np.zeros(shape))
     assert str(err.value) == ("network expects (N, 3, 20, 20) input batches, "
                               f"got shape {shape}")
+
+
+@pytest.mark.parametrize("inference", [False, True])
+def test_forward_rejects_an_empty_batch(inference):
+    net = tiny_net([4, 3], dtype=np.float32)
+    net.inference = inference
+    with pytest.raises(ShapeError) as err:
+        net.forward(np.zeros((0, 3, 20, 20)))
+    assert str(err.value) == ("network expects (N, 3, 20, 20) input batches, "
+                              "got shape (0, 3, 20, 20)")
+
+
+def _plan_shape(net, n):
+    """net's training plan for an n-sample batch, one list of items per
+    thread: "b1" a whole branch, "b1[0:16]" a sample slice, and a cut
+    branch "b3 conv2..." on the calling thread, "b3 to norm1" on the pool."""
+    plan = net._schedule(n)
+    cut = set(plan[0]) & set(sum(plan[1:], []))
+
+    def item(t, b, part):
+        name = f"b{b + 1}" if part.sole else f"b{b + 1}[{part.n0}:{part.n1}]"
+        if (b, part) not in cut:
+            return name
+        names = net.branch_layer_names[b]
+        c = [isinstance(layer, L.Conv2d)
+             for layer in net.branches[b]].index(True, 1)
+        return f"{name} {names[c]}..." if t == 0 else f"{name} to {names[c - 1]}"
+
+    return [[item(t, b, part) for b, part in run] for t, run in enumerate(plan)]
+
+
+_CUT = [["b1", "b3 conv2..."], ["b3 to norm1", "b2"]]
+_WHOLE = [["b1"], ["b2"], ["b3"]]
+
+
+@pytest.mark.parametrize("size,config,depths,dtype,batch,plans", [
+    (224, ArchConfig(), [4], np.float32, 32,
+     {2: [["b1[0:16]"], ["b1[16:32]"]]}),
+    (224, ArchConfig(), [4], np.float32, 5, {2: [["b1"]]}),
+    (224, ArchConfig(), [4], np.float64, 32, {2: [["b1"]]}),
+    (224, ArchConfig(), [4, 3, 4], np.float32, 32, {
+        2: _CUT,
+        4: [[f"b{b}[{8 * t}:{8 * t + 8}]" for b in (1, 2, 3)]
+            for t in range(4)]}),
+    (56, DESK, [4, 3, 4], np.float32, 32, {2: _CUT, 3: _WHOLE, 4: _WHOLE}),
+    (56, DESK, [4, 3, 4], np.float64, 19, {2: _CUT, 3: _WHOLE, 4: _WHOLE}),
+    (224, ArchConfig(), [4, 3, 4, 5], np.float32, 32,
+     {3: [["b1", "b4 conv2..."], ["b2"], ["b4 to norm1", "b3"]]}),
+], ids=["full-4", "full-4-batch5", "full-4-float64", "full-4,3,4",
+        "desk-4,3,4", "desk-4,3,4-float64", "full-4,3,4,5"])
+def test_training_plan_shapes(monkeypatch, size, config, depths, dtype, batch,
+                              plans):
+    # a float32 net with fewer branches than cores runs every branch as one
+    # sample slice per thread, when the batch gives two slices (3 samples
+    # each at full scale, 76 at desk scale); every other step runs whole
+    # branches in contiguous runs, and cuts the last run's last branch
+    # before its conv2 when that run holds more branches than the first
+    spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
+    for cores, want in plans.items():
+        monkeypatch.setattr(N, "usable_cores", lambda: cores)
+        assert _plan_shape(net, batch) == want, cores
 
 
 @pytest.mark.parametrize("size,config", [
@@ -713,11 +776,11 @@ def test_backward_consumes_every_layer_cache():
 
 
 @pytest.mark.parametrize("size,config,batch,cores", [
-    (56, DESK, 16, 1), (224, ArchConfig(), 8, 2)], ids=["desk", "full-split"])
+    (56, DESK, 16, 1), (224, ArchConfig(), 8, 4)], ids=["desk", "full-split"])
 def test_no_layer_holds_per_step_state(monkeypatch, size, config, batch, cores):
     # a training forward keeps every backward cache in the parts of the
     # network's plan, never in a layer: at desk scale every branch runs
-    # whole, at full scale on 2 cores b3 runs as two slices; backward then
+    # whole, at full scale on 4 cores each runs as two slices; backward then
     # empties every part and every split
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
     spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
@@ -734,21 +797,21 @@ def test_no_layer_holds_per_step_state(monkeypatch, size, config, batch, cores):
         plan, head = net._plan
         parts = [part for run in plan for _, part in run] + [head]
         assert any(part.caches for part in parts)
-        assert sum(not part.sole for part in parts) == (2 if cores > 1 else 0)
+        assert sum(not part.sole for part in parts) == (6 if cores > 1 else 0)
         net.backward(np.ones_like(logits))
         assert not any(part.caches or part.split.convs for part in parts)
 
 
 def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
-    # a full-scale 4,3,4 float32 training forward at batch 8 on 2 cores (b3
-    # as two slices): each stage runs conv -> pool -> ReLU, so a MaxPool part
-    # cache is (input shape, integer rank shaped like the output), the next
-    # Relu's a bool mask of that same shape, and every conv output a pool
-    # reads is freed by the end of the forward, so what the forward leaves
-    # allocated stays below 74 MiB (about 70 MiB; 76 MiB with the ReLU before
-    # the pool, 93 MiB when the ReLU kept its output and the pool its input
-    # and output)
-    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    # a full-scale 4,3,4 float32 training forward at batch 8 on 4 cores
+    # (each branch as two slices): each stage runs conv -> pool -> ReLU, so
+    # a MaxPool part cache is (input shape, integer rank shaped like the
+    # output), the next Relu's a bool mask of that same shape, and every conv
+    # output a pool reads is freed by the end of the forward, so what the
+    # forward leaves allocated stays below 74 MiB (about 70 MiB; 76 MiB with
+    # the ReLU before the pool, 93 MiB when the ReLU kept its output and the
+    # pool its input and output)
+    monkeypatch.setattr(N, "usable_cores", lambda: 4)
     spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224),
                        config=ArchConfig())
     net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
@@ -778,7 +841,7 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held < 74 << 20, held / 2**20
-    assert len(outputs) == 3 + 3 + 2 * 3  # b3 runs as 2 slices
+    assert len(outputs) == 2 * (3 + 3 + 3)  # every branch runs as 2 slices
     assert all(ref() is None for ref in outputs)
     plan, head = net._plan
     pools = relus = 0
@@ -795,7 +858,7 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
                 assert mask.dtype == bool and mask.shape == rank.shape
                 pools += 1
         relus += sum(isinstance(layer, L.Relu) for layer in part.caches)
-    assert (pools, relus) == (len(outputs), 4 + 3 + 2 * 4)
+    assert (pools, relus) == (len(outputs), 2 * (4 + 3 + 4))
     net.backward(np.ones_like(logits))
 
 
@@ -816,7 +879,7 @@ def _paper_order(net):
     (56, DESK, 32, np.float32, 1), (56, DESK, 32, np.float64, 1),
     (56, DESK, 19, np.float32, 1), (56, DESK, 19, np.float64, 1),
     (20, TINY, 7, np.float32, 1), (20, TINY, 7, np.float64, 1),
-    (224, ArchConfig(), 8, np.float32, 2),
+    (224, ArchConfig(), 8, np.float32, 4),
 ], ids=["desk32-float32", "desk32-float64", "desk19-float32", "desk19-float64",
         "tiny7-float32", "tiny7-float64", "full8-split"])
 def test_pool_before_relu_bit_equal_to_paper_order(monkeypatch, size, config,
@@ -824,7 +887,8 @@ def test_pool_before_relu_bit_equal_to_paper_order(monkeypatch, size, config,
     # the spec runs each stage's pool before its ReLU; a training step
     # gives the logits and gradient bytes of the paper's order, ReLU first,
     # the sign of every zero included: a window whose max is <= 0 sends
-    # nothing back in either order. Full scale on 2 cores runs b3 as slices
+    # nothing back in either order. Full scale on 4 cores runs every branch
+    # as slices
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
     spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
     rng = np.random.default_rng(6)
@@ -844,9 +908,9 @@ def test_pool_before_relu_bit_equal_to_paper_order(monkeypatch, size, config,
 
 @pytest.mark.bit_equal
 @pytest.mark.parametrize("size,config,depths,batch,dtype,cores", [
-    (224, ArchConfig(), [4, 3, 4], 32, np.float32, 2),
+    (224, ArchConfig(), [4, 3, 4], 32, np.float32, 4),
     (224, ArchConfig(), [4, 3, 4], 32, np.float32, 1),
-    (224, ArchConfig(), [4, 3, 4], 16, np.float32, 2),
+    (224, ArchConfig(), [4, 3, 4], 16, np.float32, 4),
     (224, ArchConfig(), [4, 3, 4], 16, np.float32, 1),
     (56, DESK, [4, 3, 4], 16, np.float64, 2),
     (224, ArchConfig(), [4, 4], 5, np.float32, 1),
@@ -858,9 +922,9 @@ def test_conv1_reading_the_stem_bit_equal_to_whole_batch_conv(
     # every branch's conv1 gives the output and gradient bytes of one
     # whole-batch GEMM over its own columns: at full scale the 7x7s read the
     # stem as it is and a 5x5 (b3 of 4,3,4, b2 of 4,4) its rows, for its
-    # forward and, one kernel row at a time, for its weight gradient; on 2
-    # cores b3 runs as 2 slices; at desk scale b1 and b2 share and b3 builds
-    # its own
+    # forward and, one kernel row at a time, for its weight gradient; on 4
+    # cores every branch runs as 4 slices; at desk scale b1 and b2 share and
+    # b3 builds its own
     monkeypatch.setattr(N, "usable_cores", lambda: cores)
     spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
     net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
@@ -891,8 +955,7 @@ def test_conv1_reading_the_stem_bit_equal_to_whole_batch_conv(
     for conv in convs:
         h, out, dout = (np.concatenate(a) for a in
                         zip(*(seen[conv][n0] for n0 in sorted(seen[conv]))))
-        assert len(seen[conv]) == (2 if cores > 1 and conv is convs[2]
-                                   and size == 224 else 1)
+        assert len(seen[conv]) == (cores if size == 224 else 1)
         want = conv_whole_batch(h, conv.weights, conv.bias, conv.stride,
                                 conv.padding)
         assert out.tobytes() == want.tobytes()
@@ -913,8 +976,8 @@ def test_conv1_groups_share_one_read_only_stem_per_step(
     # conv1s of equal stride, padding and output extent share one stem, at
     # the group's widest kernel: at full scale 7x7 b1, b2 and 5x5 b3 (56x56
     # outputs); not the desk 5x5 (28x28 against 27x27), a variant-2 9x9
-    # (55x55) or a group of one. On 2 cores full-scale b3 runs as 2 slices of
-    # one split. No stem survives backward.
+    # (55x55) or a group of one. On 2 cores the one-branch net runs as 2
+    # slices of one split. No stem survives backward.
     monkeypatch.setattr(N, "usable_cores", lambda: 2)
     spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
     net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
