@@ -50,12 +50,13 @@ The output and gradient bytes are the same on every path.
 
 A conv's whole-batch arrays, its columns or padded input and from backward
 on its upstream gradient, live in the Split, each part filling its own sample
-range. A part that is the whole batch computes the weight and bias
-gradients in backward. The network may also run a branch as sample
-slices on several threads, one Part each; a slice's backward computes only
-its input gradient, and Split.weight_grads then runs the whole-batch weight
-and bias gradient GEMMs, shared out over the threads, once every slice is
-done.
+range. A training step runs all its branches in one Split: whole branches
+share its one part, the whole batch, whose backward computes the weight and
+bias gradients; or each thread runs every branch as one sample slice, a Part
+each, whose backward computes only its input gradient, and Split.weight_grads
+then runs the whole-batch weight and bias gradient GEMMs, shared out over
+the threads, once every slice is done. Inference takes its chunks' sample
+ranges from a Split's parts but runs outside them.
 """
 
 import threading

@@ -1,8 +1,8 @@
 """Executable parallel network: parameters, forward/backward over batches,
-the threaded training-mode branch runs (whole branches, sample slices, or a
-branch cut in two at a layer), and what a PDM1 model file holds
-(`pdcnn.tensor` frames it). The README's `pdcnn.network` and `pdcnn.layers`
-entries describe the design."""
+the plans that put its branches on threads (inference chunks, training
+slices, or whole branches, one cut in two at a layer), and what a PDM1 model
+file holds (`pdcnn.tensor` frames it). The README's `pdcnn.network` and
+`pdcnn.layers` entries describe the design."""
 
 import math
 import os
@@ -134,7 +134,7 @@ class PdcnnNet:
         self.branch_layer_names = []
         self._feat_shapes = []  # each branch's (C,H,W) output
         cols = []  # each conv's per-sample im2col columns, C*k*k*oh*ow
-        groups = {}  # {branch: conv1} by stride, padding and output extent
+        groups = {}  # [conv1] by stride, padding and output extent
         branch_rows = iter(rows)  # the rows of every branch layer, in order
         for b, arch in enumerate(spec.branches):
             layers = []
@@ -148,13 +148,13 @@ class PdcnnNet:
                     cols.append(shape[0] * ls.kernel ** 2 * oh * ow)
                     if len(layers) == 1:
                         groups.setdefault((ls.stride, ls.padding, oh, ow),
-                                          {})[b] = layers[0]
+                                          []).append(layers[0])
                 shape = row.shape
             self.branches.append(layers)
             self.branch_layer_names.append([ls.name for ls in arch.layers])
             self._feat_shapes.append(shape)
-        # float32 samples per inference chunk and fewest per training slice;
-        # float64 never splits a batch (layers.py)
+        # float32 samples per inference chunk and fewest per training slice
+        # (_schedule); float64 never splits a batch (layers.py)
         self._chunk = -(-CHUNK_COL_BYTES // (4 * min(cols)))
         self._stems = [(oh * ow, convs) for (_, _, oh, ow), convs
                        in groups.items() if len(convs) > 1]
@@ -163,7 +163,7 @@ class PdcnnNet:
         hb = np.zeros(NUM_CLASSES, dtype=self.dtype)
         self.head = FullyConnected(hw, hb)
         # forward-only mode: no backward caches or stems, blocked convolutions,
-        # and a float32 forward runs the branches over sample chunks on threads
+        # and a float32 forward runs the branches over sample chunks (_schedule)
         self.inference = False
         # forward's training items and the head's part, for backward
         self._plan = None
@@ -209,20 +209,28 @@ class PdcnnNet:
             current[name][...] = np.asarray(value, dtype=self.dtype)
 
     def _schedule(self, n):
-        """Each thread's training items, (branch index, layers.Part), the
-        calling thread's first. A float32 net with fewer branches than cores,
-        which cannot give each thread a branch of its own, runs every branch
-        as one sample slice per thread when the batch gives two slices, each
-        of at least a chunk's samples (see __init__). Any other step runs
-        whole branches, each a one-part Split, in contiguous runs; if the
-        last run then holds more than the first, its last branch is cut in
-        two (_on_plan), its item first in the last run and last in the first."""
+        """Each thread's items, (branch index, layers.Part of one Split),
+        the calling thread's first. Inference runs k = n // chunk float32
+        chunks (see __init__) per branch, branch-major in contiguous runs over
+        the cores if k > 1, else one. A training step slices every branch, one
+        part per thread, if the net is float32 with fewer branches than cores
+        and the batch gives two slices of at least a chunk; else whole
+        branches share one part in contiguous runs, and if the last run holds
+        more than the first, its last branch is cut in two (_on_plan), its
+        item first in the last run and last in the first."""
         branches, cores = len(self.branches), usable_cores()
-        k = min(cores, n // self._chunk) if self.dtype == np.float32 else 1
+        k = n // self._chunk if self.dtype == np.float32 else 1
+        if self.inference:
+            # inference layers keep no state, so two threads may run one branch
+            items = [(b, p) for b in range(branches)
+                     for p in Split(n).parts(max(1, k))]
+            return _contiguous(items, min(cores, len(items)) if k > 1 else 1)
+        k = min(cores, k)
         if branches < cores and k > 1:
-            parts = [Split(n).parts(k) for _ in range(branches)]
-            return [[(b, p[t]) for b, p in enumerate(parts)] for t in range(k)]
-        runs = _contiguous([(b, batch_part(n)) for b in range(branches)],
+            return [[(b, p) for b in range(branches)]
+                    for p in Split(n).parts(k)]
+        part = batch_part(n)
+        runs = _contiguous([(b, part) for b in range(branches)],
                            min(cores, branches))
         if len(runs[-1]) > len(runs[0]):
             runs[-1].insert(0, runs[-1].pop())
@@ -231,16 +239,17 @@ class PdcnnNet:
 
     def _on_plan(self, fn, plan, inputs, backward=False):
         """_on_threads of fn (_branch_forward or _branch_backward) over each
-        (b, part) of the plan: branch b from inputs[b][n0:n1], within part. An
-        item in the first run and another is a branch cut before its conv2:
-        the pool runs its first stage (backward: the rest), handing the array
-        at the cut to the caller through a Future; only the caller waits."""
+        (b, part) of the plan: branch b from inputs[b][n0:n1], within part
+        unless in inference. An item in the first run and another is a branch
+        cut before its conv2: the pool runs its first stage (backward: the
+        rest), handing the array at the cut to the caller through a Future;
+        only the caller waits."""
         cut = {i: Future() for i in set(plan[0]) & set(sum(plan[1:], []))}
 
         def item(t, b, part):
             layers, h = self.branches[b], inputs[b][part.n0:part.n1]
             if (b, part) not in cut:
-                return part, fn, layers, h
+                return None if self.inference else part, fn, layers, h
             c = [isinstance(layer, Conv2d) for layer in layers].index(True, 1)
             piece = layers[:c] if (t > 0) != backward else layers[c:]
             return ((part, _hand_over, cut[b, part], fn, piece, h) if t
@@ -252,17 +261,17 @@ class PdcnnNet:
     def _share_stems(self, x, plan):
         """Build each group of conv1s (__init__) its stem, the batch's columns
         at the group's widest kernel, a sample range on each thread of the
-        plan, and hand it, read-only, to the members' Splits."""
-        splits = {b: part.split for run in plan for b, part in run}
+        plan, and hand it, read-only, to the step's Split."""
+        split = plan[0][0][1].split
         n, t = len(x), min(len(plan), len(x))
         for m, convs in self._stems:
-            widest = max(convs.values(), key=lambda conv: conv.weights.shape[2])
+            widest = max(convs, key=lambda conv: conv.weights.shape[2])
             stem = np.empty((widest.weights[0].size, n * m), self.dtype)
             _on_threads(lambda a, e: widest.im2col(x[a:e], stem[:, a * m:e * m]),
                         [[(n * i // t, n * (i + 1) // t)] for i in range(t)])
             stem.flags.writeable = False
-            for b, conv in convs.items():
-                splits[b].share(conv, stem, widest.weights.shape[2])
+            for conv in convs:
+                split.share(conv, stem, widest.weights.shape[2])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N,K) logits for an (N,C,H,W) batch of [0, 1] images whose
@@ -274,28 +283,16 @@ class PdcnnNet:
         # a new array, so the in-place scale leaves the caller's batch alone
         x = np.subtract(x, INPUT_OFFSET, dtype=self.dtype)
         x *= INPUT_SCALE
-        n = len(x)
-        self._plan = head = None
-        if self.inference:
-            # inference layers keep no state, so two threads may run one
-            # branch; k chunks, none below the rule
-            k = max(1, n // self._chunk) if self.dtype == np.float32 else 1
-            edges = [n * i // k for i in range(k + 1)]
-            items = [(b, x[a:e]) for b in range(len(self.branches))
-                     for a, e in zip(edges, edges[1:])]
-            runs = _contiguous(items, min(usable_cores(), len(items))
-                               if k > 1 else 1)
-            out = _on_threads(_branch_forward, [
-                [(self.branches[b], h) for b, h in run] for run in runs])
-        else:
-            runs = plan = self._schedule(n)
-            head = batch_part(n)
+        self._plan = None
+        plan = self._schedule(len(x))
+        if not self.inference:
             self._share_stems(x, plan)
-            out = self._on_plan(_branch_forward, plan, [x] * len(self.branches))
+        out = self._on_plan(_branch_forward, plan, [x] * len(self.branches))
         feats = [[] for _ in self.branches]  # each branch's, in sample order
-        for (b, _), h in zip(sum(runs, []), out):
+        for (b, _), h in zip(sum(plan, []), out):
             if h is not None:  # None: a cut branch's first stage
                 feats[b].append(h.reshape(len(h), -1))
+        head = None if self.inference else batch_part(len(x))
         logits = _on_part(head, self.head.forward, np.concatenate(
             [np.concatenate(hs) for hs in feats], axis=1))
         if head is not None:
@@ -305,9 +302,9 @@ class PdcnnNet:
     def backward(self, dlogits: np.ndarray) -> None:
         """Backpropagate (N,K) logit gradients, cast to the network's dtype;
         fills every grad_* attribute. Consumes the latest training forward's
-        caches, each layer's freed as its backward finishes with it; branches
-        run as sample slices then compute their weight gradients from the
-        whole batch, shared out over the same threads."""
+        caches, each layer's freed as its backward finishes with it; sample
+        slices then compute their weight gradients from the whole batch,
+        shared out over the same threads."""
         dlogits = np.asarray(dlogits, dtype=self.dtype)
         plan, head = self._plan or ([], None)
         self._plan = None
@@ -317,13 +314,11 @@ class PdcnnNet:
         ds = [d.reshape(len(d), *shape) for d, shape in
               zip(np.split(dfused, edges, axis=1), self._feat_shapes)]
         self._on_plan(_branch_backward, plan, ds, backward=True)
-        splits = [part.split for _, part in plan[0] if not part.sole]
-        if splits:
-            _on_threads(Split.weight_grads, [[(split, t, len(plan))
-                                              for split in splits]
-                                             for t in range(len(plan))])
-            for split in splits:
-                split.convs.clear()
+        part = plan[0][0][1]
+        if not part.sole:
+            _on_threads(part.split.weight_grads,
+                        [[(t, len(plan))] for t in range(len(plan))])
+            part.split.convs.clear()
 
 
 def save_model(net: PdcnnNet, path) -> None:

@@ -643,8 +643,8 @@ def test_forward_rejects_an_empty_batch(inference):
 
 
 def _plan_shape(net, n):
-    """net's training plan for an n-sample batch, one list of items per
-    thread: "b1" a whole branch, "b1[0:16]" a sample slice, and a cut
+    """net's plan for an n-sample batch, one list of items per thread: "b1"
+    a whole branch, "b1[0:16]" a sample slice or chunk, and a cut
     branch "b3 conv2..." on the calling thread, "b3 to norm1" on the pool."""
     plan = net._schedule(n)
     cut = set(plan[0]) & set(sum(plan[1:], []))
@@ -692,6 +692,80 @@ def test_training_plan_shapes(monkeypatch, size, config, depths, dtype, batch,
     for cores, want in plans.items():
         monkeypatch.setattr(N, "usable_cores", lambda: cores)
         assert _plan_shape(net, batch) == want, cores
+
+
+_ONE_RUN = [["b1", "b2", "b3"]]
+
+
+@pytest.mark.parametrize("size,config,dtype,batch,plans", [
+    (224, ArchConfig(), np.float32, 8,
+     {3: [[f"b{b}[0:4]", f"b{b}[4:8]"] for b in (1, 2, 3)]}),
+    (56, DESK, np.float32, 160,
+     {2: [["b1[0:80]", "b1[80:160]", "b2[0:80]"],
+          ["b2[80:160]", "b3[0:80]", "b3[80:160]"]]}),
+    (56, DESK, np.float32, 64, {2: _ONE_RUN, 4: _ONE_RUN}),
+    (56, DESK, np.float64, 160, {2: _ONE_RUN, 4: _ONE_RUN}),
+    (224, ArchConfig(), np.float64, 64, {2: _ONE_RUN}),
+], ids=["full-8", "desk-160", "desk-64", "desk-160-float64", "full-64-float64"])
+def test_inference_plan_shapes(monkeypatch, size, config, dtype, batch, plans):
+    # an inference forward runs each float32 branch as batch // chunk chunks
+    # (3 samples at full scale, 76 at desk scale), branch-major in contiguous
+    # runs over the cores; a batch that gives fewer than two chunks, and every
+    # float64 batch, runs all branches whole, one after another
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=dtype)
+    net.inference = True
+    for cores, want in plans.items():
+        monkeypatch.setattr(N, "usable_cores", lambda: cores)
+        assert _plan_shape(net, batch) == want, cores
+
+
+def test_inference_plan_spreads_chunks_over_the_cores(monkeypatch):
+    # the benchmark's full-scale eval batch of 64 on 2 cores: 21 chunks of 3
+    # or 4 samples per branch, 63 items in runs of 31 and 32, each branch's
+    # chunks in sample order
+    monkeypatch.setattr(N, "usable_cores", lambda: 2)
+    spec = build_pdcnn([4, 3, 4], input_shape=(3, 224, 224), config=ArchConfig())
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    net.inference = True
+    plan = _plan_shape(net, 64)
+    assert [len(run) for run in plan] == [31, 32]
+    assert [run[0] for run in plan] == ["b1[0:3]", "b2[30:33]"]
+    for b in (1, 2, 3):
+        edges = [tuple(map(int, name[3:-1].split(":")))
+                 for name in sum(plan, []) if name.startswith(f"b{b}[")]
+        assert len(edges) == 21
+        assert [a for a, _ in edges] == [0] + [e for _, e in edges[:-1]]
+        assert edges[-1][1] == 64
+        assert {e - a for a, e in edges} == {3, 4}
+
+
+@pytest.mark.parametrize("size,config,depths,batch,cores,sliced", [
+    (56, DESK, [4, 3, 4], 8, 3, False),
+    (56, DESK, [4, 3, 4], 8, 2, False),
+    (224, ArchConfig(), [4, 3], 6, 4, True),
+], ids=["whole", "cut", "sliced"])
+def test_training_step_runs_its_branches_in_one_split(
+        monkeypatch, size, config, depths, batch, cores, sliced):
+    # every item of a training step, whole, cut or sliced, is a part of one
+    # Split, apart from the head's: whole branches share its one part, slices
+    # have one part per thread; backward leaves the split holding no conv
+    monkeypatch.setattr(N, "usable_cores", lambda: cores)
+    spec = build_pdcnn(depths, input_shape=(3, size, size), config=config)
+    net = PdcnnNet(spec, T.Rng(4), dtype=np.float32)
+    x = np.random.default_rng(2).random((batch, 3, size, size))
+    logits = net.forward(x)
+    plan, head = net._plan
+    parts = [part for run in plan for _, part in run]
+    splits = {part.split for part in parts}
+    assert len(splits) == 1
+    split = splits.pop()
+    assert split.n == batch and head.split is not split
+    assert len(set(parts)) == (len(plan) if sliced else 1)
+    assert all(part.sole != sliced for part in parts)
+    assert split.convs
+    net.backward(np.ones_like(logits))
+    assert split.convs == {}
 
 
 @pytest.mark.parametrize("size,config", [
@@ -844,7 +918,7 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
     assert len(outputs) == 2 * (3 + 3 + 3)  # every branch runs as 2 slices
     assert all(ref() is None for ref in outputs)
     plan, head = net._plan
-    pools = relus = 0
+    pools = 0
     for b, part in [(b, part) for run in plan for b, part in run]:
         layers = net.branches[b]
         for pool, relu in zip(layers, layers[1:]):
@@ -857,7 +931,10 @@ def test_training_caches_hold_winners_and_masks_not_activations(monkeypatch):
                 assert isinstance(relu, L.Relu)
                 assert mask.dtype == bool and mask.shape == rank.shape
                 pools += 1
-        relus += sum(isinstance(layer, L.Relu) for layer in part.caches)
+    # a part holds the caches of every branch it runs: count each part once
+    parts = {part for run in plan for _, part in run}
+    relus = sum(isinstance(layer, L.Relu) for part in parts
+                for layer in part.caches)
     assert (pools, relus) == (len(outputs), 2 * (4 + 3 + 4))
     net.backward(np.ones_like(logits))
 
